@@ -29,7 +29,7 @@ from .cmcert import (
     gorenstein_symmetry_check,
     veronese_cm_search,
 )
-from .domains import QQ, ZZ, Z_local
+from .domains import QQ, ZZ, Z_local, is_prime
 from .fixtures import (
     DEDEKIND_FIXTURES,
     fixture_group,
@@ -247,7 +247,7 @@ def _cmd_gorenstein(args) -> int:
     ring = GradedRing(group.n, group.coeff)
     S = truncated_invariant_ring(group, ring, args.max_degree, workers=_workers())
     V = veronese(S, args.l)
-    certs = cm_certificate(V, [p for p in range(2, group.order + 1) if group.order % p == 0 and _is_prime(p)], seed=args.seed)
+    certs = cm_certificate(V, [p for p in range(2, group.order + 1) if group.order % p == 0 and is_prime(p)], seed=args.seed)
     sop_degrees = None
     for cert in certs.values():
         if cert.status == "certified":
@@ -266,12 +266,6 @@ def _cmd_gorenstein(args) -> int:
     }
     _emit(args, payload)
     return EXIT_OK
-
-
-def _is_prime(n: int) -> bool:
-    from .domains import is_prime
-
-    return is_prime(n)
 
 
 def _cmd_cohomology(args) -> int:

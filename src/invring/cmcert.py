@@ -16,17 +16,18 @@ import itertools
 import random
 from dataclasses import dataclass, field
 
-from .domains import GF, scalar_mod_p_residue
+from .domains import GF, is_prime, scalar_mod_p_residue
 from .groups import MatrixGroup
 from .invariants import (
     TruncatedSubalgebra,
     canonical_span,
     hilbert_function,
     is_standard_graded_up_to,
+    minimal_generators_up_to,
     truncated_invariant_ring,
     veronese,
 )
-from .linalg import rref_mod_p
+from .linalg import echelon_mod_p, member_mod_p, rref_mod_p
 from .poly import GradedRing, Polynomial, graded_piece_basis
 
 
@@ -311,21 +312,27 @@ def _candidates_of_degree(Sbar: TruncatedSubalgebra, k: int, cap: int) -> list[P
     return out
 
 
-def _vanishing_window(Sbar: TruncatedSubalgebra, ideal_spans) -> int:
+def _generator_vectors(Sbar: TruncatedSubalgebra) -> list[tuple[int, list[int]]]:
+    """Minimal algebra generators of Sbar as (degree, coefficient vector)."""
+    out = []
+    for d, gen in minimal_generators_up_to(Sbar):
+        piece = graded_piece_basis(Sbar.ambient, Sbar.ambient_degree(d))
+        out.append((d, [int(x) for x in gen.to_vector(piece)]))
+    return out
+
+
+def _vanishing_window(generators, ideal_spans, p: int) -> int:
     """Zero-tail length needed before vanishing persists past the truncation.
 
     Once the quotient vanishes on w consecutive degrees, every higher piece
     is reached by multiplying a generator into the zero window or by a
     generator already inside the ideal; w is the largest degree of a minimal
-    generator not contained in the ideal.
+    generator not contained in the ideal.  generators holds (degree, vector)
+    pairs; ideal_spans[d] is any echelon basis member_mod_p accepts.
     """
-    from .invariants import minimal_generators_up_to, span_member
-
     w = 1
-    for d, gen in minimal_generators_up_to(Sbar):
-        piece = graded_piece_basis(Sbar.ambient, Sbar.ambient_degree(d))
-        vec = gen.to_vector(piece)
-        if not span_member(Sbar.domain, ideal_spans[d], vec):
+    for d, vec in generators:
+        if not member_mod_p(ideal_spans[d], vec, p):
             w = max(w, d)
     return w
 
@@ -347,6 +354,15 @@ def find_sop_mixed(
     high-degree generator are only reachable by a parameter of that degree.
     Success requires the quotient Hilbert values to vanish on a tail window
     long enough (per _vanishing_window) to persist beyond the truncation.
+
+    Degree multisets are visited by total degree; within one, combinations
+    of the sparsest candidates are tried exhaustively up to
+    _MIXED_COMBO_CAP, else that many are sampled with a seeded generator,
+    and the whole search stops after _MIXED_EVAL_BUDGET evaluations.  A
+    combination's quotient Hilbert values are ranks of the stacked
+    multiplication images, taken from a forward echelon over F_p; the
+    minimal generators of Sbar that the window test needs are computed once,
+    at the first combination whose quotient has a zero tail.
     """
     if Sbar.domain.tag != "Fp":
         raise ValueError("parameter search runs over a prime field")
@@ -357,8 +373,8 @@ def find_sop_mixed(
         k: _candidates_of_degree(Sbar, k, _MIXED_CANDIDATE_CAP)
         for k in range(1, max_deg + 1)
     }
-    # cache the multiplication images theta * (basis of each piece) once per
-    # candidate; combo evaluation is then a modular row reduction only
+    # multiplication images theta * (basis of each piece), built once per
+    # candidate and stacked per degree for every combination that uses it
     image_rows: dict[tuple[int, int], list[list[list[int]]]] = {}
 
     def rows_for(k: int, idx: int) -> list[list[list[int]]]:
@@ -385,6 +401,7 @@ def find_sop_mixed(
         key=lambda ms: (sum(ms), ms),
     )
     rng = random.Random(seed)
+    generators = None
     tried = 0
     for ms in multisets:
         if tried >= _MIXED_EVAL_BUDGET:
@@ -422,13 +439,15 @@ def find_sop_mixed(
             for d in range(D + 1):
                 stacked = [row for k, idx in picks for row in rows_for(k, idx)[d]]
                 dim_d = Sbar.piece_dim(d)
-                rows, _ = rref_mod_p(stacked, dim_d, p) if stacked else ((), ())
+                rows, _ = echelon_mod_p(stacked, dim_d, p)
                 spans.append(rows)
             h = [len(Sbar.bases[d]) - len(spans[d]) for d in range(D + 1)]
             d0 = next((d for d in range(D + 1) if all(v == 0 for v in h[d:])), None)
             if d0 is None:
                 continue
-            w = _vanishing_window(Sbar, spans)
+            if generators is None:
+                generators = _generator_vectors(Sbar)
+            w = _vanishing_window(generators, spans, p)
             if D - d0 + 1 >= w:
                 thetas = tuple(per_degree[k][idx] for k, idx in picks)
                 return SopSearchResult(
@@ -537,7 +556,7 @@ def veronese_cm_search(
     """
     if S is None:
         S = truncated_invariant_ring(G, ring, D)
-    primes = sorted({p for p in range(2, G.order + 1) if G.order % p == 0 and _is_prime(p)})
+    primes = sorted({p for p in range(2, G.order + 1) if G.order % p == 0 and is_prime(p)})
 
     def attempt_for(l: int) -> VeroneseAttempt:
         V = veronese(S, l)
@@ -569,12 +588,6 @@ def veronese_cm_search(
         attempts=tuple(attempts),
         first_certified=first_certified,
     )
-
-
-def _is_prime(n: int) -> bool:
-    from .domains import is_prime
-
-    return is_prime(n)
 
 
 @dataclass(frozen=True)

@@ -395,6 +395,41 @@ def rref_mod_p(rows, ncols: int, p: int) -> tuple[tuple[tuple[int, ...], ...], t
     return tuple(tuple(row) for row in m[:r]), tuple(pivots)
 
 
+def echelon_mod_p(rows, ncols: int, p: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """Forward row echelon form over F_p; returns (nonzero rows, pivot columns).
+
+    Rows come in pivot order with each pivot scaled to 1; entries above the
+    pivots are left unreduced, so the rows are not canonical.  The row count
+    is the rank, and member_mod_p accepts the rows as they are.  About half
+    the work of rref_mod_p, for callers that need only ranks or membership.
+    """
+    m = [r for r in ([x % p for x in row] for row in rows) if any(r)]
+    out: list[tuple[int, ...]] = []
+    pivots: list[int] = []
+    for col in range(ncols):
+        if not m:
+            break
+        sel = next((i for i, row in enumerate(m) if row[col]), None)
+        if sel is None:
+            continue
+        piv = m.pop(sel)
+        if piv[col] != 1:
+            inv = pow(piv[col], -1, p)
+            piv = [(x * inv) % p for x in piv]
+        rest = []
+        for row in m:
+            f = row[col]
+            if f:
+                row = [(x - f * y) % p for x, y in zip(row, piv)]
+                if not any(row):
+                    continue
+            rest.append(row)
+        m = rest
+        out.append(tuple(piv))
+        pivots.append(col)
+    return tuple(out), tuple(pivots)
+
+
 def kernel_mod_p(rows, ncols: int, p: int) -> tuple[tuple[int, ...], ...]:
     """Canonical basis of the right kernel {v : M v = 0} over F_p."""
     rref, pivots = rref_mod_p(rows, ncols, p)
@@ -411,7 +446,7 @@ def kernel_mod_p(rows, ncols: int, p: int) -> tuple[tuple[int, ...], ...]:
 
 
 def member_mod_p(rref_rows, v, p: int) -> bool:
-    """True iff v lies in the row space given in RREF over F_p."""
+    """True iff v lies in the row space of rows from rref_mod_p or echelon_mod_p."""
     res = [x % p for x in v]
     for row in rref_rows:
         j = next((k for k, x in enumerate(row) if x), None)

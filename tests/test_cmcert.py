@@ -178,6 +178,38 @@ def test_find_sop_mixed_weighted_polynomial_ring():
     assert cert.status == "certified"
 
 
+
+# (found, tried, parameters) of find_sop_mixed on the Veronese subrings of
+# the S3 Sylow-p invariant rings (D = 8); pins the search order and the
+# budget accounting (tried == 6000 is the evaluation budget running out).
+MIXED_TRAJECTORIES = {
+    (2, 1): (True, 3, ("Y", "X + Z", "X*Z")),
+    (2, 2): (True, 2, ("Y^2", "X*Z", "X^2 + Z^2")),
+    (2, 3): (False, 2000, ()),
+    (2, 4): (False, 2000, ()),
+    (3, 1): (True, 7, ("X + Y + Z", "X*Y + X*Z + Y*Z", "X*Y*Z")),
+    (3, 2): (False, 6000, ()),
+    (3, 3): (False, 2000, ()),
+    (3, 4): (False, 2000, ()),
+}
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_find_sop_mixed_pinned_trajectory(p):
+    from invring.cmcert import _MIXED_EVAL_BUDGET
+    from invring.fixtures import fixture_group
+    from invring.groups import sylow_subgroup
+
+    assert _MIXED_EVAL_BUDGET == 6000
+    SH = truncated_invariant_ring(
+        sylow_subgroup(fixture_group("s3"), p), GradedRing(3, ZZ), 8
+    )
+    for l in range(1, 5):
+        res = find_sop_mixed(reduce_mod_p(veronese(SH, l), p), 3)
+        got = (res.found, res.tried, tuple(str(t) for t in res.thetas))
+        assert got == MIXED_TRAJECTORIES[p, l], (p, l)
+
+
 def test_cm_certificate_mixed_handles_nonstandard():
     ring = GradedRing(3, ZZ)
     G = enumerate_group(

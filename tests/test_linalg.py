@@ -7,6 +7,7 @@ import pytest
 from invring.linalg import (
     IntegerMatrix,
     cokernel_invariant_factors,
+    echelon_mod_p,
     hermite_normal_form,
     integer_kernel_basis,
     kernel_mod_p,
@@ -183,3 +184,50 @@ def test_kernel_mod_p_matches_rank():
             r = len(rref_mod_p(m, cols, p)[0])
             k = len(kernel_mod_p(m, cols, p))
             assert r + k == cols
+
+
+def _planted_matrix(rng, p, nrows, ncols, rank_cap):
+    """Random rows over F_p spanning at most rank_cap dimensions, with zero
+    rows and multiples of other rows mixed in."""
+    basis = [[rng.randrange(p) for _ in range(ncols)] for _ in range(rank_cap)]
+    rows = []
+    for _ in range(nrows):
+        kind = rng.randrange(4)
+        if kind == 0:
+            rows.append([0] * ncols)
+        elif kind == 1 and rows:
+            c = rng.randrange(1, p)
+            rows.append([c * x + p * rng.randrange(3) for x in rng.choice(rows)])
+        else:
+            row = [0] * ncols
+            for b in basis:
+                c = rng.randrange(p)
+                row = [x + c * y for x, y in zip(row, b)]
+            rows.append(row)
+    return rows, basis
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_echelon_mod_p_matches_rref(p):
+    rng = random.Random(100 + p)
+    for _ in range(60):
+        ncols = rng.randint(1, 9)
+        rows, basis = _planted_matrix(rng, p, rng.randint(0, 10), ncols, rng.randint(0, 5))
+        ech, pivots = echelon_mod_p(rows, ncols, p)
+        rref, rref_pivots = rref_mod_p(rows, ncols, p)
+        assert len(ech) == len(rref)
+        assert pivots == rref_pivots
+        for row, col in zip(ech, pivots):
+            assert all(x == 0 for x in row[:col]) and row[col] == 1
+            assert all(0 <= x < p for x in row)
+        probes = [[rng.randrange(p) for _ in range(ncols)] for _ in range(10)]
+        for _ in range(10):
+            v = [0] * ncols
+            for b in basis:
+                c = rng.randrange(p)
+                v = [x + c * y for x, y in zip(v, b)]
+            probes.append(v)
+        probes.extend(rows)
+        for v in probes:
+            assert member_mod_p(ech, v, p) == member_mod_p(rref, v, p)
+        assert all(member_mod_p(ech, v, p) for v in rows)
