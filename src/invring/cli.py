@@ -1,9 +1,9 @@
 """Command-line interface.
 
 Exit codes separate concerns for CI: 0 success, 1 a mathematical claim was
-refuted by computation, 2 bad input or usage.  Reports are deterministic for
-fixed inputs and seed and always embed the seed, truncation bound, tool
-version, and a hash of the group file.
+refuted by computation, 2 bad input or usage, 3 an internal error.  Reports
+are deterministic for fixed inputs and seed and always embed the seed,
+truncation bound, tool version, and a hash of the group file.
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import random
 import sys
 
@@ -29,15 +28,16 @@ from .cmcert import (
     gorenstein_symmetry_check,
     veronese_cm_search,
 )
-from .domains import QQ, ZZ, Z_local, is_prime
+from .domains import QQ, ZZ, Z_local, prime_divisors
 from .fixtures import (
     DEDEKIND_FIXTURES,
     fixture_group,
     random_order_p_module,
     random_trivial_mod_p_module,
 )
-from .groups import BoundExceeded, group_from_json_dict, sylow_subgroup
+from .groups import BoundExceeded, NotSubgroup, group_from_json_dict, sylow_subgroup
 from .invariants import (
+    IndexNotInvertible,
     hilbert_function,
     invariant_basis,
     is_standard_graded_up_to,
@@ -48,6 +48,7 @@ from .invariants import (
 )
 from .poly import GradedRing, graded_piece_basis, polynomial_from_vector
 from .quadratic import (
+    BoundTooLarge,
     NumberRing,
     ZeroElement,
     class_group,
@@ -59,19 +60,11 @@ from .quadratic import (
 EXIT_OK = 0
 EXIT_CLAIM_FAILED = 1
 EXIT_USAGE = 2
+EXIT_INTERNAL = 3
 
 
-def _workers() -> int | None:
-    raw = os.environ.get("INVRING_JOBS")
-    if not raw:
-        return None
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return None
-
-
-def _load_group(path: str):
+def _load_group(path: str, coeff=None):
+    """Group and file digest; coeff, when given, replaces the file's domain."""
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
@@ -81,6 +74,8 @@ def _load_group(path: str):
         payload = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise ValueError(f"group file is not valid JSON: {exc}") from None
+    if coeff is not None and isinstance(payload, dict):
+        payload["coefficients"] = str(coeff)
     group = group_from_json_dict(payload)
     digest = hashlib.sha256(raw).hexdigest()[:16]
     return group, digest
@@ -140,7 +135,7 @@ def _cert_payload(cert) -> dict:
 def _cmd_invariants(args) -> int:
     group, digest = _load_group(args.group)
     ring = GradedRing(group.n, group.coeff)
-    S = truncated_invariant_ring(group, ring, args.max_degree, workers=_workers())
+    S = truncated_invariant_ring(group, ring, args.max_degree)
     report = is_standard_graded_up_to(S)
     gens = minimal_generators_up_to(S)
     payload = {
@@ -161,7 +156,7 @@ def _cmd_invariants(args) -> int:
 def _cmd_veronese(args) -> int:
     group, digest = _load_group(args.group)
     ring = GradedRing(group.n, group.coeff)
-    S = truncated_invariant_ring(group, ring, args.max_degree, workers=_workers())
+    S = truncated_invariant_ring(group, ring, args.max_degree)
     V = veronese(S, args.m)
     report = is_standard_graded_up_to(V)
     gens = minimal_generators_up_to(V)
@@ -182,13 +177,8 @@ def _cmd_veronese(args) -> int:
 
 def _cmd_transfer_check(args) -> int:
     coeff = Z_local(args.p) if args.p else QQ
-    with open(args.group) as fh:
-        gpayload = json.load(fh)
-    with open(args.subgroup) as fh:
-        hpayload = json.load(fh)
-    gpayload["coefficients"] = hpayload["coefficients"] = str(coeff)
-    G = group_from_json_dict(gpayload)
-    H = group_from_json_dict(hpayload)
+    G, _ = _load_group(args.group, coeff)
+    H, _ = _load_group(args.subgroup, coeff)
     ring = GradedRing(G.n, coeff)
     checked = 0
     failures = []
@@ -218,7 +208,6 @@ def _cmd_cm_search(args) -> int:
         l_max=args.l_max,
         D=args.max_degree,
         seed=args.seed,
-        workers=_workers(),
     )
     attempts = []
     for a in report.attempts:
@@ -245,9 +234,9 @@ def _cmd_cm_search(args) -> int:
 def _cmd_gorenstein(args) -> int:
     group, digest = _load_group(args.group)
     ring = GradedRing(group.n, group.coeff)
-    S = truncated_invariant_ring(group, ring, args.max_degree, workers=_workers())
+    S = truncated_invariant_ring(group, ring, args.max_degree)
     V = veronese(S, args.l)
-    certs = cm_certificate(V, [p for p in range(2, group.order + 1) if group.order % p == 0 and is_prime(p)], seed=args.seed)
+    certs = cm_certificate(V, prime_divisors(group.order), seed=args.seed)
     sop_degrees = None
     for cert in certs.values():
         if cert.status == "certified":
@@ -322,6 +311,8 @@ def _cmd_cohomology(args) -> int:
 def _cmd_dedekind(args) -> int:
     ring = NumberRing(args.d)
     if args.verb == "factor":
+        if args.element is None:
+            raise ValueError("--element is required for 'dedekind factor'")
         el = parse_element(args.element)
         div = factor_element(ring, el)
         payload = {
@@ -497,9 +488,25 @@ def run(argv=None) -> int:
         return int(exc.code) if exc.code is not None else EXIT_USAGE
     try:
         return args.func(args)
-    except (ValueError, KeyError, OSError, ZeroElement, BoundExceeded, NotStandardGraded) as exc:
+    except (
+        ValueError,
+        KeyError,
+        OSError,
+        ZeroElement,
+        BoundExceeded,
+        BoundTooLarge,
+        IndexNotInvertible,
+        NotStandardGraded,
+        NotSubgroup,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:
+        import traceback  # only on this path; it costs start-up time otherwise
+
+        traceback.print_exc()
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def main() -> None:

@@ -16,7 +16,7 @@ import itertools
 import random
 from dataclasses import dataclass, field
 
-from .domains import GF, is_prime, scalar_mod_p_residue
+from .domains import GF, prime_divisors, scalar_mod_p_residue
 from .groups import MatrixGroup
 from .invariants import (
     TruncatedSubalgebra,
@@ -35,9 +35,19 @@ class NotStandardGraded(Exception):
     """The algebra is not generated in degree one, so degree-1 parameter
     search does not apply; take a Veronese first."""
 
+    def __init__(self, degree: int):
+        super().__init__(f"not standard graded: fails at degree {degree}")
+        self.degree = degree
+
 
 class NumeratorNotTerminated(Exception):
     """The h-numerator has not stabilized to zero inside the truncation."""
+
+
+def _require_standard_graded(S: TruncatedSubalgebra) -> None:
+    report = is_standard_graded_up_to(S)
+    if not report.standard:
+        raise NotStandardGraded(report.first_failing_degree)
 
 
 @dataclass(frozen=True)
@@ -56,15 +66,6 @@ class CMCertificate:
     @property
     def certified(self) -> bool:
         return self.status in ("certified", "vacuous")
-
-
-@dataclass(frozen=True)
-class TruncatedQuotientAlgebra:
-    """A reduced algebra modulo a list of homogeneous parameters."""
-
-    base: TruncatedSubalgebra
-    parameters: tuple[Polynomial, ...]
-    hilbert: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -108,26 +109,6 @@ def reduce_mod_p(S: TruncatedSubalgebra, p: int) -> TruncatedSubalgebra:
     )
 
 
-def _ideal_piece_spans(
-    Sbar: TruncatedSubalgebra,
-    thetas: list[Polynomial],
-    theta_degrees: list[int],
-) -> list[tuple]:
-    """Per-degree spans of the ideal generated by the thetas inside Sbar."""
-    domain = Sbar.domain
-    spans = []
-    for d in range(Sbar.D + 1):
-        piece = graded_piece_basis(Sbar.ambient, Sbar.ambient_degree(d))
-        vectors = []
-        for theta, k in zip(thetas, theta_degrees):
-            if d - k < 0:
-                continue
-            for s in Sbar.piece_polynomials(d - k):
-                vectors.append((theta * s).to_vector(piece))
-        spans.append(canonical_span(domain, vectors, piece.dim))
-    return spans
-
-
 def _regraded_degrees(Sbar: TruncatedSubalgebra, thetas) -> list[int]:
     degrees = []
     for theta in thetas:
@@ -140,15 +121,23 @@ def _regraded_degrees(Sbar: TruncatedSubalgebra, thetas) -> list[int]:
     return degrees
 
 
-def truncated_quotient(Sbar: TruncatedSubalgebra, thetas) -> TruncatedQuotientAlgebra:
-    """The algebra modulo the ideal generated by the parameters, as far as
-    its Hilbert values go; values stay between 0 and the base values."""
+def truncated_quotient(Sbar: TruncatedSubalgebra, thetas) -> tuple[int, ...]:
+    """Hilbert values of the algebra modulo the ideal generated by the
+    parameters, through D; each lies between 0 and the base value."""
     thetas = list(thetas)
-    spans = _ideal_piece_spans(Sbar, thetas, _regraded_degrees(Sbar, thetas))
-    hilbert = tuple(len(Sbar.bases[d]) - len(spans[d]) for d in range(Sbar.D + 1))
-    return TruncatedQuotientAlgebra(
-        base=Sbar, parameters=tuple(thetas), hilbert=hilbert
-    )
+    degrees = _regraded_degrees(Sbar, thetas)
+    hilbert = []
+    for d in range(Sbar.D + 1):
+        piece = graded_piece_basis(Sbar.ambient, Sbar.ambient_degree(d))
+        ideal_piece = [
+            (theta * s).to_vector(piece)
+            for theta, k in zip(thetas, degrees)
+            if d >= k
+            for s in Sbar.piece_polynomials(d - k)
+        ]
+        span = canonical_span(Sbar.domain, ideal_piece, piece.dim)
+        hilbert.append(len(Sbar.bases[d]) - len(span))
+    return tuple(hilbert)
 
 
 def regular_sequence_certificate(
@@ -171,10 +160,7 @@ def regular_sequence_certificate(
     failed_stage = failed_degree = None
     h_cur = h_prev
     for stage in range(1, len(thetas) + 1):
-        spans = _ideal_piece_spans(Sbar, thetas[:stage], degrees[:stage])
-        h_cur = [
-            len(Sbar.bases[d]) - len(spans[d]) for d in range(Sbar.D + 1)
-        ]
+        h_cur = truncated_quotient(Sbar, thetas[:stage])
         for d in range(Sbar.D + 1):
             k = degrees[stage - 1]
             expected = h_prev[d] - (h_prev[d - k] if d >= k else 0)
@@ -197,22 +183,28 @@ def regular_sequence_certificate(
     )
 
 
+def _projective_patterns(p: int, r: int):
+    """Coefficient tuples over F_p with first nonzero entry 1, in product order."""
+    for coeffs in itertools.product(range(p), repeat=r):
+        if next((c for c in coeffs if c), None) == 1:
+            yield coeffs
+
+
+def _combination(Sbar: TruncatedSubalgebra, coeffs, basis) -> Polynomial:
+    theta = Sbar.ambient.zero_poly
+    for c, b in zip(coeffs, basis):
+        if c:
+            theta = theta + b.scale(c)
+    return theta
+
+
 def _degree_one_candidates(Sbar: TruncatedSubalgebra) -> list[Polynomial]:
     """Projective representatives of nonzero degree-1 combinations over F_p."""
-    p = Sbar.domain.p
     basis = Sbar.piece_polynomials(1)
-    k = len(basis)
-    candidates = []
-    for coeffs in itertools.product(range(p), repeat=k):
-        first = next((c for c in coeffs if c), None)
-        if first != 1:
-            continue
-        theta = Sbar.ambient.zero_poly
-        for c, b in zip(coeffs, basis):
-            if c:
-                theta = theta + b.scale(c)
-        candidates.append(theta)
-    return candidates
+    return [
+        _combination(Sbar, coeffs, basis)
+        for coeffs in _projective_patterns(Sbar.domain.p, len(basis))
+    ]
 
 
 _EXHAUSTIVE_CAP = 20_000
@@ -233,11 +225,7 @@ def find_sop_mod_p(
     """
     if Sbar.domain.tag != "Fp":
         raise ValueError("parameter search runs over a prime field")
-    report = is_standard_graded_up_to(Sbar)
-    if not report.standard:
-        raise NotStandardGraded(
-            f"not standard graded: fails at degree {report.first_failing_degree}"
-        )
+    _require_standard_graded(Sbar)
     candidates = _degree_one_candidates(Sbar)
     if len(candidates) < dim:
         return SopSearchResult(
@@ -265,8 +253,7 @@ def find_sop_mod_p(
         seen.add(combo)
         tried += 1
         thetas = [candidates[i] for i in combo]
-        quotient = truncated_quotient(Sbar, thetas)
-        if any(v == 0 for v in quotient.hilbert):
+        if 0 in truncated_quotient(Sbar, thetas):
             return SopSearchResult(
                 found=True,
                 thetas=tuple(thetas),
@@ -287,29 +274,14 @@ def find_sop_mod_p(
 
 
 def _candidates_of_degree(Sbar: TruncatedSubalgebra, k: int, cap: int) -> list[Polynomial]:
-    """Degree-k projective candidates, sparsest coefficient patterns first."""
-    p = Sbar.domain.p
+    """Degree-k projective candidates, sparsest of the first 4 * cap
+    coefficient patterns first."""
     basis = Sbar.piece_polynomials(k)
-    r = len(basis)
-    if r == 0:
-        return []
-    patterns = []
-    for coeffs in itertools.product(range(p), repeat=r):
-        first = next((c for c in coeffs if c), None)
-        if first != 1:
-            continue
-        patterns.append(coeffs)
-        if len(patterns) >= 4 * cap:
-            break
-    patterns.sort(key=lambda cs: (sum(1 for c in cs if c), cs))
-    out = []
-    for coeffs in patterns[:cap]:
-        theta = Sbar.ambient.zero_poly
-        for c, b in zip(coeffs, basis):
-            if c:
-                theta = theta + b.scale(c)
-        out.append(theta)
-    return out
+    patterns = sorted(
+        itertools.islice(_projective_patterns(Sbar.domain.p, len(basis)), 4 * cap),
+        key=lambda cs: (sum(1 for c in cs if c), cs),
+    )
+    return [_combination(Sbar, coeffs, basis) for coeffs in patterns[:cap]]
 
 
 def _generator_vectors(Sbar: TruncatedSubalgebra) -> list[tuple[int, list[int]]]:
@@ -479,11 +451,7 @@ def cm_certificate(
     mixed homogeneous degrees.
     """
     if not mixed:
-        report = is_standard_graded_up_to(S)
-        if not report.standard:
-            raise NotStandardGraded(
-                f"not standard graded: fails at degree {report.first_failing_degree}"
-            )
+        _require_standard_graded(S)
     dim = S.ambient.nvars
     out: dict[int, CMCertificate] = {}
     for p in primes:
@@ -545,41 +513,28 @@ def veronese_cm_search(
     trials: int = 200,
     seed: int = 0,
     S: TruncatedSubalgebra | None = None,
-    workers: int | None = None,
 ) -> VeroneseSearchReport:
     """Try Veronese indices 1..l_max and certify the first CM candidate.
 
     Certificates are evidence at truncation D//l; a failure is reported as
-    unverified at that degree, never as a negative.  The per-index cells are
-    independent and may be evaluated concurrently (workers > 1); attempts
-    are always assembled in index order, so the report is deterministic.
+    unverified at that degree, never as a negative.
     """
     if S is None:
         S = truncated_invariant_ring(G, ring, D)
-    primes = sorted({p for p in range(2, G.order + 1) if G.order % p == 0 and is_prime(p)})
+    primes = prime_divisors(G.order) or [2]
 
     def attempt_for(l: int) -> VeroneseAttempt:
-        V = veronese(S, l)
-        report = is_standard_graded_up_to(V)
-        if not report.standard:
+        try:
+            certs = cm_certificate(veronese(S, l), primes, trials=trials, seed=seed)
+        except NotStandardGraded as exc:
             return VeroneseAttempt(
-                l=l,
-                standard_graded=False,
-                first_failing_degree=report.first_failing_degree,
+                l=l, standard_graded=False, first_failing_degree=exc.degree
             )
-        certs = cm_certificate(V, primes or [2], trials=trials, seed=seed)
         return VeroneseAttempt(
             l=l, standard_graded=True, first_failing_degree=None, certificates=certs
         )
 
-    indices = [l for l in range(1, l_max + 1) if D // l >= 1]
-    if workers and workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            attempts = list(pool.map(attempt_for, indices))
-    else:
-        attempts = [attempt_for(l) for l in indices]
+    attempts = [attempt_for(l) for l in range(1, l_max + 1) if D // l >= 1]
     first_certified = next((a.l for a in attempts if a.certified), None)
     return VeroneseSearchReport(
         group_order=G.order,

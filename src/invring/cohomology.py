@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .domains import (
     CoefficientDomain,
@@ -25,7 +25,7 @@ from .domains import (
     mat_sub,
     scalar_mod_p_residue,
 )
-from .groups import MatrixGroup, cyclic_generator
+from .groups import MatrixGroup, _p_power_part, cyclic_generator
 from .linalg import IntegerMatrix, integer_kernel_basis, lattice_quotient, rank
 from .poly import GradedRing, action_matrix
 
@@ -97,18 +97,10 @@ def _integer_matrix(dom: CoefficientDomain, m: Matrix) -> IntegerMatrix:
     return IntegerMatrix([[int(x * den) for x in row] for row in fr], cols=len(m[0]) if m else 0)
 
 
-def _p_part(n: int, p: int) -> int:
-    out = 1
-    while n % p == 0:
-        n //= p
-        out *= p
-    return out
-
-
 def _localized_factors(dom: CoefficientDomain, torsion: tuple[int, ...]) -> tuple[int, ...]:
     if dom.tag != "Zlocal":
         return torsion
-    return tuple(f for f in (_p_part(t, dom.p) for t in torsion) if f > 1)
+    return tuple(f for f in (_p_power_part(t, dom.p) for t in torsion) if f > 1)
 
 
 def _subquotient(dom: CoefficientDomain, kernel_of: Matrix, image_of: Matrix, n: int) -> CohomologyGroup:
@@ -269,7 +261,7 @@ def diagonalize_over_fraction_field(M: CyclicModule) -> dict[Fraction, int]:
         ker_rank = integer_kernel_basis(_integer_matrix(dom, phi_d)).rows
         if ker_rank == 0:
             continue
-        euler = sum(1 for k in range(1, d + 1) if _gcd(k, d) == 1)
+        euler = sum(1 for k in range(1, d + 1) if gcd(k, d) == 1)
         mult = ker_rank // euler
         if d == 1:
             multiplicities[Fraction(1)] = mult
@@ -283,12 +275,6 @@ def diagonalize_over_fraction_field(M: CyclicModule) -> dict[Fraction, int]:
     if accounted != n:
         raise EigenvaluesNotInField("action has eigenvalues outside the field")
     return multiplicities
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def graded_cohomology(G: MatrixGroup, ring: GradedRing, i: int, d: int) -> CohomologyGroup:

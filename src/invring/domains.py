@@ -30,6 +30,21 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def prime_divisors(n: int) -> list[int]:
+    """The distinct primes dividing n > 0, in increasing order."""
+    out = []
+    f = 2
+    while f * f <= n:
+        if n % f == 0:
+            out.append(f)
+            while n % f == 0:
+                n //= f
+        f += 1 if f == 2 else 2
+    if n > 1:
+        out.append(n)
+    return out
+
+
 @dataclass(frozen=True)
 class CoefficientDomain:
     """Tagged exact coefficient domain.
@@ -175,10 +190,6 @@ def parse_domain(text: str) -> CoefficientDomain:
     raise ValueError(f"unrecognized coefficient domain {text!r}")
 
 
-def domain_str(domain: CoefficientDomain) -> str:
-    return str(domain)
-
-
 # ---------------------------------------------------------------------------
 # matrices over a domain
 
@@ -240,13 +251,6 @@ def mat_sub(domain: CoefficientDomain, a: Matrix, b: Matrix) -> Matrix:
     return tuple(
         tuple(domain.sub(x, y) for x, y in zip(ra, rb)) for ra, rb in zip(a, b)
     )
-
-
-def mat_trace(domain: CoefficientDomain, a: Matrix) -> Scalar:
-    acc = domain.zero
-    for i in range(len(a)):
-        acc = domain.add(acc, a[i][i])
-    return acc
 
 
 def mat_det(domain: CoefficientDomain, a: Matrix) -> Scalar:

@@ -16,6 +16,7 @@ import random
 from .cohomology import CyclicModule
 from .domains import CoefficientDomain, ZZ, Z_local
 from .groups import MatrixGroup, enumerate_group, trivial_group
+from .linalg import IntegerMatrix, unimodular_inverse
 
 GROUP_GENERATORS: dict[str, dict] = {
     "minus-identity": {"n": 2, "coefficients": "Z", "generators": [[[-1, 0], [0, -1]]]},
@@ -50,9 +51,6 @@ DEDEKIND_FIXTURES: dict[str, int] = {
     "sqrt2": 2,
 }
 
-GL2_FIXTURE_NAMES = ("minus-identity", "swap", "rot3", "rot4")
-SL2_FIXTURE_NAMES = ("minus-identity", "rot3", "rot4")
-
 
 def fixture_group(name: str, coeff: CoefficientDomain = ZZ) -> MatrixGroup:
     spec = GROUP_GENERATORS[name]
@@ -82,17 +80,10 @@ def random_unimodular(rng: random.Random, n: int, steps: int = 4) -> list[list[i
     return m
 
 
-def _mat_mul_int(a, b):
-    n = len(a)
-    return [
-        [sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)] for i in range(n)
-    ]
-
-
-def _mat_inverse_unimodular(m):
-    from .linalg import IntegerMatrix, unimodular_inverse
-
-    return [list(r) for r in unimodular_inverse(IntegerMatrix(m)).data]
+def _conjugate(u, m) -> list[list[int]]:
+    """u * m * u^-1 for a unimodular u."""
+    U = IntegerMatrix(u)
+    return [list(r) for r in (U * IntegerMatrix(m) * unimodular_inverse(U)).data]
 
 
 def _block_diag(blocks):
@@ -115,6 +106,9 @@ _ORDER_BLOCKS = {
 
 def random_order_p_matrix(rng: random.Random, p: int, max_rank: int = 4) -> list[list[int]]:
     """Random integer matrix with sigma^p = I; first block kept nontrivial."""
+    if p not in _ORDER_BLOCKS:
+        supported = " and ".join(str(q) for q in sorted(_ORDER_BLOCKS))
+        raise ValueError(f"random order-p actions exist only for p = {supported}, not {p}")
     nontrivial = [b for b in _ORDER_BLOCKS[p] if b != [[1]] and len(b) <= max_rank]
     blocks = [rng.choice(nontrivial)]
     size = len(blocks[0])
@@ -127,7 +121,7 @@ def random_order_p_matrix(rng: random.Random, p: int, max_rank: int = 4) -> list
         size += len(b)
     m = _block_diag(blocks)
     u = random_unimodular(rng, len(m))
-    return _mat_mul_int(_mat_mul_int(u, m), _mat_inverse_unimodular(u))
+    return _conjugate(u, m)
 
 
 def random_trivial_mod_p_module(
@@ -144,7 +138,7 @@ def random_trivial_mod_p_module(
         signs = [rng.choice([1, -1]) for _ in range(rank)]
         diag = [[signs[i] if i == j else 0 for j in range(rank)] for i in range(rank)]
         u = random_unimodular(rng, rank)
-        sigma = _mat_mul_int(_mat_mul_int(u, diag), _mat_inverse_unimodular(u))
+        sigma = _conjugate(u, diag)
     else:
         sigma = [[int(i == j) for j in range(rank)] for i in range(rank)]
     return CyclicModule(domain=Z_local(p), sigma=sigma, order=p)

@@ -210,6 +210,8 @@ def group_from_json_dict(payload: dict, bound: int = DEFAULT_BOUND) -> MatrixGro
     """Build a group from the file format {"n", "coefficients", "generators"}."""
     from .domains import parse_domain
 
+    if not isinstance(payload, dict):
+        raise ValueError("group file must hold a JSON object")
     try:
         n = int(payload["n"])
     except KeyError:

@@ -15,12 +15,11 @@ exact for kernels, and span comparisons use p-local membership.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .domains import CoefficientDomain, Matrix
+from .domains import CoefficientDomain
 from .groups import MatrixGroup, coset_representatives
 from .linalg import (
     IntegerMatrix,
@@ -280,23 +279,14 @@ class HilbertFunction:
 
 
 def truncated_invariant_ring(
-    G: MatrixGroup, ring: GradedRing, D: int, workers: int | None = None
+    G: MatrixGroup, ring: GradedRing, D: int
 ) -> TruncatedSubalgebra:
-    """Invariant ring R^G with all piece bases through degree D.
-
-    Per-degree computations are independent; pass workers > 1 to evaluate
-    them concurrently (results are merged by degree, so output is identical).
-    """
+    """Invariant ring R^G with all piece bases through degree D."""
     if D < 1:
         raise ValueError("truncation degree must be at least 1")
-    degrees = list(range(D + 1))
-    if workers and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            computed = list(pool.map(lambda d: invariant_basis(G, ring, d), degrees))
-    else:
-        computed = [invariant_basis(G, ring, d) for d in degrees]
+    bases = tuple(invariant_basis(G, ring, d) for d in range(D + 1))
     return TruncatedSubalgebra(
-        ambient=ring, group=G, D=D, regrade=1, bases=tuple(computed)
+        ambient=ring, group=G, D=D, regrade=1, bases=bases
     )
 
 

@@ -372,29 +372,6 @@ def lattice_complement_generators(sub_rows, sup_basis) -> list[tuple[int, ...]]:
 # row reduction over F_p
 
 
-def rref_mod_p(rows, ncols: int, p: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
-    """Reduced row echelon form over F_p; returns (nonzero rows, pivot columns)."""
-    m = [[x % p for x in r] for r in rows]
-    pivots: list[int] = []
-    r = 0
-    for col in range(ncols):
-        sel = next((i for i in range(r, len(m)) if m[i][col]), None)
-        if sel is None:
-            continue
-        m[r], m[sel] = m[sel], m[r]
-        inv = pow(m[r][col], -1, p)
-        m[r] = [(x * inv) % p for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][col]:
-                f = m[i][col]
-                m[i] = [(x - f * y) % p for x, y in zip(m[i], m[r])]
-        pivots.append(col)
-        r += 1
-        if r == len(m):
-            break
-    return tuple(tuple(row) for row in m[:r]), tuple(pivots)
-
-
 def echelon_mod_p(rows, ncols: int, p: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
     """Forward row echelon form over F_p; returns (nonzero rows, pivot columns).
 
@@ -428,6 +405,23 @@ def echelon_mod_p(rows, ncols: int, p: int) -> tuple[tuple[tuple[int, ...], ...]
         out.append(tuple(piv))
         pivots.append(col)
     return tuple(out), tuple(pivots)
+
+
+def rref_mod_p(rows, ncols: int, p: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """Reduced row echelon form over F_p; returns (nonzero rows, pivot columns).
+
+    The forward pass is echelon_mod_p; back-substitution then clears the
+    entries above each pivot, which makes the rows canonical.
+    """
+    ech, pivots = echelon_mod_p(rows, ncols, p)
+    m = [list(row) for row in ech]
+    for i in range(len(m) - 1, 0, -1):
+        col, piv = pivots[i], m[i]
+        for j in range(i):
+            f = m[j][col]
+            if f:
+                m[j] = [(x - f * y) % p for x, y in zip(m[j], piv)]
+    return tuple(tuple(row) for row in m), pivots
 
 
 def kernel_mod_p(rows, ncols: int, p: int) -> tuple[tuple[int, ...], ...]:

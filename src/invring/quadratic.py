@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .domains import is_prime
+from .domains import is_prime, prime_divisors
 from .linalg import lattice_canonical, lattice_member
 
 
@@ -278,7 +278,7 @@ def factor_element(ring: NumberRing, el: tuple[int, int]) -> Divisor:
     n = abs(ring.norm(el))
     coeffs: dict[PrimeIdealQ, int] = {}
     check = 1
-    for q in _prime_factors(n):
+    for q in prime_divisors(n):
         for P in primes_above(ring, q):
             v = valuation(ring, el, P)
             if v:
@@ -289,25 +289,11 @@ def factor_element(ring: NumberRing, el: tuple[int, int]) -> Divisor:
     return Divisor(coeffs)
 
 
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            out.append(f)
-            while n % f == 0:
-                n //= f
-        f += 1 if f == 2 else 2
-    if n > 1:
-        out.append(n)
-    return out
-
-
 def integer_divisor(a: int) -> Divisor:
     """Divisor of a nonzero rational integer over Z: primes are ints q."""
     if a == 0:
         raise ZeroElement("cannot factor zero")
-    return Divisor({q: _v_int(abs(a), q) for q in _prime_factors(abs(a))})
+    return Divisor({q: _v_int(abs(a), q) for q in prime_divisors(abs(a))})
 
 
 def ramification_length(ring: NumberRing, P: PrimeIdealQ) -> int:

@@ -5,7 +5,7 @@ import pathlib
 
 import pytest
 
-from invring.cli import EXIT_CLAIM_FAILED, EXIT_OK, EXIT_USAGE, run
+from invring.cli import EXIT_CLAIM_FAILED, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, run
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures" / "groups"
 
@@ -176,6 +176,74 @@ def test_invalid_json_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert run(["invariants", "--group", str(bad)]) == EXIT_USAGE
+
+
+ARRAY_GROUP = "<array-group>"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["dedekind", "class-group", "--d", "7"], "no fundamental-unit fixture"),
+        (["dedekind", "factor", "--d", "-1"], "--element is required"),
+        (["invariants", "--group", ARRAY_GROUP], "JSON object"),
+        (
+            ["transfer-check", "--group", ARRAY_GROUP, "--subgroup", str(FIXTURES / "a3.json")],
+            "JSON object",
+        ),
+        (
+            [
+                "transfer-check",
+                "--group",
+                str(FIXTURES / "a3.json"),
+                "--subgroup",
+                str(FIXTURES / "s3.json"),
+            ],
+            "not a subgroup",
+        ),
+        (
+            [
+                "transfer-check",
+                "--group",
+                str(FIXTURES / "s3.json"),
+                "--subgroup",
+                str(FIXTURES / "a3.json"),
+                "--p",
+                "2",
+            ],
+            "not a unit",
+        ),
+        (["cohomology", "periodicity", "--p", "5"], "p = 2 and 3"),
+    ],
+    ids=[
+        "real-d-class-group",
+        "factor-without-element",
+        "array-group-file",
+        "array-group-file-transfer-check",
+        "subgroup-not-contained",
+        "transfer-index-not-invertible",
+        "periodicity-unsupported-prime",
+    ],
+)
+def test_bad_input_exits_2_without_output(argv, message, tmp_path, capsys):
+    array_group = tmp_path / "array.json"
+    array_group.write_text("[[[0, 1], [1, 0]]]")
+    argv = [str(array_group) if a == ARRAY_GROUP else a for a in argv]
+    assert run(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
+def test_internal_error_exits_3(monkeypatch, capsys):
+    def broken(ring):
+        raise RuntimeError("bookkeeping failed")
+
+    monkeypatch.setattr("invring.cli.class_group", broken)
+    assert run(["dedekind", "class-group", "--d", "-5"]) == EXIT_INTERNAL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "internal error: RuntimeError: bookkeeping failed" in captured.err
 
 
 def test_text_and_tsv_formats(capsys):

@@ -102,8 +102,10 @@ def test_regular_sequence_full_ring():
 
 def test_cm_certificate_requires_standard():
     S = truncated_invariant_ring(SWAP, R2, 8)
-    with pytest.raises(NotStandardGraded):
+    with pytest.raises(NotStandardGraded) as excinfo:
         cm_certificate(S, [2])
+    assert excinfo.value.degree == 2
+    assert str(excinfo.value) == "not standard graded: fails at degree 2"
 
 
 def test_cm_certificate_swap_veronese():
@@ -138,16 +140,6 @@ def test_veronese_cm_search_regression(gens, first_l):
     G = enumerate_group(gens, ZZ)
     rep = veronese_cm_search(G, R2, l_max=6, D=12)
     assert rep.first_certified == first_l
-
-
-def test_veronese_search_concurrent_matches_serial():
-    rot3 = enumerate_group([[[0, -1], [1, -1]]], ZZ)
-    serial = veronese_cm_search(rot3, R2, l_max=6, D=12)
-    parallel = veronese_cm_search(rot3, R2, l_max=6, D=12, workers=4)
-    assert serial.first_certified == parallel.first_certified
-    assert [(a.l, a.standard_graded, a.certified) for a in serial.attempts] == [
-        (a.l, a.standard_graded, a.certified) for a in parallel.attempts
-    ]
 
 
 def test_veronese_search_reports_nonstandard_attempts():
@@ -232,9 +224,8 @@ def test_truncated_quotient_bounds():
     thetas = find_sop_mod_p(Sbar, 2).thetas
     q = truncated_quotient(Sbar, thetas)
     base = hilbert_function(Sbar).values
-    assert all(0 <= h <= b for h, b in zip(q.hilbert, base))
-    assert q.parameters == thetas
-    assert q.hilbert[:3] == (1, 1, 0)
+    assert all(0 <= h <= b for h, b in zip(q, base))
+    assert q[:3] == (1, 1, 0)
 
 
 def test_hilbert_bookkeeping_inequality():
@@ -244,7 +235,7 @@ def test_hilbert_bookkeeping_inequality():
     import itertools
     import random as _random
 
-    from invring.cmcert import _ideal_piece_spans
+    from invring.cmcert import truncated_quotient
 
     Sbar = quadric_cone_mod2(D=10)
     rng = _random.Random(5)
@@ -253,8 +244,7 @@ def test_hilbert_bookkeeping_inequality():
         thetas = [rng.choice(candidates) for _ in range(2)]
         h_prev = list(hilbert_function(Sbar).values)
         for stage in range(1, 3):
-            spans = _ideal_piece_spans(Sbar, thetas[:stage], [1] * stage)
-            h_cur = [len(Sbar.bases[d]) - len(spans[d]) for d in range(Sbar.D + 1)]
+            h_cur = truncated_quotient(Sbar, thetas[:stage])
             for d in range(Sbar.D + 1):
                 lower = h_prev[d] - (h_prev[d - 1] if d >= 1 else 0)
                 assert h_cur[d] >= lower

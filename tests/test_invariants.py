@@ -224,14 +224,6 @@ def test_molien_count_matches_rank():
             assert cnt == len(invariant_basis(G, ring, d))
 
 
-def test_concurrent_construction_matches_serial():
-    G = enumerate_group(S3_GENS, ZZ)
-    ring = GradedRing(3, ZZ)
-    serial = truncated_invariant_ring(G, ring, 6)
-    parallel = truncated_invariant_ring(G, ring, 6, workers=4)
-    assert serial.bases == parallel.bases
-
-
 def test_invariant_basis_over_zlocal_matches_z():
     Gz = enumerate_group(S3_GENS, ZZ)
     Gl = enumerate_group(S3_GENS, Z_local(3))

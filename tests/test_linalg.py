@@ -207,6 +207,28 @@ def _planted_matrix(rng, p, nrows, ncols, rank_cap):
     return rows, basis
 
 
+def _reduced_against(basis, v, p):
+    """v minus its projection on an incremental basis of (pivot, row) pairs."""
+    v = [x % p for x in v]
+    for col, row in basis:
+        f = v[col]
+        if f:
+            v = [(x - f * y) % p for x, y in zip(v, row)]
+    return v
+
+
+def _incremental_basis(rows, p):
+    """Row-by-row basis of the span over F_p, independent of the library."""
+    basis = []
+    for v in rows:
+        v = _reduced_against(basis, v, p)
+        col = next((j for j, x in enumerate(v) if x), None)
+        if col is not None:
+            inv = pow(v[col], -1, p)
+            basis.append((col, [x * inv % p for x in v]))
+    return basis
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_echelon_mod_p_matches_rref(p):
     rng = random.Random(100 + p)
@@ -215,6 +237,17 @@ def test_echelon_mod_p_matches_rref(p):
         rows, basis = _planted_matrix(rng, p, rng.randint(0, 10), ncols, rng.randint(0, 5))
         ech, pivots = echelon_mod_p(rows, ncols, p)
         rref, rref_pivots = rref_mod_p(rows, ncols, p)
+        # the RREF of a row space is unique, so these conditions pin rref
+        assert list(rref_pivots) == sorted(set(rref_pivots))
+        for i, (row, col) in enumerate(zip(rref, rref_pivots)):
+            assert all(x == 0 for x in row[:col])
+            assert [r[col] for r in rref] == [int(k == i) for k in range(len(rref))]
+            assert all(0 <= x < p for x in row)
+        rref_basis = _incremental_basis(rref, p)
+        assert len(rref_basis) == len(rref)
+        assert not any(any(_reduced_against(rref_basis, v, p)) for v in rows)
+        input_basis = _incremental_basis(rows, p)
+        assert not any(any(_reduced_against(input_basis, v, p)) for v in rref)
         assert len(ech) == len(rref)
         assert pivots == rref_pivots
         for row, col in zip(ech, pivots):
