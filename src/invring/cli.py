@@ -132,28 +132,8 @@ def _cert_payload(cert) -> dict:
 # subcommands
 
 
-def _cmd_invariants(args) -> int:
-    group, digest = _load_group(args.group)
-    ring = GradedRing(group.n, group.coeff)
-    S = truncated_invariant_ring(group, ring, args.max_degree)
-    report = is_standard_graded_up_to(S)
-    gens = minimal_generators_up_to(S)
-    payload = {
-        **_provenance(args, digest),
-        "hilbert": list(hilbert_function(S).values),
-        "generators": [{"degree": d, "poly": str(p)} for d, p in gens],
-        "standard_graded": {
-            "m": 1,
-            "upto": S.D,
-            "standard": report.standard,
-            "first_failing_degree": report.first_failing_degree,
-        },
-    }
-    _emit(args, payload)
-    return EXIT_OK
-
-
 def _cmd_veronese(args) -> int:
+    """Also serves the invariants command, which is the case m = 1."""
     group, digest = _load_group(args.group)
     ring = GradedRing(group.n, group.coeff)
     S = truncated_invariant_ring(group, ring, args.max_degree)
@@ -257,6 +237,14 @@ def _cmd_gorenstein(args) -> int:
     return EXIT_OK
 
 
+def _h1_degree_zero_holds() -> bool:
+    """H^1 vanishes in degree 0 for the minus-identity, a3 and rot3 fixtures."""
+    return all(
+        verify_h1_degree0(G, GradedRing(G.n, ZZ))
+        for G in map(fixture_group, ("minus-identity", "a3", "rot3"))
+    )
+
+
 def _cmd_cohomology(args) -> int:
     if args.verb == "compute":
         if args.group is None:
@@ -289,10 +277,7 @@ def _cmd_cohomology(args) -> int:
         _emit(args, payload)
         return EXIT_OK if not bad else EXIT_CLAIM_FAILED
     if args.verb == "verify-h1-zero":
-        ok = True
-        for name in ("minus-identity", "a3", "rot3"):
-            G = fixture_group(name)
-            ok = ok and verify_h1_degree0(G, GradedRing(G.n, ZZ))
+        ok = _h1_degree_zero_holds()
         _emit(args, {**_provenance(args), "holds": ok})
         return EXIT_OK if ok else EXIT_CLAIM_FAILED
     if args.verb == "periodicity":
@@ -354,11 +339,7 @@ def _cmd_lemma_suite(args) -> int:
     rng = random.Random(args.seed)
     results: dict[str, bool] = {}
 
-    ok = True
-    for name in ("minus-identity", "a3", "rot3"):
-        G = fixture_group(name)
-        ok = ok and verify_h1_degree0(G, GradedRing(G.n, ZZ))
-    results["h1-degree-zero"] = ok
+    results["h1-degree-zero"] = _h1_degree_zero_holds()
 
     ok = True
     for p in (2, 3, 5):
@@ -411,7 +392,7 @@ def _cmd_lemma_suite(args) -> int:
 # parser
 
 
-def _add_common(sub, max_degree_default: int = 12):
+def _add_common(sub):
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--format", choices=("json", "tsv", "text"), default="json")
     sub.add_argument("--output", default=None)
@@ -429,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = _add_common(subs.add_parser("invariants", help="Hilbert function and generators"))
     p.add_argument("--group", required=True)
     p.add_argument("--max-degree", type=int, default=12)
-    p.set_defaults(func=_cmd_invariants)
+    p.set_defaults(func=_cmd_veronese, m=1)
 
     p = _add_common(subs.add_parser("veronese", help="Veronese subring report"))
     p.add_argument("--group", required=True)

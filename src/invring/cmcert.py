@@ -20,7 +20,6 @@ from .domains import GF, prime_divisors, scalar_mod_p_residue
 from .groups import MatrixGroup
 from .invariants import (
     TruncatedSubalgebra,
-    canonical_span,
     hilbert_function,
     is_standard_graded_up_to,
     minimal_generators_up_to,
@@ -42,6 +41,11 @@ class NotStandardGraded(Exception):
 
 class NumeratorNotTerminated(Exception):
     """The h-numerator has not stabilized to zero inside the truncation."""
+
+
+def _require_prime_field(Sbar: TruncatedSubalgebra) -> None:
+    if Sbar.domain.tag != "Fp":
+        raise ValueError("expects coefficients in a prime field; reduce mod p first")
 
 
 def _require_standard_graded(S: TruncatedSubalgebra) -> None:
@@ -121,46 +125,53 @@ def _regraded_degrees(Sbar: TruncatedSubalgebra, thetas) -> list[int]:
     return degrees
 
 
+def _image_rows(Sbar: TruncatedSubalgebra, theta: Polynomial, k: int) -> list[list[tuple]]:
+    """Rows of theta * (basis of S_{d-k}) for every degree d through D;
+    theta has regraded degree k."""
+    row = theta.to_vector(graded_piece_basis(Sbar.ambient, Sbar.ambient_degree(k)))
+    return [
+        Sbar.piece_products(k, [row], d - k, Sbar.bases[d - k]) if d >= k else []
+        for d in range(Sbar.D + 1)
+    ]
+
+
+def _quotient(Sbar: TruncatedSubalgebra, images) -> tuple[tuple[int, ...], list]:
+    """Quotient Hilbert values through D and, per degree, a forward echelon
+    over F_p of the ideal piece spanned by the stacked image rows."""
+    spans = [
+        echelon_mod_p(
+            [row for image in images for row in image[d]], Sbar.piece_dim(d), Sbar.domain.p
+        )[0]
+        for d in range(Sbar.D + 1)
+    ]
+    return tuple(len(Sbar.bases[d]) - len(spans[d]) for d in range(Sbar.D + 1)), spans
+
+
 def truncated_quotient(Sbar: TruncatedSubalgebra, thetas) -> tuple[int, ...]:
     """Hilbert values of the algebra modulo the ideal generated by the
     parameters, through D; each lies between 0 and the base value."""
+    _require_prime_field(Sbar)
     thetas = list(thetas)
     degrees = _regraded_degrees(Sbar, thetas)
-    hilbert = []
-    for d in range(Sbar.D + 1):
-        piece = graded_piece_basis(Sbar.ambient, Sbar.ambient_degree(d))
-        ideal_piece = [
-            (theta * s).to_vector(piece)
-            for theta, k in zip(thetas, degrees)
-            if d >= k
-            for s in Sbar.piece_polynomials(d - k)
-        ]
-        span = canonical_span(Sbar.domain, ideal_piece, piece.dim)
-        hilbert.append(len(Sbar.bases[d]) - len(span))
-    return tuple(hilbert)
+    return _quotient(Sbar, [_image_rows(Sbar, t, k) for t, k in zip(thetas, degrees)])[0]
 
 
-def regular_sequence_certificate(
-    Sbar: TruncatedSubalgebra, thetas, p: int | None = None
-) -> CMCertificate:
+def regular_sequence_certificate(Sbar: TruncatedSubalgebra, thetas) -> CMCertificate:
     """Certify that thetas form a regular sequence degree by degree.
 
     At stage j and degree d the quotient Hilbert value must equal
     h_{j-1}(d) - h_{j-1}(d - deg theta_j); any strict excess reports the
     first failing (stage, degree).  Certification covers degrees <= D only.
     """
-    domain = Sbar.domain
-    if p is None:
-        if domain.tag != "Fp":
-            raise ValueError("pass p explicitly for non-prime-field input")
-        p = domain.p
+    _require_prime_field(Sbar)
     thetas = list(thetas)
     degrees = _regraded_degrees(Sbar, thetas)
+    images = [_image_rows(Sbar, t, k) for t, k in zip(thetas, degrees)]
     h_prev = list(hilbert_function(Sbar).values)
     failed_stage = failed_degree = None
     h_cur = h_prev
     for stage in range(1, len(thetas) + 1):
-        h_cur = truncated_quotient(Sbar, thetas[:stage])
+        h_cur, _ = _quotient(Sbar, images[:stage])
         for d in range(Sbar.D + 1):
             k = degrees[stage - 1]
             expected = h_prev[d] - (h_prev[d - k] if d >= k else 0)
@@ -172,7 +183,7 @@ def regular_sequence_certificate(
         h_prev = h_cur
     status = "failed" if failed_stage is not None else "certified"
     return CMCertificate(
-        p=p,
+        p=Sbar.domain.p,
         parameter_degrees=tuple(degrees),
         parameters=tuple(str(t) for t in thetas),
         verified_to=Sbar.D,
@@ -208,23 +219,20 @@ def _degree_one_candidates(Sbar: TruncatedSubalgebra) -> list[Polynomial]:
 
 
 _EXHAUSTIVE_CAP = 20_000
+_SAMPLED_COMBOS = 200
 
 
-def find_sop_mod_p(
-    Sbar: TruncatedSubalgebra,
-    dim: int,
-    trials: int = 200,
-    seed: int = 0,
-) -> SopSearchResult:
+def find_sop_mod_p(Sbar: TruncatedSubalgebra, dim: int, seed: int = 0) -> SopSearchResult:
     """Search for dim degree-1 elements whose quotient eventually vanishes.
 
     For standard graded input a single zero Hilbert value forces all later
     values to vanish, so the success test is one zero at or below D.  Small
     candidate sets are searched exhaustively in deterministic order;
-    otherwise a seeded random sample of combinations is tried.
+    otherwise _SAMPLED_COMBOS seeded random combinations are tried.  The
+    multiplication images of a candidate are built once and reused by every
+    combination that contains it.
     """
-    if Sbar.domain.tag != "Fp":
-        raise ValueError("parameter search runs over a prime field")
+    _require_prime_field(Sbar)
     _require_standard_graded(Sbar)
     candidates = _degree_one_candidates(Sbar)
     if len(candidates) < dim:
@@ -244,24 +252,25 @@ def find_sop_mod_p(
         rng = random.Random(seed)
         combos = (
             tuple(sorted(rng.sample(range(len(candidates)), dim)))
-            for _ in range(trials)
+            for _ in range(_SAMPLED_COMBOS)
         )
+    images: dict[int, list[list[tuple]]] = {}
     seen = set()
     for combo in combos:
         if combo in seen:
             continue
         seen.add(combo)
         tried += 1
-        thetas = [candidates[i] for i in combo]
-        if 0 in truncated_quotient(Sbar, thetas):
+        for i in combo:
+            if i not in images:
+                images[i] = _image_rows(Sbar, candidates[i], 1)
+        if 0 in _quotient(Sbar, [images[i] for i in combo])[0]:
             return SopSearchResult(
                 found=True,
-                thetas=tuple(thetas),
+                thetas=tuple(candidates[i] for i in combo),
                 tried=tried,
                 message="system of parameters found",
             )
-        if tried >= max(trials, 1) and total > _EXHAUSTIVE_CAP:
-            break
     return SopSearchResult(
         found=False,
         thetas=(),
@@ -314,12 +323,7 @@ _MIXED_CANDIDATE_CAP = 150
 _MIXED_EVAL_BUDGET = 6_000
 
 
-def find_sop_mixed(
-    Sbar: TruncatedSubalgebra,
-    dim: int,
-    trials: int = 200,
-    seed: int = 0,
-) -> SopSearchResult:
+def find_sop_mixed(Sbar: TruncatedSubalgebra, dim: int, seed: int = 0) -> SopSearchResult:
     """Parameter search allowing mixed homogeneous degrees.
 
     Needed when the algebra is not standard graded: pure powers of a
@@ -331,43 +335,19 @@ def find_sop_mixed(
     of the sparsest candidates are tried exhaustively up to
     _MIXED_COMBO_CAP, else that many are sampled with a seeded generator,
     and the whole search stops after _MIXED_EVAL_BUDGET evaluations.  A
-    combination's quotient Hilbert values are ranks of the stacked
-    multiplication images, taken from a forward echelon over F_p; the
-    minimal generators of Sbar that the window test needs are computed once,
-    at the first combination whose quotient has a zero tail.
+    combination's quotient Hilbert values come from the multiplication
+    images of its candidates, each built once per search; the minimal
+    generators of Sbar that the window test needs are computed once, at the
+    first combination whose quotient has a zero tail.
     """
-    if Sbar.domain.tag != "Fp":
-        raise ValueError("parameter search runs over a prime field")
-    p = Sbar.domain.p
+    _require_prime_field(Sbar)
     D = Sbar.D
     max_deg = max(1, D - 1)
     per_degree = {
         k: _candidates_of_degree(Sbar, k, _MIXED_CANDIDATE_CAP)
         for k in range(1, max_deg + 1)
     }
-    # multiplication images theta * (basis of each piece), built once per
-    # candidate and stacked per degree for every combination that uses it
-    image_rows: dict[tuple[int, int], list[list[list[int]]]] = {}
-
-    def rows_for(k: int, idx: int) -> list[list[list[int]]]:
-        key = (k, idx)
-        if key not in image_rows:
-            theta = per_degree[k][idx]
-            per_d: list[list[list[int]]] = []
-            for d in range(D + 1):
-                if d < k:
-                    per_d.append([])
-                    continue
-                piece = graded_piece_basis(Sbar.ambient, Sbar.ambient_degree(d))
-                per_d.append(
-                    [
-                        [int(x) for x in (theta * s).to_vector(piece)]
-                        for s in Sbar.piece_polynomials(d - k)
-                    ]
-                )
-            image_rows[key] = per_d
-        return image_rows[key]
-
+    images: dict[tuple[int, int], list[list[tuple]]] = {}
     multisets = sorted(
         itertools.combinations_with_replacement(range(1, max_deg + 1), dim),
         key=lambda ms: (sum(ms), ms),
@@ -407,19 +387,16 @@ def find_sop_mixed(
                 for idx in pick
             ]
             tried += 1
-            spans = []
-            for d in range(D + 1):
-                stacked = [row for k, idx in picks for row in rows_for(k, idx)[d]]
-                dim_d = Sbar.piece_dim(d)
-                rows, _ = echelon_mod_p(stacked, dim_d, p)
-                spans.append(rows)
-            h = [len(Sbar.bases[d]) - len(spans[d]) for d in range(D + 1)]
+            for k, idx in picks:
+                if (k, idx) not in images:
+                    images[k, idx] = _image_rows(Sbar, per_degree[k][idx], k)
+            h, spans = _quotient(Sbar, [images[pick] for pick in picks])
             d0 = next((d for d in range(D + 1) if all(v == 0 for v in h[d:])), None)
             if d0 is None:
                 continue
             if generators is None:
                 generators = _generator_vectors(Sbar)
-            w = _vanishing_window(generators, spans, p)
+            w = _vanishing_window(generators, spans, Sbar.domain.p)
             if D - d0 + 1 >= w:
                 thetas = tuple(per_degree[k][idx] for k, idx in picks)
                 return SopSearchResult(
@@ -439,7 +416,6 @@ def find_sop_mixed(
 def cm_certificate(
     S: TruncatedSubalgebra,
     primes,
-    trials: int = 200,
     seed: int = 0,
     mixed: bool = False,
 ) -> dict[int, CMCertificate]:
@@ -466,9 +442,9 @@ def cm_certificate(
             continue
         Sbar = reduce_mod_p(S, p)
         if mixed:
-            search = find_sop_mixed(Sbar, dim, trials=trials, seed=seed)
+            search = find_sop_mixed(Sbar, dim, seed=seed)
         else:
-            search = find_sop_mod_p(Sbar, dim, trials=trials, seed=seed)
+            search = find_sop_mod_p(Sbar, dim, seed=seed)
         if not search.found:
             out[p] = CMCertificate(
                 p=p,
@@ -478,7 +454,7 @@ def cm_certificate(
                 status="no-sop-found",
             )
             continue
-        out[p] = regular_sequence_certificate(Sbar, search.thetas, p)
+        out[p] = regular_sequence_certificate(Sbar, search.thetas)
     return out
 
 
@@ -510,7 +486,6 @@ def veronese_cm_search(
     ring: GradedRing,
     l_max: int = 6,
     D: int = 12,
-    trials: int = 200,
     seed: int = 0,
     S: TruncatedSubalgebra | None = None,
 ) -> VeroneseSearchReport:
@@ -525,7 +500,7 @@ def veronese_cm_search(
 
     def attempt_for(l: int) -> VeroneseAttempt:
         try:
-            certs = cm_certificate(veronese(S, l), primes, trials=trials, seed=seed)
+            certs = cm_certificate(veronese(S, l), primes, seed=seed)
         except NotStandardGraded as exc:
             return VeroneseAttempt(
                 l=l, standard_graded=False, first_failing_degree=exc.degree

@@ -254,25 +254,9 @@ def mat_sub(domain: CoefficientDomain, a: Matrix, b: Matrix) -> Matrix:
 
 
 def mat_det(domain: CoefficientDomain, a: Matrix) -> Scalar:
-    """Determinant by exact fraction-based elimination (F_p stays modular)."""
+    """Determinant by exact fraction-based elimination, brought into the
+    domain; over F_p that is the determinant of the representatives mod p."""
     n = len(a)
-    if domain.tag == "Fp":
-        m = [[x % domain.p for x in row] for row in a]
-        det = 1
-        for col in range(n):
-            sel = next((i for i in range(col, n) if m[i][col]), None)
-            if sel is None:
-                return 0
-            if sel != col:
-                m[col], m[sel] = m[sel], m[col]
-                det = -det
-            det = (det * m[col][col]) % domain.p
-            inv = pow(m[col][col], -1, domain.p)
-            for i in range(col + 1, n):
-                f = (m[i][col] * inv) % domain.p
-                if f:
-                    m[i] = [(x - f * y) % domain.p for x, y in zip(m[i], m[col])]
-        return det % domain.p
     m = [[Fraction(x) for x in row] for row in a]
     det = Fraction(1)
     for col in range(n):
@@ -287,9 +271,7 @@ def mat_det(domain: CoefficientDomain, a: Matrix) -> Scalar:
             f = m[i][col] / m[col][col]
             if f:
                 m[i] = [x - f * y for x, y in zip(m[i], m[col])]
-    if domain.tag == "Z":
-        return int(det)
-    return det
+    return domain.coerce(det)
 
 
 def mat_sort_key(domain: CoefficientDomain, a: Matrix):

@@ -60,16 +60,12 @@ class IndexNotInvertible(Exception):
 # domain-aware span arithmetic
 
 
-def _integerize_rows(domain: CoefficientDomain, vectors) -> list[list[int]]:
+def _integerize_rows(vectors) -> list[list[int]]:
+    """Scale each vector by the lcm of its denominators (ints have 1)."""
     out = []
     for v in vectors:
-        fr = [Fraction(x) for x in v]
-        den = 1
-        for x in fr:
-            den = lcm(den, x.denominator)
-        if domain.tag == "Z" and den != 1:
-            raise ValueError("non-integer vector over Z")
-        out.append([int(x * den) for x in fr])
+        den = lcm(*(x.denominator for x in v))
+        out.append([x.numerator * (den // x.denominator) for x in v])
     return out
 
 
@@ -85,7 +81,7 @@ def canonical_span(domain: CoefficientDomain, vectors, ncols: int) -> Rows:
     if domain.tag == "Fp":
         rows, _ = rref_mod_p([[int(x) for x in v] for v in vectors], ncols, domain.p)
         return rows
-    int_rows = _integerize_rows(domain, vectors)
+    int_rows = _integerize_rows(vectors)
     if domain.tag == "Q":
         return saturate_lattice(int_rows, ncols)
     return lattice_canonical(int_rows, ncols)
@@ -156,18 +152,11 @@ def invariant_basis(G: MatrixGroup, ring: GradedRing, d: int) -> Rows:
             ]
             if any(not domain.is_zero(x) for x in row):
                 constraint_rows.append(row)
-    if not constraint_rows:
-        if domain.tag == "Fp":
-            rows, _ = rref_mod_p(
-                [[int(i == j) for j in range(n)] for i in range(n)], n, domain.p
-            )
-            return rows
-        return tuple(IntegerMatrix.identity(n).data)
     if domain.tag == "Fp":
         return kernel_mod_p(
             [[int(x) for x in row] for row in constraint_rows], n, domain.p
         )
-    int_rows = _integerize_rows(domain, constraint_rows)
+    int_rows = _integerize_rows(constraint_rows)
     kernel = integer_kernel_basis(IntegerMatrix(int_rows, cols=n))
     return kernel.data
 
@@ -258,13 +247,22 @@ class TruncatedSubalgebra:
     def piece_dim(self, d: int) -> int:
         return graded_piece_basis(self.ambient, self.ambient_degree(d)).dim
 
-    def piece_polynomials(self, d: int) -> list[Polynomial]:
+    def piece_polynomials(self, d: int, rows=None) -> list[Polynomial]:
+        """Polynomials of the degree-d rows, by default the basis rows."""
         piece = graded_piece_basis(self.ambient, self.ambient_degree(d))
-        return [polynomial_from_vector(self.ambient, piece, row) for row in self.bases[d]]
+        rows = self.bases[d] if rows is None else rows
+        return [polynomial_from_vector(self.ambient, piece, row) for row in rows]
 
-    def piece_vector(self, f: Polynomial, d: int):
-        piece = graded_piece_basis(self.ambient, self.ambient_degree(d))
-        return f.to_vector(piece)
+    def piece_products(self, e: int, left, f: int, right) -> list[tuple]:
+        """Vectors in degree e + f of every product u * v, with u running
+        over the degree-e rows left and v over the degree-f rows right."""
+        piece = graded_piece_basis(self.ambient, self.ambient_degree(e + f))
+        right_polys = self.piece_polynomials(f, right)
+        return [
+            (u * v).to_vector(piece)
+            for u in self.piece_polynomials(e, left)
+            for v in right_polys
+        ]
 
 
 @dataclass(frozen=True)
@@ -325,18 +323,10 @@ def is_standard_graded_up_to(S: TruncatedSubalgebra) -> StandardGradedReport:
     saturated basis lattice degree by degree.
     """
     domain = S.domain
-    degree_one = S.piece_polynomials(1)
     span_prev = S.bases[1]
     for d in range(2, S.D + 1):
         dim_d = S.piece_dim(d)
-        prev_polys = [
-            polynomial_from_vector(
-                S.ambient, graded_piece_basis(S.ambient, S.ambient_degree(d - 1)), row
-            )
-            for row in span_prev
-        ]
-        piece = graded_piece_basis(S.ambient, S.ambient_degree(d))
-        products = [(u * v).to_vector(piece) for u in degree_one for v in prev_polys]
+        products = S.piece_products(1, S.bases[1], d - 1, span_prev)
         span_d = canonical_span(domain, products, dim_d)
         if not span_equal(domain, span_d, S.bases[d]):
             return StandardGradedReport(False, d, S.D)
@@ -361,25 +351,8 @@ def minimal_generators_up_to(S: TruncatedSubalgebra) -> list[tuple[int, Polynomi
         products = []
         for e in range(1, d // 2 + 1):
             left, right = alg.get(e, ()), alg.get(d - e, ())
-            if not left or not right:
-                continue
-            left_polys = [
-                polynomial_from_vector(
-                    S.ambient, graded_piece_basis(S.ambient, S.ambient_degree(e)), row
-                )
-                for row in left
-            ]
-            right_polys = [
-                polynomial_from_vector(
-                    S.ambient,
-                    graded_piece_basis(S.ambient, S.ambient_degree(d - e)),
-                    row,
-                )
-                for row in right
-            ]
-            for u in left_polys:
-                for v in right_polys:
-                    products.append((u * v).to_vector(piece))
+            if left and right:
+                products += S.piece_products(e, left, d - e, right)
         product_span = canonical_span(domain, products, dim_d)
         new_vecs = span_complement(domain, product_span, S.bases[d])
         for vec in new_vecs:

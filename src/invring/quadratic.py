@@ -8,9 +8,10 @@ ramifies, none stays inert.  Valuations at split primes use a Hensel lift of
 the root to precision beyond the norm valuation, so everything stays exact.
 
 Class groups enumerate ideals up to the Minkowski bound and test
-principality by exhaustive norm-form search; that search is complete for
-imaginary d, and for real d it relies on a fundamental-unit fixture to bound
-the search box.
+principality against the least norm of a nonzero element of the ideal:
+for imaginary d that minimum comes from Lagrange-Gauss reduction of the
+ideal's lattice basis; for real d a norm-form search relies on a
+fundamental-unit fixture to bound the search box.
 """
 
 from __future__ import annotations
@@ -396,30 +397,8 @@ class Ideal:
 
 
 def _norm_form_solutions(ring: NumberRing, target: int) -> list[tuple[int, int]]:
-    """All elements with |norm| equal to target; complete for imaginary d,
-    bounded through the fundamental-unit fixture for real d."""
-    sols = []
-    if ring.d < 0:
-        # positive definite: norm = (a + tb/2)^2 + |d| (b/2)^2 (half basis)
-        #                  or a^2 + |d| b^2
-        if ring.half_basis:
-            bmax = math.isqrt(4 * target // abs(ring.d)) + 1
-        else:
-            bmax = math.isqrt(target // abs(ring.d)) + 1
-        for b in range(-bmax, bmax + 1):
-            # solve a^2 + t a b + n b^2 = target for integer a
-            t, nw = ring.trace_w, ring.norm_w
-            disc = t * t * b * b - 4 * (nw * b * b - target)
-            if disc < 0:
-                continue
-            s = math.isqrt(disc)
-            if s * s != disc:
-                continue
-            for sign in (s, -s):
-                num = -t * b + sign
-                if num % 2 == 0:
-                    sols.append((num // 2, b))
-        return sorted(set(sols))
+    """All elements with |norm| equal to target, for real d, bounded through
+    the fundamental-unit fixture."""
     unit = _REAL_UNIT_FIXTURES.get(ring.d)
     if unit is None:
         raise BoundTooLarge(
@@ -431,6 +410,7 @@ def _norm_form_solutions(ring: NumberRing, target: int) -> list[tuple[int, int]]
         unit[0] + unit[1] * math.sqrt(ring.d)
     )
     box = math.isqrt(int(target * eps)) + 2
+    sols = []
     for a in range(-box, box + 1):
         for b in range(-box, box + 1):
             if abs(ring.norm((a, b))) == target:
@@ -438,10 +418,35 @@ def _norm_form_solutions(ring: NumberRing, target: int) -> list[tuple[int, int]]
     return sorted(set(sols))
 
 
+def _least_norm(I: Ideal) -> int:
+    """Least norm of a nonzero element of I, for imaginary d.
+
+    Lagrange-Gauss reduction of the basis under the positive definite norm
+    form, in integers: at the end u is a shortest vector (Cohen, GTM 138,
+    ch. 5).
+    """
+    ring = I.ring
+    u, v = I.basis
+    if ring.norm(u) > ring.norm(v):
+        u, v = v, u
+    while True:
+        nu = ring.norm(u)
+        # twice the bilinear form: N(u + v) - N(u) - N(v)
+        b2 = ring.norm((u[0] + v[0], u[1] + v[1])) - nu - ring.norm(v)
+        q = (b2 + nu) // (2 * nu)  # nearest integer to b2 / (2 nu)
+        v = (v[0] - q * u[0], v[1] - q * u[1])
+        if ring.norm(v) >= nu:
+            return nu
+        u, v = v, u
+
+
 def is_principal(I: Ideal) -> bool:
-    """Exhaustive search for a generator: an element of the ideal whose norm
-    matches the ideal norm generates it."""
+    """A nonzero element of I has norm divisible by N(I), with equality
+    exactly for a generator; imaginary d reads the least norm from a
+    reduced basis, real d searches the norm form."""
     n = I.norm
+    if I.ring.d < 0:
+        return _least_norm(I) == n
     if n == 1:
         return True
     for el in _norm_form_solutions(I.ring, n):

@@ -1,5 +1,7 @@
 """Reduction mod p, parameter search, and regularity certificates."""
 
+import random
+
 import pytest
 
 from invring.cmcert import (
@@ -226,6 +228,84 @@ def test_truncated_quotient_bounds():
     base = hilbert_function(Sbar).values
     assert all(0 <= h <= b for h, b in zip(q, base))
     assert q[:3] == (1, 1, 0)
+
+
+def _reference_quotient(Sbar, thetas):
+    """Quotient Hilbert values from the canonical span of polynomial
+    products theta * s, s running over the basis of each piece."""
+    from invring.invariants import canonical_span
+    from invring.poly import graded_piece_basis
+
+    values = []
+    for d in range(Sbar.D + 1):
+        piece = graded_piece_basis(Sbar.ambient, Sbar.ambient_degree(d))
+        products = [
+            (theta * s).to_vector(piece)
+            for theta in thetas
+            if theta.degree() <= Sbar.ambient_degree(d)
+            for s in Sbar.piece_polynomials(d - theta.degree() // Sbar.regrade)
+        ]
+        span = canonical_span(Sbar.domain, products, piece.dim)
+        values.append(len(Sbar.bases[d]) - len(span))
+    return tuple(values)
+
+
+def _random_parameters(Sbar, rng, count):
+    """count random nonzero homogeneous elements of mixed degrees < D."""
+    thetas = []
+    while len(thetas) < count:
+        k = rng.randint(1, Sbar.D - 1)
+        theta = Sbar.ambient.zero_poly
+        for b in Sbar.piece_polynomials(k):
+            theta = theta + b.scale(rng.randrange(Sbar.domain.p))
+        if not theta.is_zero():
+            thetas.append(theta)
+    return thetas
+
+
+def _s3_sylow3_veronese_mod3(l):
+    from invring.fixtures import fixture_group
+    from invring.groups import sylow_subgroup
+
+    G = sylow_subgroup(fixture_group("s3"), 3)
+    S = truncated_invariant_ring(G, GradedRing(3, ZZ), 8)
+    return reduce_mod_p(veronese(S, l), 3)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: _s3_sylow3_veronese_mod3(1),
+        lambda: _s3_sylow3_veronese_mod3(2),
+        lambda: quadric_cone_mod2(D=8),
+    ],
+    ids=["s3-sylow3-l1", "s3-sylow3-l2", "quadric-cone"],
+)
+def test_truncated_quotient_matches_product_span(make, request):
+    # the F_p evaluator (stacked multiplication images, forward echelon)
+    # against the rank of the canonical span of polynomial products; the
+    # certificate's quotient values are those of the prefix it stopped at
+    from invring.cmcert import truncated_quotient
+
+    Sbar = make()
+    rng = random.Random(request.node.callspec.id)
+    for _ in range(8):
+        thetas = _random_parameters(Sbar, rng, rng.randint(1, 3))
+        assert truncated_quotient(Sbar, thetas) == _reference_quotient(Sbar, thetas)
+        cert = regular_sequence_certificate(Sbar, thetas)
+        stage = cert.failed_stage or len(thetas)
+        assert cert.quotient_hilbert == truncated_quotient(Sbar, thetas[:stage])
+
+
+def test_quotient_evaluators_reject_non_prime_field():
+    from invring.cmcert import truncated_quotient
+
+    S = truncated_invariant_ring(trivial_group(2, ZZ), R2, 4)
+    xs = S.piece_polynomials(1)
+    with pytest.raises(ValueError):
+        truncated_quotient(S, xs)
+    with pytest.raises(ValueError):
+        regular_sequence_certificate(S, xs)
 
 
 def test_hilbert_bookkeeping_inequality():

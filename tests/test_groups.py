@@ -1,8 +1,10 @@
 """Group enumeration, Sylow subgroups, and cosets."""
 
+import random
+
 import pytest
 
-from invring.domains import GF, QQ, ZZ
+from invring.domains import GF, QQ, ZZ, Z_local, mat_det, mat_from_rows
 from invring.groups import (
     BoundExceeded,
     NotSubgroup,
@@ -58,8 +60,6 @@ def test_sylow_s3(p, order):
 def test_sylow_3_is_alternating():
     g = enumerate_group(S3_GENS, ZZ)
     h = sylow_subgroup(g, 3)
-    from invring.domains import mat_det
-
     assert all(mat_det(ZZ, m) == 1 for m in h.elements)
 
 
@@ -133,3 +133,18 @@ def test_group_from_json_rational_entries():
         {"n": 1, "coefficients": "Q", "generators": [[["-1/1"]]]}
     )
     assert g.order == 2
+
+
+def test_mat_det_agrees_across_domains():
+    # one elimination serves every domain: the determinant over F_p, Q and
+    # Z_(p) is the integer determinant brought into that domain
+    rng = random.Random(11)
+    for _ in range(60):
+        n = rng.randint(1, 5)
+        rows = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)]
+        det_z = mat_det(ZZ, mat_from_rows(ZZ, rows))
+        assert isinstance(det_z, int)
+        for p in (2, 3, 5):
+            assert mat_det(GF(p), mat_from_rows(GF(p), rows)) == det_z % p
+            assert mat_det(Z_local(p), mat_from_rows(Z_local(p), rows)) == det_z
+        assert mat_det(QQ, mat_from_rows(QQ, rows)) == det_z

@@ -1,8 +1,11 @@
-"""Dead-name guard: every module-level name in the package must be used.
+"""Dead-code guards over the package sources.
 
-A function, class or constant defined at the top level of a module under
-src/invring must be referenced somewhere in src/ or tests/ besides its own
-definition, unless it is exported through invring.__all__.
+Dead names: a function, class or constant defined at the top level of a
+module under src/invring must be referenced somewhere in src/ or tests/
+besides its own definition, unless it is exported through invring.__all__.
+
+Dead parameters: every parameter of every function or lambda under
+src/invring, other than self and cls, must be read in its body.
 """
 
 import ast
@@ -51,3 +54,32 @@ def test_no_dead_module_level_names():
         if name not in referenced and name not in invring.__all__
     ]
     assert not dead, f"module-level names used nowhere: {dead}"
+
+
+def _unread_parameters(path: pathlib.Path) -> list[str]:
+    tree = ast.parse(path.read_text(), filename=str(path))
+    unread = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        a = node.args
+        params = [*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {
+            n.id
+            for stmt in body
+            for n in ast.walk(stmt)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+        }
+        name = getattr(node, "name", "<lambda>")
+        unread += [
+            f"{path.name}:{name}({arg.arg})"
+            for arg in params
+            if arg is not None and arg.arg not in ("self", "cls") and arg.arg not in read
+        ]
+    return unread
+
+
+def test_no_unread_parameters():
+    unread = [u for path in sorted(PACKAGE.glob("*.py")) for u in _unread_parameters(path)]
+    assert not unread, f"parameters never read: {unread}"

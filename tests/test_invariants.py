@@ -48,8 +48,9 @@ def test_invariant_basis_swap_degree1():
     assert rows == ((1, 1),)
 
 
-def test_invariant_basis_trivial_group():
-    rows = invariant_basis(trivial_group(2, ZZ), R2, 2)
+@pytest.mark.parametrize("dom", [ZZ, QQ, GF(3), Z_local(3)], ids=str)
+def test_invariant_basis_trivial_group(dom):
+    rows = invariant_basis(trivial_group(2, dom), GradedRing(2, dom), 2)
     assert rows == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 

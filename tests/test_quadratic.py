@@ -1,5 +1,6 @@
 """Quadratic rings: factorization, divisor maps, class groups."""
 
+import math
 import random
 
 import pytest
@@ -150,6 +151,53 @@ def test_valuation_split_prime_separates():
 )
 def test_class_groups(d, factors):
     assert class_group(NumberRing(d)) == factors
+
+
+def _reduced_form_count(disc: int) -> int:
+    """Reduced primitive forms (a, b, c) of a negative discriminant:
+    b^2 - 4ac = disc, |b| <= a <= c, and b >= 0 when |b| = a or a = c."""
+    count = 0
+    a = 1
+    while 3 * a * a <= -disc:
+        for b in range(-a + 1, a + 1):
+            num = b * b - disc
+            if num % (4 * a):
+                continue
+            c = num // (4 * a)
+            if c < a or (a == c and b < 0):
+                continue
+            if math.gcd(math.gcd(a, b), c) == 1:
+                count += 1
+        a += 1
+    return count
+
+
+def _omega(n: int) -> int:
+    """Number of distinct primes dividing n."""
+    n, k, f = abs(n), 0, 2
+    while f * f <= n:
+        if n % f == 0:
+            k += 1
+            while n % f == 0:
+                n //= f
+        f += 1
+    return k + (n > 1)
+
+
+def test_imaginary_class_groups_match_forms_and_genus_theory():
+    # every squarefree -200 <= d < 0: the class number is the number of
+    # reduced primitive forms of discriminant disc, and the 2-rank is
+    # omega(disc) - 1 (Gauss's genus theory)
+    checked = 0
+    for d in range(-200, 0):
+        if any(d % (f * f) == 0 for f in range(2, 15)):
+            continue
+        ring = NumberRing(d)
+        factors = class_group(ring)
+        assert math.prod(factors) == _reduced_form_count(ring.discriminant), d
+        assert sum(1 for f in factors if f % 2 == 0) == _omega(ring.discriminant) - 1, d
+        checked += 1
+    assert checked == 122
 
 
 def test_class_group_real_fixture_rings():
