@@ -26,7 +26,7 @@ from .invariants import (
     truncated_invariant_ring,
     veronese,
 )
-from .linalg import echelon_mod_p, member_mod_p, rref_mod_p
+from .linalg import _insert, _pack, _reduce, rref_mod_p
 from .poly import GradedRing, Polynomial, graded_piece_basis
 
 
@@ -125,25 +125,29 @@ def _regraded_degrees(Sbar: TruncatedSubalgebra, thetas) -> list[int]:
     return degrees
 
 
-def _image_rows(Sbar: TruncatedSubalgebra, theta: Polynomial, k: int) -> list[list[tuple]]:
-    """Rows of theta * (basis of S_{d-k}) for every degree d through D;
-    theta has regraded degree k."""
+def _image_rows(Sbar: TruncatedSubalgebra, theta: Polynomial, k: int) -> list[list[int]]:
+    """Packed F_p rows of theta * (basis of S_{d-k}) for every degree d
+    through D; theta has regraded degree k."""
     row = theta.to_vector(graded_piece_basis(Sbar.ambient, Sbar.ambient_degree(k)))
+    p = Sbar.domain.p
     return [
-        Sbar.piece_products(k, [row], d - k, Sbar.bases[d - k]) if d >= k else []
+        [_pack(v, p) for v in Sbar.piece_products(k, [row], d - k, Sbar.bases[d - k])]
+        if d >= k
+        else []
         for d in range(Sbar.D + 1)
     ]
 
 
-def _quotient(Sbar: TruncatedSubalgebra, images) -> tuple[tuple[int, ...], list]:
-    """Quotient Hilbert values through D and, per degree, a forward echelon
-    over F_p of the ideal piece spanned by the stacked image rows."""
-    spans = [
-        echelon_mod_p(
-            [row for image in images for row in image[d]], Sbar.piece_dim(d), Sbar.domain.p
-        )[0]
-        for d in range(Sbar.D + 1)
-    ]
+def _quotient(
+    Sbar: TruncatedSubalgebra, images, spans: list[dict[int, int]] | None = None
+) -> tuple[tuple[int, ...], list[dict[int, int]]]:
+    """Quotient Hilbert values through D and, per degree, the echelon
+    {lead column: packed row} of the ideal piece spanned by the stacked
+    image rows.  Echelons passed in as spans are extended in place."""
+    if spans is None:
+        spans = [{} for _ in range(Sbar.D + 1)]
+    for d, span in enumerate(spans):
+        _insert(span, (row for image in images for row in image[d]), Sbar.domain.p)
     return tuple(len(Sbar.bases[d]) - len(spans[d]) for d in range(Sbar.D + 1)), spans
 
 
@@ -166,14 +170,13 @@ def regular_sequence_certificate(Sbar: TruncatedSubalgebra, thetas) -> CMCertifi
     _require_prime_field(Sbar)
     thetas = list(thetas)
     degrees = _regraded_degrees(Sbar, thetas)
-    images = [_image_rows(Sbar, t, k) for t, k in zip(thetas, degrees)]
     h_prev = list(hilbert_function(Sbar).values)
     failed_stage = failed_degree = None
     h_cur = h_prev
-    for stage in range(1, len(thetas) + 1):
-        h_cur, _ = _quotient(Sbar, images[:stage])
+    spans = None
+    for stage, (theta, k) in enumerate(zip(thetas, degrees), start=1):
+        h_cur, spans = _quotient(Sbar, [_image_rows(Sbar, theta, k)], spans)
         for d in range(Sbar.D + 1):
-            k = degrees[stage - 1]
             expected = h_prev[d] - (h_prev[d - k] if d >= k else 0)
             if h_cur[d] != expected:
                 failed_stage, failed_degree = stage, d
@@ -254,7 +257,7 @@ def find_sop_mod_p(Sbar: TruncatedSubalgebra, dim: int, seed: int = 0) -> SopSea
             tuple(sorted(rng.sample(range(len(candidates)), dim)))
             for _ in range(_SAMPLED_COMBOS)
         )
-    images: dict[int, list[list[tuple]]] = {}
+    images: dict[int, list[list[int]]] = {}
     seen = set()
     for combo in combos:
         if combo in seen:
@@ -293,12 +296,12 @@ def _candidates_of_degree(Sbar: TruncatedSubalgebra, k: int, cap: int) -> list[P
     return [_combination(Sbar, coeffs, basis) for coeffs in patterns[:cap]]
 
 
-def _generator_vectors(Sbar: TruncatedSubalgebra) -> list[tuple[int, list[int]]]:
-    """Minimal algebra generators of Sbar as (degree, coefficient vector)."""
+def _generator_vectors(Sbar: TruncatedSubalgebra) -> list[tuple[int, int]]:
+    """Minimal algebra generators of Sbar as (degree, packed F_p vector)."""
     out = []
     for d, gen in minimal_generators_up_to(Sbar):
         piece = graded_piece_basis(Sbar.ambient, Sbar.ambient_degree(d))
-        out.append((d, [int(x) for x in gen.to_vector(piece)]))
+        out.append((d, _pack(gen.to_vector(piece), Sbar.domain.p)))
     return out
 
 
@@ -308,12 +311,12 @@ def _vanishing_window(generators, ideal_spans, p: int) -> int:
     Once the quotient vanishes on w consecutive degrees, every higher piece
     is reached by multiplying a generator into the zero window or by a
     generator already inside the ideal; w is the largest degree of a minimal
-    generator not contained in the ideal.  generators holds (degree, vector)
-    pairs; ideal_spans[d] is any echelon basis member_mod_p accepts.
+    generator not contained in the ideal.  generators holds (degree, packed
+    vector) pairs; ideal_spans[d] is the ideal's echelon from _quotient.
     """
     w = 1
     for d, vec in generators:
-        if not member_mod_p(ideal_spans[d], vec, p):
+        if _reduce(ideal_spans[d], vec, p):
             w = max(w, d)
     return w
 
@@ -347,7 +350,7 @@ def find_sop_mixed(Sbar: TruncatedSubalgebra, dim: int, seed: int = 0) -> SopSea
         k: _candidates_of_degree(Sbar, k, _MIXED_CANDIDATE_CAP)
         for k in range(1, max_deg + 1)
     }
-    images: dict[tuple[int, int], list[list[tuple]]] = {}
+    images: dict[tuple[int, int], list[list[int]]] = {}
     multisets = sorted(
         itertools.combinations_with_replacement(range(1, max_deg + 1), dim),
         key=lambda ms: (sum(ms), ms),

@@ -63,6 +63,9 @@ class CoefficientDomain:
                 raise ValueError(f"{self.tag} needs a prime p, got {self.p!r}")
         elif self.p is not None:
             raise ValueError(f"{self.tag} takes no prime")
+        # fixed at construction; not fields, so eq, hash and repr ignore them
+        object.__setattr__(self, "_zero", self.coerce(0))
+        object.__setattr__(self, "_one", self.coerce(1))
 
     # -- constructors -----------------------------------------------------
 
@@ -90,11 +93,11 @@ class CoefficientDomain:
 
     @property
     def zero(self) -> Scalar:
-        return self.coerce(0)
+        return self._zero
 
     @property
     def one(self) -> Scalar:
-        return self.coerce(1)
+        return self._one
 
     # -- arithmetic --------------------------------------------------------
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 
 class IntegerMatrix:
@@ -370,6 +371,95 @@ def lattice_complement_generators(sub_rows, sup_basis) -> list[tuple[int, ...]]:
 
 # ---------------------------------------------------------------------------
 # row reduction over F_p
+#
+# A row over F_p is packed into one int, entry j in field j counted from the
+# least significant end.  A field holds p(p - 1), the largest entry a row
+# update v + (p - f) * pivot can leave, so updates never carry between
+# fields; that is one byte while p <= 13.  An echelon is a dict
+# {lead column: packed row with lead entry 1}, the lead being the lowest
+# nonzero field.  The tuple functions below convert only at entry and exit.
+
+
+@lru_cache(maxsize=None)
+def _field_layout(p: int):
+    """(field width in bytes, fold) for packed rows over F_p; fold reduces
+    every field of a packed row into [0, p)."""
+    width = 1
+    while p * (p - 1) >> (8 * width):
+        width += 1
+    if width == 1:
+        table = bytes(x % p for x in range(256))
+
+        def fold(v: int) -> int:
+            raw = v.to_bytes((v.bit_length() + 7) >> 3, "little")
+            return int.from_bytes(raw.translate(table), "little")
+
+    else:
+        bits = 8 * width
+        mask = (1 << bits) - 1
+
+        def fold(v: int) -> int:
+            out = shift = 0
+            while v:
+                out |= (v & mask) % p << shift
+                v >>= bits
+                shift += bits
+            return out
+
+    return width, fold
+
+
+def _pack(row, p: int) -> int:
+    """Packed form of a row whose entries already lie in [0, p)."""
+    width, _ = _field_layout(p)
+    if width == 1:
+        return int.from_bytes(bytes(row), "little")
+    return int.from_bytes(b"".join(x.to_bytes(width, "little") for x in row), "little")
+
+
+def _unpack(v: int, ncols: int, p: int) -> tuple[int, ...]:
+    width, _ = _field_layout(p)
+    raw = v.to_bytes(ncols * width, "little")
+    if width == 1:
+        return tuple(raw)
+    return tuple(
+        int.from_bytes(raw[i : i + width], "little") for i in range(0, len(raw), width)
+    )
+
+
+def _reduce(pivots: dict[int, int], v: int, p: int) -> int:
+    """Reduce a packed row against an echelon until its lead column has no
+    pivot; the result is 0 iff v lies in the span of the pivots."""
+    width, fold = _field_layout(p)
+    bits = 8 * width
+    mask = (1 << bits) - 1
+    while v:
+        col = ((v & -v).bit_length() - 1) // bits
+        piv = pivots.get(col)
+        if piv is None:
+            return v
+        v = fold(v + (p - ((v >> (col * bits)) & mask)) * piv)
+    return 0
+
+
+def _insert(pivots: dict[int, int], rows, p: int) -> None:
+    """Extend an echelon by packed rows: each row is reduced and, if it
+    does not vanish, scaled to lead 1 and kept under its lead column."""
+    width, fold = _field_layout(p)
+    bits = 8 * width
+    for v in rows:
+        v = _reduce(pivots, v, p)
+        if v:
+            col = ((v & -v).bit_length() - 1) // bits
+            lead = (v >> (col * bits)) & ((1 << bits) - 1)
+            pivots[col] = v if lead == 1 else fold(v * pow(lead, -1, p))
+
+
+def _echelon(rows, p: int) -> dict[int, int]:
+    """Echelon of integer rows, which need not be reduced mod p."""
+    pivots: dict[int, int] = {}
+    _insert(pivots, (_pack([x % p for x in row], p) for row in rows), p)
+    return pivots
 
 
 def echelon_mod_p(rows, ncols: int, p: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
@@ -380,48 +470,29 @@ def echelon_mod_p(rows, ncols: int, p: int) -> tuple[tuple[tuple[int, ...], ...]
     is the rank, and member_mod_p accepts the rows as they are.  About half
     the work of rref_mod_p, for callers that need only ranks or membership.
     """
-    m = [r for r in ([x % p for x in row] for row in rows) if any(r)]
-    out: list[tuple[int, ...]] = []
-    pivots: list[int] = []
-    for col in range(ncols):
-        if not m:
-            break
-        sel = next((i for i, row in enumerate(m) if row[col]), None)
-        if sel is None:
-            continue
-        piv = m.pop(sel)
-        if piv[col] != 1:
-            inv = pow(piv[col], -1, p)
-            piv = [(x * inv) % p for x in piv]
-        rest = []
-        for row in m:
-            f = row[col]
-            if f:
-                row = [(x - f * y) % p for x, y in zip(row, piv)]
-                if not any(row):
-                    continue
-            rest.append(row)
-        m = rest
-        out.append(tuple(piv))
-        pivots.append(col)
-    return tuple(out), tuple(pivots)
+    pivots = _echelon(rows, p)
+    cols = tuple(sorted(pivots))
+    return tuple(_unpack(pivots[c], ncols, p) for c in cols), cols
 
 
 def rref_mod_p(rows, ncols: int, p: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
     """Reduced row echelon form over F_p; returns (nonzero rows, pivot columns).
 
-    The forward pass is echelon_mod_p; back-substitution then clears the
-    entries above each pivot, which makes the rows canonical.
+    The forward pass is the echelon of echelon_mod_p; back-substitution then
+    clears the entries above each pivot, which makes the rows canonical.
     """
-    ech, pivots = echelon_mod_p(rows, ncols, p)
-    m = [list(row) for row in ech]
+    pivots = _echelon(rows, p)
+    cols = tuple(sorted(pivots))
+    m = [pivots[c] for c in cols]
+    width, fold = _field_layout(p)
+    mask = (1 << (8 * width)) - 1
     for i in range(len(m) - 1, 0, -1):
-        col, piv = pivots[i], m[i]
+        shift, piv = 8 * width * cols[i], m[i]
         for j in range(i):
-            f = m[j][col]
+            f = (m[j] >> shift) & mask
             if f:
-                m[j] = [(x - f * y) % p for x, y in zip(m[j], piv)]
-    return tuple(tuple(row) for row in m), pivots
+                m[j] = fold(m[j] + (p - f) * piv)
+    return tuple(_unpack(v, ncols, p) for v in m), cols
 
 
 def kernel_mod_p(rows, ncols: int, p: int) -> tuple[tuple[int, ...], ...]:
@@ -440,13 +511,5 @@ def kernel_mod_p(rows, ncols: int, p: int) -> tuple[tuple[int, ...], ...]:
 
 
 def member_mod_p(rref_rows, v, p: int) -> bool:
-    """True iff v lies in the row space of rows from rref_mod_p or echelon_mod_p."""
-    res = [x % p for x in v]
-    for row in rref_rows:
-        j = next((k for k, x in enumerate(row) if x), None)
-        if j is None:
-            continue
-        if res[j]:
-            f = res[j]
-            res = [(x - f * y) % p for x, y in zip(res, row)]
-    return not any(res)
+    """True iff v lies in the row space of rref_rows over F_p."""
+    return not _reduce(_echelon(rref_rows, p), _pack([x % p for x in v], p), p)

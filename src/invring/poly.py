@@ -71,8 +71,15 @@ class GradedPiece:
     degree: int
     monomials: tuple[Exponent, ...]
 
+    def __post_init__(self):
+        # not a field, so eq, hash and repr ignore it
+        object.__setattr__(self, "_positions", {e: i for i, e in enumerate(self.monomials)})
+
     def index(self, exps: Exponent) -> int:
-        return self.monomials.index(exps)
+        try:
+            return self._positions[exps]
+        except KeyError:
+            raise ValueError(f"{exps} is not a monomial of degree {self.degree}") from None
 
     @property
     def dim(self) -> int:

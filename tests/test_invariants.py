@@ -1,11 +1,13 @@
 """Invariant bases, transfer and Reynolds maps, Veronese subrings."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
 from invring.domains import GF, QQ, ZZ, Z_local
+from invring.fixtures import fixture_group, fixture_group_names
 from invring.groups import enumerate_group, sylow_subgroup, trivial_group
 from invring.invariants import (
     IndexNotInvertible,
@@ -223,6 +225,51 @@ def test_molien_count_matches_rank():
         for d in range(9):
             cnt = trace_average_invariant_count(G, ring, d)
             assert cnt == len(invariant_basis(G, ring, d))
+
+
+def _poly_mul(a, b):
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _det_one_minus_tg(g):
+    """Coefficients in t of det(I - t g), by the Leibniz expansion."""
+    n = len(g)
+    entries = [
+        [[Fraction(int(i == j)), -Fraction(g[i][j])] for j in range(n)] for i in range(n)
+    ]
+    det = [Fraction(0)] * (n + 1)
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(1 for i in range(n) for j in range(i) if perm[j] > perm[i])
+        term = [Fraction((-1) ** inversions)]
+        for i in range(n):
+            term = _poly_mul(term, entries[i][perm[i]])
+        det = [x + y for x, y in zip(det, term)]
+    return det
+
+
+def _molien_coefficients(G, D):
+    """Coefficients through t^D of (1/|G|) sum_g 1/det(I - t g)."""
+    total = [Fraction(0)] * (D + 1)
+    for g in G.elements:
+        q = _det_one_minus_tg(g)
+        inv = [Fraction(1)]
+        for d in range(1, D + 1):
+            inv.append(-sum(q[k] * inv[d - k] for k in range(1, min(d, len(q) - 1) + 1)))
+        total = [x + y for x, y in zip(total, inv)]
+    return [x / G.order for x in total]
+
+
+@pytest.mark.parametrize("name", fixture_group_names())
+def test_hilbert_function_matches_molien_series(name):
+    """Molien's theorem: in characteristic 0 the Hilbert series of R^G is
+    (1/|G|) sum_g 1/det(I - t g)."""
+    G = fixture_group(name, QQ)
+    S = truncated_invariant_ring(G, GradedRing(G.n, QQ), 8)
+    assert list(hilbert_function(S).values) == _molien_coefficients(G, 8)
 
 
 def test_invariant_basis_over_zlocal_matches_z():

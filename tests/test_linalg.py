@@ -6,6 +6,11 @@ import pytest
 
 from invring.linalg import (
     IntegerMatrix,
+    _field_layout,
+    _insert,
+    _pack,
+    _reduce,
+    _unpack,
     cokernel_invariant_factors,
     echelon_mod_p,
     hermite_normal_form,
@@ -164,6 +169,27 @@ def test_complement_generators_empty_sub():
     assert gens == [(1, 0, 1), (0, 1, 0)]
 
 
+PRIMES = [2, 3, 5, 7, 11, 13, 17, 31]
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_packed_row_update_matches_entrywise(p):
+    """fold(a + c * b) on packed rows is the entrywise (a + c * b) mod p, up
+    to the largest entry p(p - 1) an update can leave, on rows as wide as 80."""
+    _, fold = _field_layout(p)
+    rng = random.Random(300 + p)
+    cases = [([p - 1] * 80, [p - 1] * 80, p - 1)]
+    for _ in range(50):
+        ncols = rng.randint(1, 80)
+        a = [rng.randrange(p) for _ in range(ncols)]
+        b = [rng.randrange(p) for _ in range(ncols)]
+        cases.append((a, b, rng.randrange(1, p)))
+    for a, b, c in cases:
+        assert _unpack(_pack(a, p), len(a), p) == tuple(a)
+        got = fold(_pack(a, p) + c * _pack(b, p))
+        assert _unpack(got, len(a), p) == tuple((x + c * y) % p for x, y in zip(a, b))
+
+
 def test_rref_and_kernel_mod_p():
     rows, pivots = rref_mod_p([[2, 4], [1, 2]], 2, 5)
     assert rows == ((1, 2),)
@@ -176,14 +202,15 @@ def test_rref_and_kernel_mod_p():
 
 def test_kernel_mod_p_matches_rank():
     rng = random.Random(3)
-    for p in (2, 3, 5):
+    for p in (2, 3, 5, 17):
         for _ in range(30):
             rows = rng.randint(1, 4)
             cols = rng.randint(1, 5)
             m = [[rng.randrange(p) for _ in range(cols)] for _ in range(rows)]
             r = len(rref_mod_p(m, cols, p)[0])
-            k = len(kernel_mod_p(m, cols, p))
-            assert r + k == cols
+            ker = kernel_mod_p(m, cols, p)
+            assert r + len(ker) == cols
+            assert all(sum(a * b for a, b in zip(row, v)) % p == 0 for row in m for v in ker)
 
 
 def _planted_matrix(rng, p, nrows, ncols, rank_cap):
@@ -229,38 +256,80 @@ def _incremental_basis(rows, p):
     return basis
 
 
-@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def _check_echelon_and_rref(rng, p, rows, basis, ncols):
+    ech, pivots = echelon_mod_p(rows, ncols, p)
+    rref, rref_pivots = rref_mod_p(rows, ncols, p)
+    # the RREF of a row space is unique, so these conditions pin rref
+    assert list(rref_pivots) == sorted(set(rref_pivots))
+    for i, (row, col) in enumerate(zip(rref, rref_pivots)):
+        assert all(x == 0 for x in row[:col])
+        assert [r[col] for r in rref] == [int(k == i) for k in range(len(rref))]
+        assert all(0 <= x < p for x in row)
+    rref_basis = _incremental_basis(rref, p)
+    assert len(rref_basis) == len(rref)
+    assert not any(any(_reduced_against(rref_basis, v, p)) for v in rows)
+    input_basis = _incremental_basis(rows, p)
+    assert not any(any(_reduced_against(input_basis, v, p)) for v in rref)
+    assert len(ech) == len(rref)
+    assert pivots == rref_pivots
+    for row, col in zip(ech, pivots):
+        assert all(x == 0 for x in row[:col]) and row[col] == 1
+        assert all(0 <= x < p for x in row)
+    probes = [[rng.randrange(p) for _ in range(ncols)] for _ in range(10)]
+    for _ in range(10):
+        v = [0] * ncols
+        for b in basis:
+            c = rng.randrange(p)
+            v = [x + c * y for x, y in zip(v, b)]
+        probes.append(v)
+    probes.extend(rows)
+    for v in probes:
+        assert member_mod_p(ech, v, p) == member_mod_p(rref, v, p)
+        assert member_mod_p(rref, v, p) == (not any(_reduced_against(input_basis, v, p)))
+    assert all(member_mod_p(ech, v, p) for v in rows)
+
+
+@pytest.mark.parametrize("p", PRIMES)
 def test_echelon_mod_p_matches_rref(p):
     rng = random.Random(100 + p)
     for _ in range(60):
         ncols = rng.randint(1, 9)
         rows, basis = _planted_matrix(rng, p, rng.randint(0, 10), ncols, rng.randint(0, 5))
-        ech, pivots = echelon_mod_p(rows, ncols, p)
-        rref, rref_pivots = rref_mod_p(rows, ncols, p)
-        # the RREF of a row space is unique, so these conditions pin rref
-        assert list(rref_pivots) == sorted(set(rref_pivots))
-        for i, (row, col) in enumerate(zip(rref, rref_pivots)):
-            assert all(x == 0 for x in row[:col])
-            assert [r[col] for r in rref] == [int(k == i) for k in range(len(rref))]
-            assert all(0 <= x < p for x in row)
-        rref_basis = _incremental_basis(rref, p)
-        assert len(rref_basis) == len(rref)
-        assert not any(any(_reduced_against(rref_basis, v, p)) for v in rows)
+        _check_echelon_and_rref(rng, p, rows, basis, ncols)
+    # rows wider than a machine word, of full and of deficient rank
+    for _ in range(6):
+        ncols = rng.randint(60, 80)
+        rows, basis = _planted_matrix(rng, p, rng.randint(20, 40), ncols, rng.randint(10, 40))
+        _check_echelon_and_rref(rng, p, rows, basis, ncols)
+
+
+@pytest.mark.parametrize("p", [2, 3, 13, 17])
+def test_packed_echelon_extends_in_batches(p):
+    """Inserting rows in two batches into one echelon gives the span that a
+    single batch gives: same rank, same lead columns, same members."""
+    rng = random.Random(200 + p)
+    for _ in range(20):
+        ncols = rng.randint(1, 70)
+        rows, basis = _planted_matrix(rng, p, rng.randint(0, 30), ncols, rng.randint(0, 25))
+        packed = [_pack([x % p for x in row], p) for row in rows]
+        cut = rng.randint(0, len(packed))
+        once: dict[int, int] = {}
+        _insert(once, packed, p)
+        twice: dict[int, int] = {}
+        _insert(twice, packed[:cut], p)
+        first = dict(twice)
+        _insert(twice, packed[cut:], p)
+        assert all(twice[col] == row for col, row in first.items())
         input_basis = _incremental_basis(rows, p)
-        assert not any(any(_reduced_against(input_basis, v, p)) for v in rref)
-        assert len(ech) == len(rref)
-        assert pivots == rref_pivots
-        for row, col in zip(ech, pivots):
-            assert all(x == 0 for x in row[:col]) and row[col] == 1
-            assert all(0 <= x < p for x in row)
+        assert len(once) == len(twice) == len(input_basis)
+        assert sorted(once) == sorted(twice) == sorted(col for col, _ in input_basis)
         probes = [[rng.randrange(p) for _ in range(ncols)] for _ in range(10)]
         for _ in range(10):
             v = [0] * ncols
             for b in basis:
-                c = rng.randrange(p)
-                v = [x + c * y for x, y in zip(v, b)]
+                v = [x + rng.randrange(p) * y for x, y in zip(v, b)]
             probes.append(v)
-        probes.extend(rows)
         for v in probes:
-            assert member_mod_p(ech, v, p) == member_mod_p(rref, v, p)
-        assert all(member_mod_p(ech, v, p) for v in rows)
+            inside = not any(_reduced_against(input_basis, v, p))
+            w = _pack([x % p for x in v], p)
+            assert (_reduce(once, w, p) == 0) == (_reduce(twice, w, p) == 0) == inside
