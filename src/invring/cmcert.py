@@ -89,9 +89,7 @@ def reduce_mod_p(S: TruncatedSubalgebra, p: int) -> TruncatedSubalgebra:
     if S.domain.tag not in ("Z", "Zlocal"):
         raise ValueError("reduction mod p expects integer coefficients")
     fp = GF(p)
-    ring_p = GradedRing(
-        S.ambient.nvars, fp, S.ambient.weights, S.ambient.var_names
-    )
+    ring_p = GradedRing(S.ambient.nvars, fp)
     new_bases = []
     for d in range(S.D + 1):
         dim_d = S.piece_dim(d)
@@ -490,15 +488,13 @@ def veronese_cm_search(
     l_max: int = 6,
     D: int = 12,
     seed: int = 0,
-    S: TruncatedSubalgebra | None = None,
 ) -> VeroneseSearchReport:
     """Try Veronese indices 1..l_max and certify the first CM candidate.
 
     Certificates are evidence at truncation D//l; a failure is reported as
     unverified at that degree, never as a negative.
     """
-    if S is None:
-        S = truncated_invariant_ring(G, ring, D)
+    S = truncated_invariant_ring(G, ring, D)
     primes = prime_divisors(G.order) or [2]
 
     def attempt_for(l: int) -> VeroneseAttempt:

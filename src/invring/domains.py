@@ -137,10 +137,6 @@ class CoefficientDomain:
     def div(self, a: Scalar, b: Scalar) -> Scalar:
         return self.mul(a, self.inv(b))
 
-    @property
-    def characteristic(self) -> int:
-        return self.p if self.tag == "Fp" else 0
-
     # -- formatting ---------------------------------------------------------
 
     def scalar_str(self, a: Scalar) -> str:
@@ -275,13 +271,6 @@ def mat_det(domain: CoefficientDomain, a: Matrix) -> Scalar:
             if f:
                 m[i] = [x - f * y for x, y in zip(m[i], m[col])]
     return domain.coerce(det)
-
-
-def mat_sort_key(domain: CoefficientDomain, a: Matrix):
-    """Total order on matrices over a domain, used for deterministic choices."""
-    if domain.tag == "Fp":
-        return tuple(x % domain.p for row in a for x in row)
-    return tuple(Fraction(x) for row in a for x in row)
 
 
 def scalar_mod_p_residue(x: Scalar, p: int) -> int:

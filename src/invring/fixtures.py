@@ -63,10 +63,10 @@ def fixture_group_names() -> list[str]:
     return sorted(GROUP_GENERATORS)
 
 
-def random_unimodular(rng: random.Random, n: int, steps: int = 4) -> list[list[int]]:
-    """Product of a few elementary shears and swaps; entries stay small."""
+def random_unimodular(rng: random.Random, n: int) -> list[list[int]]:
+    """Product of up to four elementary shears and swaps; entries stay small."""
     m = [[int(i == j) for j in range(n)] for i in range(n)]
-    for _ in range(steps):
+    for _ in range(4):
         i, j = rng.randrange(n), rng.randrange(n)
         if i == j:
             continue
@@ -102,18 +102,20 @@ _ORDER_BLOCKS = {
     2: [[[1]], [[-1]], [[0, 1], [1, 0]]],
     3: [[[1]], [[0, -1], [1, -1]], [[0, 0, 1], [1, 0, 0], [0, 1, 0]]],
 }
+_ORDER_P_MAX_RANK = 4
 
 
-def random_order_p_matrix(rng: random.Random, p: int, max_rank: int = 4) -> list[list[int]]:
-    """Random integer matrix with sigma^p = I; first block kept nontrivial."""
+def random_order_p_matrix(rng: random.Random, p: int) -> list[list[int]]:
+    """Random integer matrix with sigma^p = I, of size at most
+    _ORDER_P_MAX_RANK; first block kept nontrivial."""
     if p not in _ORDER_BLOCKS:
         supported = " and ".join(str(q) for q in sorted(_ORDER_BLOCKS))
         raise ValueError(f"random order-p actions exist only for p = {supported}, not {p}")
-    nontrivial = [b for b in _ORDER_BLOCKS[p] if b != [[1]] and len(b) <= max_rank]
+    nontrivial = [b for b in _ORDER_BLOCKS[p] if b != [[1]] and len(b) <= _ORDER_P_MAX_RANK]
     blocks = [rng.choice(nontrivial)]
     size = len(blocks[0])
-    while size < max_rank and rng.random() < 0.6:
-        choices = [b for b in _ORDER_BLOCKS[p] if size + len(b) <= max_rank]
+    while size < _ORDER_P_MAX_RANK and rng.random() < 0.6:
+        choices = [b for b in _ORDER_BLOCKS[p] if size + len(b) <= _ORDER_P_MAX_RANK]
         if not choices:
             break
         b = rng.choice(choices)
@@ -144,11 +146,6 @@ def random_trivial_mod_p_module(
     return CyclicModule(domain=Z_local(p), sigma=sigma, order=p)
 
 
-def random_order_p_module(
-    rng: random.Random, p: int, max_rank: int = 4, domain: CoefficientDomain = ZZ
-) -> CyclicModule:
-    """Random order-p cyclic module from conjugated block actions."""
-    while True:
-        m = random_order_p_matrix(rng, p, max_rank)
-        if m:
-            return CyclicModule(domain=domain, sigma=m, order=p)
+def random_order_p_module(rng: random.Random, p: int) -> CyclicModule:
+    """Random order-p cyclic module over Z from conjugated block actions."""
+    return CyclicModule(domain=ZZ, sigma=random_order_p_matrix(rng, p), order=p)

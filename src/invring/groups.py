@@ -7,6 +7,7 @@ and left coset representatives.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 
 from .domains import (
@@ -17,7 +18,6 @@ from .domains import (
     mat_identity,
     mat_is_identity,
     mat_mul,
-    mat_sort_key,
 )
 
 DEFAULT_BOUND = 10_000
@@ -74,7 +74,7 @@ def _closure(
                             f"group closure exceeded bound {bound}"
                         )
         frontier = nxt
-    return tuple(sorted(seen, key=lambda m: mat_sort_key(domain, m)))
+    return tuple(sorted(seen))
 
 
 def enumerate_group(
@@ -113,9 +113,9 @@ def element_order(domain: CoefficientDomain, m: Matrix, cap: int = DEFAULT_BOUND
     return k
 
 
-def element_inverse(domain: CoefficientDomain, m: Matrix, cap: int = DEFAULT_BOUND) -> Matrix:
+def element_inverse(domain: CoefficientDomain, m: Matrix) -> Matrix:
     """Inverse via the element's finite order: m^(k-1)."""
-    k = element_order(domain, m, cap)
+    k = element_order(domain, m)
     inv = mat_identity(domain, len(m))
     for _ in range(k - 1):
         inv = mat_mul(domain, inv, m)
@@ -163,7 +163,7 @@ def sylow_subgroup(G: MatrixGroup, p: int) -> MatrixGroup:
             current = closure
     if len(current) != target:
         raise RuntimeError("greedy Sylow search failed to reach full order")
-    elements = tuple(sorted(current, key=lambda m: mat_sort_key(dom, m)))
+    elements = tuple(sorted(current))
     return MatrixGroup(n=G.n, coeff=dom, elements=elements, generators=tuple(gens))
 
 
@@ -200,22 +200,43 @@ def trivial_group(n: int, coeff: CoefficientDomain) -> MatrixGroup:
 def cyclic_generator(G: MatrixGroup) -> Matrix:
     """A generator of a cyclic group (canonically least among them)."""
     dom = G.coeff
-    for g in sorted(G.elements, key=lambda m: mat_sort_key(dom, m)):
+    for g in sorted(G.elements):
         if element_order(dom, g, G.order) == G.order:
             return g
     raise ValueError("group is not cyclic")
 
 
-def group_from_json_dict(payload: dict, bound: int = DEFAULT_BOUND) -> MatrixGroup:
-    """Build a group from the file format {"n", "coefficients", "generators"}."""
+def _is_json_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _json_entry(coeff: CoefficientDomain, x):
+    if isinstance(x, str):
+        return coeff.parse_scalar(x)
+    if _is_json_int(x):
+        return x
+    raise ValueError(f"matrix entry {json.dumps(x)} is neither an integer nor a string")
+
+
+def group_from_json_dict(payload: dict) -> MatrixGroup:
+    """Build a group from the file format {"n", "coefficients", "generators"}.
+
+    n and the optional "bound" must be integers, and generators a list of
+    n x n matrices given as lists of rows, with integer or string entries;
+    anything else raises ValueError.
+    """
     from .domains import parse_domain
 
     if not isinstance(payload, dict):
         raise ValueError("group file must hold a JSON object")
     try:
-        n = int(payload["n"])
+        n = payload["n"]
     except KeyError:
         raise ValueError("group file is missing field 'n'") from None
+    bound = payload.get("bound", DEFAULT_BOUND)
+    for key, value in (("n", n), ("bound", bound)):
+        if not _is_json_int(value):
+            raise ValueError(f"field '{key}' must be an integer, not {json.dumps(value)}")
     try:
         coeff = parse_domain(str(payload["coefficients"]))
     except KeyError:
@@ -224,12 +245,14 @@ def group_from_json_dict(payload: dict, bound: int = DEFAULT_BOUND) -> MatrixGro
         gens_raw = payload["generators"]
     except KeyError:
         raise ValueError("group file is missing field 'generators'") from None
-    gens = []
+    if not isinstance(gens_raw, list):
+        raise ValueError("field 'generators' must be a list of matrices")
     for g in gens_raw:
-        gens.append(
-            [
-                [coeff.parse_scalar(x) if isinstance(x, str) else x for x in row]
-                for row in g
-            ]
-        )
-    return enumerate_group(gens, coeff, n=n, bound=int(payload.get("bound", bound)))
+        if not (
+            isinstance(g, list)
+            and len(g) == n
+            and all(isinstance(row, list) and len(row) == n for row in g)
+        ):
+            raise ValueError(f"generator {json.dumps(g)} is not a list of {n} rows of length {n}")
+    gens = [[[_json_entry(coeff, x) for x in row] for row in g] for g in gens_raw]
+    return enumerate_group(gens, coeff, n=n, bound=bound)

@@ -40,10 +40,6 @@ class IntegerMatrix:
     def identity(n: int) -> "IntegerMatrix":
         return IntegerMatrix([[int(i == j) for j in range(n)] for i in range(n)], cols=n)
 
-    @staticmethod
-    def zero(rows: int, cols: int) -> "IntegerMatrix":
-        return IntegerMatrix([[0] * cols for _ in range(rows)], cols=cols)
-
     def __mul__(self, other: "IntegerMatrix") -> "IntegerMatrix":
         if self.cols != other.rows:
             raise ValueError("dimension mismatch")

@@ -3,8 +3,7 @@
 Per-degree monomial bases in a fixed deglex order (degree, then descending
 lexicographic exponent), an exact linear substitution action of square
 matrices on polynomials, and the induced matrix of that action on each
-graded piece.  Weighted variable degrees are supported because Veronese
-regrading produces generators in mixed degrees.
+graded piece.  Every variable has degree 1.
 """
 
 from __future__ import annotations
@@ -27,27 +26,18 @@ def _default_names(nvars: int) -> tuple[str, ...]:
 
 @dataclass(frozen=True)
 class GradedRing:
-    """Polynomial ring with positive integer variable weights."""
+    """Polynomial ring graded by total degree."""
 
     nvars: int
     coeff: CoefficientDomain
-    weights: tuple[int, ...] = ()
-    var_names: tuple[str, ...] = ()
 
     def __post_init__(self):
         if self.nvars < 1:
             raise ValueError("need at least one variable")
-        if not self.weights:
-            object.__setattr__(self, "weights", (1,) * self.nvars)
-        if len(self.weights) != self.nvars or any(w < 1 for w in self.weights):
-            raise ValueError("weights must be positive, one per variable")
-        if not self.var_names:
-            object.__setattr__(self, "var_names", _default_names(self.nvars))
-        if len(self.var_names) != self.nvars:
-            raise ValueError("need one name per variable")
 
-    def degree_of(self, exps: Exponent) -> int:
-        return sum(e * w for e, w in zip(exps, self.weights))
+    @property
+    def var_names(self) -> tuple[str, ...]:
+        return _default_names(self.nvars)
 
     def variable(self, i: int) -> "Polynomial":
         exps = tuple(1 if j == i else 0 for j in range(self.nvars))
@@ -66,7 +56,7 @@ class GradedRing:
 
 @dataclass(frozen=True)
 class GradedPiece:
-    """All monomials of one weighted degree, in deglex order."""
+    """All monomials of one degree, in deglex order."""
 
     degree: int
     monomials: tuple[Exponent, ...]
@@ -86,39 +76,26 @@ class GradedPiece:
         return len(self.monomials)
 
 
-def _monomials_of_degree(weights: tuple[int, ...], d: int) -> list[Exponent]:
-    if len(weights) == 1:
-        w = weights[0]
-        if d % w == 0:
-            return [(d // w,)]
-        return []
-    out = []
-    w0 = weights[0]
-    for e in range(d // w0, -1, -1):
-        for rest in _monomials_of_degree(weights[1:], d - e * w0):
-            out.append((e,) + rest)
-    return out
+def _monomials_of_degree(nvars: int, d: int) -> list[Exponent]:
+    if nvars == 1:
+        return [(d,)]
+    return [
+        (e,) + rest
+        for e in range(d, -1, -1)
+        for rest in _monomials_of_degree(nvars - 1, d - e)
+    ]
 
 
 @lru_cache(maxsize=None)
-def _piece_cached(weights: tuple[int, ...], d: int) -> GradedPiece:
-    return GradedPiece(degree=d, monomials=tuple(_monomials_of_degree(weights, d)))
+def _piece_cached(nvars: int, d: int) -> GradedPiece:
+    return GradedPiece(degree=d, monomials=tuple(_monomials_of_degree(nvars, d)))
 
 
 def graded_piece_basis(ring: GradedRing, d: int) -> GradedPiece:
     """Monomial basis of the degree-d piece, descending lex within the degree."""
     if d < 0:
         raise ValueError("degree must be nonnegative")
-    return _piece_cached(ring.weights, d)
-
-
-def series_dimensions(ring: GradedRing, D: int) -> list[int]:
-    """Coefficients through degree D of prod_i 1/(1 - t^w_i)."""
-    coeffs = [1] + [0] * D
-    for w in ring.weights:
-        for d in range(w, D + 1):
-            coeffs[d] += coeffs[d - w]
-    return coeffs
+    return _piece_cached(ring.nvars, d)
 
 
 class Polynomial:
@@ -133,20 +110,20 @@ class Polynomial:
     def _sorted_terms(self):
         return sorted(
             self.terms.items(),
-            key=lambda item: (-self.ring.degree_of(item[0]), tuple(-e for e in item[0])),
+            key=lambda item: (-sum(item[0]), tuple(-e for e in item[0])),
         )
 
     def is_zero(self) -> bool:
         return not self.terms
 
     def degree(self) -> int | None:
-        """Weighted degree, or None for the zero polynomial."""
+        """Total degree, or None for the zero polynomial."""
         if not self.terms:
             return None
-        return max(self.ring.degree_of(e) for e in self.terms)
+        return max(sum(e) for e in self.terms)
 
     def is_homogeneous(self) -> bool:
-        degs = {self.ring.degree_of(e) for e in self.terms}
+        degs = {sum(e) for e in self.terms}
         return len(degs) <= 1
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
@@ -227,8 +204,8 @@ def polynomial_from_vector(ring: GradedRing, piece: GradedPiece, vec) -> Polynom
 def act(g: Matrix, f: Polynomial) -> Polynomial:
     """Linear substitution X_j -> sum_i g[i][j] X_i applied to f.
 
-    This is a degree-preserving ring homomorphism when all mixed variables
-    share a weight; act on a composite gh equals act(g) after act(h).
+    This is a degree-preserving ring homomorphism; act on a composite gh
+    equals act(g) after act(h).
     """
     ring = f.ring
     dom = ring.coeff

@@ -107,6 +107,11 @@ def test_cohomology_lemma_fuzz(capsys):
     assert _capture(capsys)["holds"] is True
 
 
+def test_cohomology_verify_h1_zero(capsys):
+    assert run(["cohomology", "verify-h1-zero"]) == EXIT_OK
+    assert _capture(capsys)["holds"] is True
+
+
 def test_cohomology_compute(capsys):
     code = run(
         [
@@ -179,6 +184,14 @@ def test_invalid_json_exits_2(tmp_path, capsys):
 
 
 ARRAY_GROUP = "<array-group>"
+# group files that are not a list of n x n integer or string matrices
+MALFORMED_GROUPS = {
+    "<fractional-entry>": '{"n": 2, "coefficients": "Z", "generators": [[[0, 1], [1.9, 0]]]}',
+    "<bool-entry>": '{"n": 2, "coefficients": "Z", "generators": [[[0, true], [1, 0]]]}',
+    "<scalar-generators>": '{"n": 2, "coefficients": "Z", "generators": 5}',
+    "<flat-generators>": '{"n": 2, "coefficients": "Z", "generators": [[0, 1], [1, 0]]}',
+    "<null-n>": '{"n": null, "coefficients": "Z", "generators": []}',
+}
 
 
 @pytest.mark.parametrize(
@@ -214,6 +227,11 @@ ARRAY_GROUP = "<array-group>"
             "not a unit",
         ),
         (["cohomology", "periodicity", "--p", "5"], "p = 2 and 3"),
+        (["invariants", "--group", "<fractional-entry>"], "entry 1.9 is neither"),
+        (["invariants", "--group", "<bool-entry>"], "entry true is neither"),
+        (["invariants", "--group", "<scalar-generators>"], "'generators' must be a list"),
+        (["invariants", "--group", "<flat-generators>"], "generator [0, 1] is not a list"),
+        (["invariants", "--group", "<null-n>"], "field 'n' must be an integer, not null"),
     ],
     ids=[
         "real-d-class-group",
@@ -223,12 +241,19 @@ ARRAY_GROUP = "<array-group>"
         "subgroup-not-contained",
         "transfer-index-not-invertible",
         "periodicity-unsupported-prime",
+        "fractional-entry",
+        "bool-entry",
+        "scalar-generators",
+        "flat-generators",
+        "null-n",
     ],
 )
 def test_bad_input_exits_2_without_output(argv, message, tmp_path, capsys):
-    array_group = tmp_path / "array.json"
-    array_group.write_text("[[[0, 1], [1, 0]]]")
-    argv = [str(array_group) if a == ARRAY_GROUP else a for a in argv]
+    files = {ARRAY_GROUP: "[[[0, 1], [1, 0]]]", **MALFORMED_GROUPS}
+    for i, (placeholder, text) in enumerate(files.items()):
+        path = tmp_path / f"group{i}.json"
+        path.write_text(text)
+        argv = [str(path) if a == placeholder else a for a in argv]
     assert run(argv) == EXIT_USAGE
     captured = capsys.readouterr()
     assert captured.out == ""

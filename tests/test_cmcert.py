@@ -5,6 +5,8 @@ import random
 import pytest
 
 from invring.cmcert import (
+    _EXHAUSTIVE_CAP,
+    _SAMPLED_COMBOS,
     NotStandardGraded,
     NumeratorNotTerminated,
     cm_certificate,
@@ -59,6 +61,20 @@ def test_find_sop_full_polynomial_ring():
     res = find_sop_mod_p(Sbar, 2)
     assert res.found
     assert sorted(str(t) for t in res.thetas) == ["X", "Y"]
+
+
+def test_find_sop_sampled_search():
+    # degree 7 of two variables has 8 monomials, so 2^8 - 1 = 255 projective
+    # candidates over F_2 and 255 * 254 ordered pairs: too many to search
+    # exhaustively, so the search samples
+    S = truncated_invariant_ring(trivial_group(2, ZZ), R2, 14)
+    Sbar = reduce_mod_p(veronese(S, 7), 2)
+    res = find_sop_mod_p(Sbar, 2)
+    assert 255 * 254 > _EXHAUSTIVE_CAP
+    assert res.found and 1 <= res.tried <= _SAMPLED_COMBOS
+    again = find_sop_mod_p(Sbar, 2)
+    assert (again.thetas, again.tried) == (res.thetas, res.tried)
+    assert regular_sequence_certificate(Sbar, res.thetas).status == "certified"
 
 
 def test_find_sop_insufficient_truncation():

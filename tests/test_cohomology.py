@@ -18,8 +18,12 @@ from invring.cohomology import (
     verify_h2_trivial_mod_pi,
     verify_pi_annihilates_h1,
 )
-from invring.domains import ZZ, Z_local, mat_mul
-from invring.fixtures import random_order_p_module, random_trivial_mod_p_module
+from invring.domains import QQ, ZZ, Z_local, mat_mul
+from invring.fixtures import (
+    random_order_p_matrix,
+    random_order_p_module,
+    random_trivial_mod_p_module,
+)
 from invring.groups import enumerate_group
 from invring.poly import GradedRing
 
@@ -76,6 +80,19 @@ def test_periodicity_random():
             M = random_order_p_module(rng, p)
             for i in (1, 2, 3, 4):
                 assert cohomology(M, i) == cohomology(M, i + 2)
+
+
+def test_cohomology_over_q_vanishes():
+    # Maschke: |G| is invertible in Q, so H^i(G, V) = 0 for every i >= 1;
+    # H^0 is the fixed space, whose dimension is the rank of the fixed lattice
+    rng = random.Random(3)
+    for p in (2, 3):
+        for _ in range(20):
+            sigma = random_order_p_matrix(rng, p)
+            M = CyclicModule(QQ, sigma, p)
+            for i in (1, 2, 3):
+                assert cohomology(M, i) == CohomologyGroup(0, ())
+            assert cohomology(M, 0) == cohomology(CyclicModule(ZZ, sigma, p), 0)
 
 
 def test_torsion_annihilated_by_order():

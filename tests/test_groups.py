@@ -128,6 +128,16 @@ def test_group_from_json():
         group_from_json_dict({"n": 2, "generators": []})
 
 
+def test_group_from_json_file_bound():
+    unipotent = {"n": 2, "coefficients": "Z", "generators": [[[1, 1], [0, 1]]]}
+    with pytest.raises(BoundExceeded, match="bound 50"):
+        group_from_json_dict({**unipotent, "bound": 50})
+    # a float, bool or null is not truncated to an integer
+    for bad in ({"bound": 1.5}, {"bound": None}, {"n": 2.0}, {"n": True}):
+        with pytest.raises(ValueError, match="must be an integer"):
+            group_from_json_dict({**unipotent, **bad})
+
+
 def test_group_from_json_rational_entries():
     g = group_from_json_dict(
         {"n": 1, "coefficients": "Q", "generators": [[["-1/1"]]]}

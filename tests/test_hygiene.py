@@ -6,12 +6,22 @@ besides its own definition, unless it is exported through invring.__all__.
 
 Dead parameters: every parameter of every function or lambda under
 src/invring, other than self and cls, must be read in its body.
+
+Unset options: every parameter with a default, in every def under
+src/invring, must be passed by some call in src/ or tests/, by keyword or
+by position.  Calls are matched by name; a class name stands for its
+__init__.
+
+Fixture drift: the built-in group table equals fixtures/groups/*.json.
 """
 
 import ast
+import json
+import math
 import pathlib
 
 import invring
+from invring.fixtures import GROUP_GENERATORS
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "invring"
@@ -83,3 +93,77 @@ def _unread_parameters(path: pathlib.Path) -> list[str]:
 def test_no_unread_parameters():
     unread = [u for path in sorted(PACKAGE.glob("*.py")) for u in _unread_parameters(path)]
     assert not unread, f"parameters never read: {unread}"
+
+
+def _options(tree: ast.Module) -> list[tuple[str, str, int | None]]:
+    """(callee name, parameter, positional slot or None) for each parameter
+    with a default; slots of a method do not count self or cls."""
+    init_owner = {
+        id(item): node.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+        for item in node.body
+        if isinstance(item, ast.FunctionDef) and item.name == "__init__"
+    }
+    out = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        a = node.args
+        name = init_owner.get(id(node), node.name)
+        positional = [*a.posonlyargs, *a.args]
+        skip = 1 if positional and positional[0].arg in ("self", "cls") else 0
+        first = len(positional) - len(a.defaults)
+        out += [(name, arg.arg, i - skip) for i, arg in enumerate(positional) if i >= first]
+        out += [
+            (name, arg.arg, None)
+            for arg, default in zip(a.kwonlyargs, a.kw_defaults)
+            if default is not None
+        ]
+    return out
+
+
+def _passed(trees) -> tuple[dict[str, float], dict[str, set[str | None]]]:
+    """Per callee name: the most positional arguments any call passes
+    (infinite with *args) and the keywords passed (None for **kwargs)."""
+    positional: dict[str, float] = {}
+    keywords: dict[str, set[str | None]] = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            f = node.func
+            name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+            starred = any(isinstance(arg, ast.Starred) for arg in node.args)
+            count = math.inf if starred else len(node.args)
+            positional[name] = max(positional.get(name, 0), count)
+            keywords.setdefault(name, set()).update(kw.arg for kw in node.keywords)
+    return positional, keywords
+
+
+def _unset_options(package: pathlib.Path, callers) -> list[str]:
+    positional, keywords = _passed(ast.parse(path.read_text()) for path in callers)
+    unset = []
+    for path in sorted(package.glob("*.py")):
+        for name, param, slot in _options(ast.parse(path.read_text())):
+            kws = keywords.get(name, set())
+            if param in kws or None in kws:
+                continue
+            if slot is not None and positional.get(name, 0) > slot:
+                continue
+            unset.append(f"{path.name}:{name}({param})")
+    return unset
+
+
+def test_no_unset_options():
+    callers = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+    unset = _unset_options(PACKAGE, callers)
+    assert not unset, f"options no call passes: {unset}"
+
+
+def test_group_fixture_files_match_generators():
+    files = {
+        path.stem: json.loads(path.read_text())
+        for path in (ROOT / "fixtures" / "groups").glob("*.json")
+    }
+    assert files == GROUP_GENERATORS

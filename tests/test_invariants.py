@@ -18,6 +18,8 @@ from invring.invariants import (
     is_standard_graded_up_to,
     minimal_generators_up_to,
     reynolds,
+    span_equal,
+    span_member,
     trace_average_invariant_count,
     transfer,
     truncated_invariant_ring,
@@ -216,6 +218,31 @@ def test_minimal_generators_over_fp():
     S = truncated_invariant_ring(G, ring, 6)
     gens = minimal_generators_up_to(S)
     assert [d for d, _ in gens] == [1, 2]
+
+
+@pytest.mark.parametrize("dom", [QQ, Z_local(2), Z_local(3)], ids=str)
+def test_span_bookkeeping_over_q_and_zlocal(dom):
+    # s3 is generated by the elementary symmetric polynomials e1, e2, e3, so
+    # degree 2 is not spanned by degree-1 products; the even part of the
+    # minus-identity ring is generated by the three quadratic monomials
+    S = truncated_invariant_ring(fixture_group("s3", dom), GradedRing(3, dom), 6)
+    assert [d for d, _ in minimal_generators_up_to(S)] == [1, 2, 3]
+    report = is_standard_graded_up_to(S)
+    assert not report.standard and report.first_failing_degree == 2
+    ring = GradedRing(2, dom)
+    V = veronese(truncated_invariant_ring(fixture_group("minus-identity", dom), ring, 8), 2)
+    assert is_standard_graded_up_to(V).standard
+    assert [d for d, _ in minimal_generators_up_to(V)] == [1, 1, 1]
+
+
+def test_span_membership_is_p_local():
+    # 2 is a unit in Z_(3) but not in Z_(2), so (1, 0) lies in the span of
+    # (2, 0) over Q and Z_(3) only
+    rows, v = ((2, 0),), (1, 0)
+    assert span_member(QQ, rows, v) and span_member(Z_local(3), rows, v)
+    assert not span_member(Z_local(2), rows, v)
+    assert span_equal(Z_local(3), rows, ((1, 0),))
+    assert not span_equal(Z_local(2), rows, ((1, 0),))
 
 
 def test_molien_count_matches_rank():
