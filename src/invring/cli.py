@@ -392,6 +392,18 @@ def _cmd_lemma_suite(args) -> int:
 # parser
 
 
+def _at_least_one(text: str) -> int:
+    """argparse type for counts that must be positive, so that no run is
+    vacuous."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, not {value}")
+    return value
+
+
 def _add_common(sub):
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--format", choices=("json", "tsv", "text"), default="json")
@@ -431,13 +443,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--i", type=int, default=1)
     p.add_argument("--max-degree", type=int, default=6)
     p.add_argument("--p", type=int, default=2)
-    p.add_argument("--rank", type=int, default=4)
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--rank", type=_at_least_one, default=4)
+    p.add_argument("--trials", type=_at_least_one, default=100)
     p.set_defaults(func=_cmd_cohomology)
 
     p = _add_common(subs.add_parser("cm-search", help="Veronese Cohen-Macaulay search"))
     p.add_argument("--group", required=True)
-    p.add_argument("--l-max", type=int, default=6)
+    p.add_argument("--l-max", type=_at_least_one, default=6)
     p.add_argument("--max-degree", type=int, default=12)
     p.set_defaults(func=_cmd_cm_search)
 
@@ -451,11 +463,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("verb", choices=("factor", "class-group", "div-check"))
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--element", default=None)
-    p.add_argument("--count", type=int, default=100)
+    p.add_argument("--count", type=_at_least_one, default=100)
     p.set_defaults(func=_cmd_dedekind)
 
     p = _add_common(subs.add_parser("lemma-suite", help="run every verifier on the fixtures"))
-    p.add_argument("--trials", type=int, default=25)
+    p.add_argument("--trials", type=_at_least_one, default=25)
     p.set_defaults(func=_cmd_lemma_suite)
 
     return parser

@@ -305,9 +305,22 @@ def lattice_solve(basis, v) -> list[Fraction] | None:
 
 
 def lattice_member(basis, v) -> bool:
-    """True iff v lies in the integer lattice spanned by an HNF basis."""
-    coords = lattice_solve(basis, v)
-    return coords is not None and all(x.denominator == 1 for x in coords)
+    """True iff v lies in the integer lattice spanned by an HNF basis.
+
+    The same walk as lattice_solve, in integers: each pivot must divide the
+    residual entry exactly.
+    """
+    res = list(v)
+    for row in basis:
+        j = next((k for k, x in enumerate(row) if x), None)
+        if j is None:
+            continue
+        t, rem = divmod(res[j], row[j])
+        if rem:
+            return False
+        if t:
+            res = [r - t * b for r, b in zip(res, row)]
+    return not any(res)
 
 
 def lattice_quotient(sub_rows, sup_basis) -> tuple[tuple[int, ...], int]:

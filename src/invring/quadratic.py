@@ -4,8 +4,12 @@ divisors along Z -> O_d, and class groups at desk scale.
 Elements are pairs (a, b) meaning a + b*w with w = sqrt(d), or (1+sqrt(d))/2
 when d = 1 mod 4.  Prime ideals above a rational prime q are classified by
 the roots of the minimal polynomial of w mod q: two roots split, one root
-ramifies, none stays inert.  Valuations at split primes use a Hensel lift of
-the root to precision beyond the norm valuation, so everything stays exact.
+ramifies, none stays inert.  For odd q the discriminant decides: zero mod q
+ramifies, a non-residue by Euler's criterion stays inert, and a residue
+splits with roots (trace_w +- s)/2 for a Tonelli-Shanks square root s, in
+O(log^2 q) operations; q = 2 tests its two residues.  Valuations at split
+primes use a Hensel lift of the root to precision beyond the norm
+valuation, so everything stays exact.
 
 Class groups enumerate ideals up to the Minkowski bound and test
 principality against the least norm of a nonzero element of the ideal:
@@ -168,18 +172,52 @@ class PrimeIdealQ:
         return self.label()
 
 
+def _sqrt_mod(a: int, q: int) -> int:
+    """A square root of a quadratic residue a != 0 modulo an odd prime q.
+
+    Tonelli-Shanks (Cohen, GTM 138, Algorithm 1.5.1); for q = 3 mod 4 the
+    root is a^((q+1)/4) directly.
+    """
+    if q % 4 == 3:
+        return pow(a, (q + 1) // 4, q)
+    s, t = 0, q - 1  # q - 1 = 2^s * t with t odd
+    while t % 2 == 0:
+        s, t = s + 1, t // 2
+    z = 2
+    while pow(z, (q - 1) // 2, q) != q - 1:
+        z += 1
+    # invariant: x^2 = a * b and b has order dividing 2^(m-1), c of order 2^m
+    m, c, x, b = s, pow(z, t, q), pow(a, (t + 1) // 2, q), pow(a, t, q)
+    while b != 1:
+        i, b2 = 0, b
+        while b2 != 1:
+            b2, i = b2 * b2 % q, i + 1
+        g = pow(c, 1 << (m - i - 1), q)
+        x, c = x * g % q, g * g % q
+        b, m = b * c % q, i
+    return x
+
+
 def primes_above(ring: NumberRing, q: int) -> list[PrimeIdealQ]:
     """The primes above a rational prime q, classified by roots of the
     minimal polynomial of w mod q."""
     if not is_prime(q):
         raise ValueError(f"{q} is not prime")
-    roots = [
-        r for r in range(q) if (r * r - ring.trace_w * r + ring.norm_w) % q == 0
-    ]
+    t, n = ring.trace_w, ring.norm_w
+    if q == 2:
+        roots = [r for r in (0, 1) if (r * r - t * r + n) % 2 == 0]
+    else:
+        disc = (t * t - 4 * n) % q
+        half = (q + 1) // 2  # the inverse of 2 mod q
+        if disc == 0:
+            roots = [t * half % q]
+        elif pow(disc, (q - 1) // 2, q) != 1:  # Euler's criterion
+            roots = []
+        else:
+            s = _sqrt_mod(disc, q)
+            roots = sorted([(t + s) * half % q, (t - s) * half % q])
     if len(roots) == 2:
-        return [
-            PrimeIdealQ(q=q, kind="split", root=r, e=1, f=1) for r in sorted(roots)
-        ]
+        return [PrimeIdealQ(q=q, kind="split", root=r, e=1, f=1) for r in roots]
     if len(roots) == 1:
         return [PrimeIdealQ(q=q, kind="ramified", root=roots[0], e=2, f=1)]
     return [PrimeIdealQ(q=q, kind="inert", root=None, e=1, f=2)]
@@ -456,10 +494,14 @@ def is_principal(I: Ideal) -> bool:
 
 
 def minkowski_bound(ring: NumberRing) -> int:
-    """Integer cutoff covering the Minkowski bound (safe to overshoot)."""
+    """Integer cutoff covering the Minkowski bound (safe to overshoot).
+
+    For d < 0 the bound (2/pi) sqrt|disc| is below (212/333) sqrt|disc|
+    since pi > 333/106, and isqrt of the floor plus one exceeds that.
+    """
     disc = abs(ring.discriminant)
     if ring.d < 0:
-        return int((2 / math.pi) * math.sqrt(disc)) + 1
+        return math.isqrt(212**2 * disc // 333**2) + 1
     return math.isqrt(disc) // 2 + 1
 
 

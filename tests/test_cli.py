@@ -232,6 +232,14 @@ MALFORMED_GROUPS = {
         (["invariants", "--group", "<scalar-generators>"], "'generators' must be a list"),
         (["invariants", "--group", "<flat-generators>"], "generator [0, 1] is not a list"),
         (["invariants", "--group", "<null-n>"], "field 'n' must be an integer, not null"),
+        (["cohomology", "periodicity", "--trials", "-1"], "--trials: must be at least 1"),
+        (["lemma-suite", "--trials", "-3"], "--trials: must be at least 1"),
+        (["dedekind", "div-check", "--d", "-5", "--count", "-2"], "--count: must be at least 1"),
+        (
+            ["cm-search", "--group", str(FIXTURES / "rot3.json"), "--l-max", "0"],
+            "--l-max: must be at least 1",
+        ),
+        (["cohomology", "verify-lemma-g2", "--rank", "0"], "--rank: must be at least 1"),
     ],
     ids=[
         "real-d-class-group",
@@ -246,6 +254,11 @@ MALFORMED_GROUPS = {
         "scalar-generators",
         "flat-generators",
         "null-n",
+        "periodicity-negative-trials",
+        "lemma-suite-negative-trials",
+        "div-check-negative-count",
+        "cm-search-zero-l-max",
+        "lemma-g2-zero-rank",
     ],
 )
 def test_bad_input_exits_2_without_output(argv, message, tmp_path, capsys):

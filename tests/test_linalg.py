@@ -141,6 +141,49 @@ def test_lattice_solve_and_member():
     assert coords is not None and all(c.denominator == 1 for c in coords)
 
 
+def _echelon_basis(rng, ncols):
+    """Rows with strictly increasing pivot columns, pivots and entries of
+    both signs, and zero rows mixed in."""
+    pivots = sorted(rng.sample(range(ncols), rng.randint(1, ncols)))
+    rows = []
+    for j in pivots:
+        row = [0] * ncols
+        row[j] = rng.choice([-1, 1]) * rng.randint(1, 6)
+        for k in range(j + 1, ncols):
+            row[k] = rng.randint(-9, 9)
+        rows.append(row)
+    for _ in range(rng.randint(0, 2)):
+        rows.insert(rng.randint(0, len(rows)), [0] * ncols)
+    return rows
+
+
+def test_lattice_member_matches_rational_solve():
+    # the integer walk against the rational coordinates of lattice_solve
+    rng = random.Random(11)
+    members = 0
+    for _ in range(300):
+        ncols = rng.randint(1, 5)
+        if rng.random() < 0.5:
+            basis = _echelon_basis(rng, ncols)
+        else:
+            raw = [[rng.randint(-9, 9) for _ in range(ncols)] for _ in range(rng.randint(1, 4))]
+            basis = [list(r) for r in lattice_canonical(raw, ncols)] + [[0] * ncols]
+        for _ in range(8):
+            if rng.random() < 0.5:
+                # an integer or half-integer combination of the rows
+                c = [rng.randint(-4, 4) for _ in basis]
+                den = rng.choice([1, 1, 2, 3])
+                v = [sum(ci * row[k] for ci, row in zip(c, basis)) for k in range(ncols)]
+                v = [x // den if x % den == 0 else x for x in v]
+            else:
+                v = [rng.randint(-12, 12) for _ in range(ncols)]
+            coords = lattice_solve(basis, v)
+            want = coords is not None and all(x.denominator == 1 for x in coords)
+            assert lattice_member(basis, v) == want, (basis, v)
+            members += want
+    assert 300 < members < 2000
+
+
 def test_lattice_quotient_orientation():
     # Z^2 / <(-2,0),(0,2),(-4,0)> has no free part and torsion (2, 2)
     torsion, free = lattice_quotient(

@@ -67,6 +67,78 @@ def test_fundamental_identity():
             assert sum(P.e * P.f for P in primes_above(ring, q)) == 2
 
 
+def _scan_tables(q):
+    """For t = 0, 1: every residue r mod q filed under (t*r - r^2) mod q, so
+    the roots of w^2 - t*w + n mod q are the entry at n mod q."""
+    tables = {}
+    for t in (0, 1):
+        table = {}
+        for r in range(q):
+            table.setdefault((t * r - r * r) % q, []).append(r)
+        tables[t] = table
+    return tables
+
+
+def _jacobi(a, n):
+    """Jacobi symbol (a/n) for odd n > 0, by quadratic reciprocity."""
+    a %= n
+    sign = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                sign = -sign
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            sign = -sign
+        a %= n
+    return sign if n == 1 else 0
+
+
+def _squarefree_ds(lo, hi):
+    return [
+        d
+        for d in range(lo, hi + 1)
+        if d not in (0, 1) and all(d % (f * f) for f in range(2, math.isqrt(abs(d)) + 1))
+    ]
+
+
+SIX_RINGS = (-1, -3, -5, 2, -101, 13)
+
+
+def _assert_matches_scan(ring, q, tables):
+    roots = tables[ring.trace_w].get(ring.norm_w % q, [])
+    kind = {0: "inert", 1: "ramified", 2: "split"}[len(roots)]
+    got = [(P.kind, P.root) for P in primes_above(ring, q)]
+    assert got == [(kind, r) for r in roots or [None]], (ring.d, q)
+
+
+def test_primes_above_matches_residue_scan():
+    small_rings = [NumberRing(d) for d in _squarefree_ds(-200, 200)]
+    six_rings = [NumberRing(d) for d in SIX_RINGS]
+    for q in range(2, 3000):
+        if any(q % f == 0 for f in range(2, math.isqrt(q) + 1)):
+            continue
+        tables = _scan_tables(q)
+        for ring in small_rings if q < 300 else six_rings:
+            _assert_matches_scan(ring, q, tables)
+
+
+@pytest.mark.parametrize("q", [1_000_000_007, 998_244_353])  # 998244353 = 119 * 2^23 + 1
+def test_primes_above_large_primes(q):
+    for d in SIX_RINGS:
+        ring = NumberRing(d)
+        got = primes_above(ring, q)
+        disc = ring.trace_w**2 - 4 * ring.norm_w
+        kinds = {1: ["split", "split"], 0: ["ramified"], -1: ["inert"]}[_jacobi(disc, q)]
+        assert [P.kind for P in got] == kinds, (d, q)
+        roots = [P.root for P in got if P.kind != "inert"]
+        for r in roots:
+            assert 0 <= r < q
+            assert (r * r - ring.trace_w * r + ring.norm_w) % q == 0
+        assert roots == sorted(set(roots))
+
+
 def test_factor_element_examples():
     d5 = factor_element(ZI, (5, 0))
     assert sorted((P.q, P.root, c) for P, c in d5.items()) == [(5, 2, 1), (5, 3, 1)]
@@ -221,6 +293,22 @@ def test_is_principal_search():
 def test_minkowski_bound_small_rings():
     assert minkowski_bound(ZI) <= 2
     assert minkowski_bound(ZM5) >= 2
+
+
+def test_minkowski_bound_integer_formula():
+    # (2/pi) sqrt|disc| < (212/333) sqrt|disc| < B, checked in exact integers,
+    # and B equals the floating-point cutoff int((2/pi) sqrt|disc|) + 1
+    checked = 0
+    for d in _squarefree_ds(-800, -1):
+        ring = NumberRing(d)
+        disc = abs(ring.discriminant)
+        if disc > 800:
+            continue
+        B = minkowski_bound(ring)
+        assert B * B * 333**2 > 212**2 * disc, d
+        assert B == int((2 / math.pi) * math.sqrt(disc)) + 1, d
+        checked += 1
+    assert checked == 245
 
 
 def test_parse_element():
