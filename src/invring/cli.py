@@ -421,27 +421,27 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = _add_common(subs.add_parser("invariants", help="Hilbert function and generators"))
     p.add_argument("--group", required=True)
-    p.add_argument("--max-degree", type=int, default=12)
+    p.add_argument("--max-degree", type=_at_least_one, default=12)
     p.set_defaults(func=_cmd_veronese, m=1)
 
     p = _add_common(subs.add_parser("veronese", help="Veronese subring report"))
     p.add_argument("--group", required=True)
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--max-degree", type=int, default=12)
+    p.add_argument("--max-degree", type=_at_least_one, default=12)
     p.set_defaults(func=_cmd_veronese)
 
     p = _add_common(subs.add_parser("transfer-check", help="transfer splitting identity"))
     p.add_argument("--group", required=True)
     p.add_argument("--subgroup", required=True)
     p.add_argument("--p", type=int, default=None, help="localize at this prime")
-    p.add_argument("--max-degree", type=int, default=6)
+    p.add_argument("--max-degree", type=_at_least_one, default=6)
     p.set_defaults(func=_cmd_transfer_check)
 
     p = _add_common(subs.add_parser("cohomology", help="cyclic group cohomology"))
     p.add_argument("verb", choices=("compute", "verify-lemma-g2", "verify-h1-zero", "periodicity"))
     p.add_argument("--group", default=None)
     p.add_argument("--i", type=int, default=1)
-    p.add_argument("--max-degree", type=int, default=6)
+    p.add_argument("--max-degree", type=_at_least_one, default=6)
     p.add_argument("--p", type=int, default=2)
     p.add_argument("--rank", type=_at_least_one, default=4)
     p.add_argument("--trials", type=_at_least_one, default=100)
@@ -450,13 +450,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = _add_common(subs.add_parser("cm-search", help="Veronese Cohen-Macaulay search"))
     p.add_argument("--group", required=True)
     p.add_argument("--l-max", type=_at_least_one, default=6)
-    p.add_argument("--max-degree", type=int, default=12)
+    p.add_argument("--max-degree", type=_at_least_one, default=12)
     p.set_defaults(func=_cmd_cm_search)
 
     p = _add_common(subs.add_parser("gorenstein", help="h-numerator symmetry report"))
     p.add_argument("--group", required=True)
     p.add_argument("--l", type=int, required=True)
-    p.add_argument("--max-degree", type=int, default=12)
+    p.add_argument("--max-degree", type=_at_least_one, default=12)
     p.set_defaults(func=_cmd_gorenstein)
 
     p = _add_common(subs.add_parser("dedekind", help="quadratic ring computations"))

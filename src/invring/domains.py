@@ -8,8 +8,10 @@ tuples of scalars, manipulated by the helpers at the bottom.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 Scalar = int | Fraction
 Matrix = tuple[tuple[Scalar, ...], ...]
@@ -217,15 +219,31 @@ def mat_mul(domain: CoefficientDomain, a: Matrix, b: Matrix) -> Matrix:
     return tuple(out)
 
 
+def _int_mat_mul(a: list[list[int]], b: list[list[int]], p: int | None) -> list[list[int]]:
+    cols = list(zip(*b))
+    out = [[sum(map(operator.mul, row, col)) for col in cols] for row in a]
+    return out if p is None else [[x % p for x in row] for row in out]
+
+
 def mat_pow(domain: CoefficientDomain, a: Matrix, e: int) -> Matrix:
-    result = mat_identity(domain, len(a))
-    base = a
+    """a^e by squaring on integers: a = N/δ with δ the lcm of the
+    denominators gives a^e = N^e/δ^e (over F_p the residues are the ints)."""
+    p = domain.p if domain.tag == "Fp" else None
+    den = lcm(*(x.denominator for row in a for x in row))
+    scale = den**e
+    base = [[x.numerator * (den // x.denominator) for x in row] for row in a]
+    result = None
     while e:
         if e & 1:
-            result = mat_mul(domain, result, base)
-        base = mat_mul(domain, base, base)
+            result = base if result is None else _int_mat_mul(result, base, p)
         e >>= 1
-    return result
+        if e:
+            base = _int_mat_mul(base, base, p)
+    if result is None:
+        result = [[int(i == j) for j in range(len(a))] for i in range(len(a))]
+    if scale == 1:
+        return tuple(tuple(domain.coerce(x) for x in row) for row in result)
+    return tuple(tuple(domain.coerce(Fraction(x, scale)) for x in row) for row in result)
 
 
 def mat_eq(domain: CoefficientDomain, a: Matrix, b: Matrix) -> bool:

@@ -146,11 +146,9 @@ def invariant_basis(G: MatrixGroup, ring: GradedRing, d: int) -> Rows:
     for g in gens:
         a = action_matrix(ring, g, d)
         for i in range(n):
-            row = [
-                domain.sub(a[i][j], domain.one if i == j else domain.zero)
-                for j in range(n)
-            ]
-            if any(not domain.is_zero(x) for x in row):
+            row = list(a[i])
+            row[i] = domain.sub(row[i], domain.one)
+            if any(row):  # entries are canonical, so only zero is falsy
                 constraint_rows.append(row)
     if domain.tag == "Fp":
         return kernel_mod_p(

@@ -248,16 +248,61 @@ def action_matrix(ring: GradedRing, g: Matrix, d: int) -> Matrix:
 
     Columns hold the images of basis monomials, so the map is functorial:
     action_matrix(g h, d) = action_matrix(g, d) * action_matrix(h, d).
+
+    The images are built degree by degree: with X_j the first variable
+    dividing x^m, the image of x^m is the image of x^(m - e_j) times the form
+    L_j = sum_i g[i][j] X_i.  The products run in plain ints and Fractions
+    (reduced mod p over F_p) on monomial indices, and the entries enter the
+    domain once, at the end.
     """
-    piece = graded_piece_basis(ring, d)
+    n = ring.nvars
+    if len(g) != n or any(len(row) != n for row in g):
+        raise ValueError("matrix size must match the number of variables")
     dom = ring.coeff
-    cols = []
-    for m in piece.monomials:
-        img = act(g, Polynomial(ring, {m: dom.one}))
-        cols.append(img.to_vector(piece))
-    return tuple(
-        tuple(cols[j][i] for j in range(piece.dim)) for i in range(piece.dim)
-    )
+    p = dom.p if dom.tag == "Fp" else None
+    forms = []  # L_j as (i, g[i][j]) over the nonzero entries of column j
+    for j in range(n):
+        form = []
+        for i in range(n):
+            c = dom.coerce(g[i][j])
+            if c:
+                form.append((i, c.numerator if c.denominator == 1 else c))
+        forms.append(form)
+    images = [{0: 1}]  # images of the degree-0 monomials, keyed by index
+    lower = graded_piece_basis(ring, 0)
+    for k in range(1, d + 1):
+        piece = graded_piece_basis(ring, k)
+        index = piece._positions
+        # times_var[a][i]: index of x^(a-th monomial of degree k - 1) * X_i
+        times_var = [
+            [index[e[:i] + (e[i] + 1,) + e[i + 1:]] for i in range(n)]
+            for e in lower.monomials
+        ]
+        nxt = []
+        for m in piece.monomials:
+            j = next(i for i, mi in enumerate(m) if mi)
+            src = images[lower._positions[m[:j] + (m[j] - 1,) + m[j + 1:]]]
+            form = forms[j]
+            img: dict[int, Scalar] = {}
+            for a, c in src.items():
+                up = times_var[a]
+                for i, gij in form:
+                    t = up[i]
+                    img[t] = img.get(t, 0) + c * gij
+            if p is None:
+                nxt.append({t: v for t, v in img.items() if v})
+            else:
+                nxt.append({t: r for t, v in img.items() if (r := v % p)})
+        images, lower = nxt, piece
+    # ints already are Z and F_p scalars; Q and Z_(p) hold Fractions
+    convert = dom.coerce if dom.tag in ("Q", "Zlocal") else None
+    zero = dom.zero
+    dim = len(images)
+    rows = [[zero] * dim for _ in range(dim)]
+    for col, img in enumerate(images):
+        for t, v in img.items():
+            rows[t][col] = convert(v) if convert else v
+    return tuple(map(tuple, rows))
 
 
 # ---------------------------------------------------------------------------

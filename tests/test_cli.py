@@ -240,6 +240,21 @@ MALFORMED_GROUPS = {
             "--l-max: must be at least 1",
         ),
         (["cohomology", "verify-lemma-g2", "--rank", "0"], "--rank: must be at least 1"),
+        (
+            [
+                "transfer-check",
+                "--group",
+                str(FIXTURES / "s3.json"),
+                "--subgroup",
+                str(FIXTURES / "a3.json"),
+                "--p",
+                "3",
+                "--max-degree",
+                "-1",
+            ],
+            "--max-degree: must be at least 1",
+        ),
+        (["cohomology", "verify-h1-zero", "--max-degree", "-1"], "--max-degree: must be at least 1"),
     ],
     ids=[
         "real-d-class-group",
@@ -259,6 +274,8 @@ MALFORMED_GROUPS = {
         "div-check-negative-count",
         "cm-search-zero-l-max",
         "lemma-g2-zero-rank",
+        "transfer-check-negative-max-degree",
+        "h1-zero-negative-max-degree",
     ],
 )
 def test_bad_input_exits_2_without_output(argv, message, tmp_path, capsys):

@@ -146,3 +146,73 @@ def test_fp_coefficients_reduce():
     ring = GradedRing(2, GF(5))
     f = parse_polynomial(ring, "7*X + 5*Y")
     assert f.terms == {(1, 0): 2}
+
+
+# -- action matrices against the substitution definition ---------------------
+
+
+def _reference_action_matrix(ring, g, d):
+    """Columns are act(g, m) for each basis monomial m, read off directly."""
+    piece = graded_piece_basis(ring, d)
+    dom = ring.coeff
+    cols = [act(g, Polynomial(ring, {m: dom.one})).to_vector(piece) for m in piece.monomials]
+    return tuple(tuple(col[i] for col in cols) for i in range(piece.dim))
+
+
+def _random_entry(rng, dom):
+    """A scalar that coerce() accepts, chosen to exercise the domain's edges."""
+    if dom.tag == "Z":
+        return rng.randint(-3, 3)
+    if dom.tag == "Fp":
+        return rng.randint(-2 * dom.p, 2 * dom.p)  # negative and >= p alike
+    num = rng.randint(-4, 4)
+    if dom.tag == "Q":
+        return Fraction(num, rng.randint(1, 6))
+    den = rng.choice([q for q in range(1, 8) if q % dom.p])  # Z_(p): prime to p
+    return Fraction(num, den)
+
+
+def _random_matrix(rng, dom, n, zero_col):
+    """Seeded n x n entries; column zero_col, if given, is zero."""
+    m = [[_random_entry(rng, dom) for _ in range(n)] for _ in range(n)]
+    if zero_col is not None:
+        for row in m:
+            row[zero_col] = 0
+    return tuple(map(tuple, m))
+
+
+@pytest.mark.parametrize(
+    "dom", [ZZ, QQ, GF(2), GF(3), GF(5), Z_local(2), Z_local(3)], ids=str
+)
+def test_action_matrix_matches_substitution(dom):
+    rng = random.Random(f"action-{dom}")
+    for n in range(1, 5):
+        ring = GradedRing(n, dom)
+        g = _random_matrix(rng, dom, n, rng.randrange(n) if n % 2 == 0 else None)
+        for d in range(7):
+            got = action_matrix(ring, g, d)
+            want = _reference_action_matrix(ring, g, d)
+            assert got == want, (n, g, d)
+            assert [list(map(type, r)) for r in got] == [list(map(type, r)) for r in want]
+
+
+def test_action_matrix_size_mismatch():
+    with pytest.raises(ValueError, match="matrix size"):
+        action_matrix(R2, ((1, 0, 0), (0, 1, 0), (0, 0, 1)), 0)
+    with pytest.raises(ValueError, match="matrix size"):
+        action_matrix(R2, ((1, 0), (0,)), 2)
+
+
+def test_invariant_bases_match_reference_action(monkeypatch):
+    from invring.fixtures import GROUP_GENERATORS, fixture_group
+    from invring.invariants import truncated_invariant_ring
+
+    for name, spec in GROUP_GENERATORS.items():
+        for dom in (ZZ, QQ, GF(2), GF(3), Z_local(3)):
+            G = fixture_group(name, dom)
+            ring = GradedRing(spec["n"], dom)
+            got = truncated_invariant_ring(G, ring, 6).bases
+            with monkeypatch.context() as mp:
+                mp.setattr("invring.invariants.action_matrix", _reference_action_matrix)
+                want = truncated_invariant_ring(G, ring, 6).bases
+            assert got == want, (name, dom)
