@@ -156,7 +156,7 @@ def _cmd_veronese(args) -> int:
 
 
 def _cmd_transfer_check(args) -> int:
-    coeff = Z_local(args.p) if args.p else QQ
+    coeff = Z_local(args.p) if args.p is not None else QQ
     G, _ = _load_group(args.group, coeff)
     H, _ = _load_group(args.subgroup, coeff)
     ring = GradedRing(G.n, coeff)

@@ -6,28 +6,37 @@ odd i gives ker(Tr)/im(s - 1), even i gives ker(s - 1)/im(Tr).  Presentations
 come out as invariant factors through Smith reduction of the coordinate
 matrix of the image inside the kernel.  Over Z localized at p the reported
 torsion is the p-part, which is the module structure over that ring.
+
+Each module keeps one integer form of its action, built at construction:
+with delta the lcm of the denominators of s, the matrices N = delta*s and
+T = delta^(n-1)*Tr.  Kernels do not change under this scaling; over Z
+delta = 1, over Z_(p) it is a unit, which changes a quotient only at
+primes other than p, and over Q only ranks are read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 
-from .domains import (
-    CoefficientDomain,
-    Matrix,
-    mat_add,
-    mat_identity,
-    mat_is_identity,
-    mat_mul,
-    mat_pow,
-    mat_sub,
-    scalar_mod_p_residue,
-)
+from .domains import CoefficientDomain, Matrix, scalar_mod_p_residue
 from .groups import MatrixGroup, _p_power_part, cyclic_generator
 from .linalg import IntegerMatrix, integer_kernel_basis, lattice_quotient, rank
 from .poly import GradedRing, action_matrix
+
+
+def _shift(m: IntegerMatrix, c: int) -> IntegerMatrix:
+    """m - c*I for a square m."""
+    return IntegerMatrix(
+        [[x - c if i == j else x for j, x in enumerate(row)] for i, row in enumerate(m.data)],
+        cols=m.cols,
+    )
+
+
+def _sigma_minus_1(M: CyclicModule) -> IntegerMatrix:
+    """N - delta*I, which is delta*(s - 1)."""
+    return _shift(M._numerator, M._delta)
 
 
 class PreconditionViolated(Exception):
@@ -56,9 +65,23 @@ class CyclicModule:
             "sigma",
             tuple(tuple(self.domain.coerce(x) for x in row) for row in self.sigma),
         )
-        power = mat_pow(self.domain, self.sigma, self.order)
-        if not mat_is_identity(self.domain, power):
+        n = len(self.sigma)
+        delta = lcm(*(x.denominator for row in self.sigma for x in row))
+        numerator = IntegerMatrix(
+            [[x.numerator * (delta // x.denominator) for x in row] for row in self.sigma],
+            cols=n,
+        )
+        # Horner's rule: T_1 = I and T_(k+1) = T_k N + delta^k I
+        trace = IntegerMatrix.identity(n)
+        for k in range(1, self.order):
+            trace = _shift(trace * numerator, -(delta**k))
+        # (s - 1) Tr = s^n - 1, so this is s^n = I scaled by delta^n
+        if any(map(any, (_shift(numerator, delta) * trace).data)):
             raise ValueError("sigma^order is not the identity")
+        # not fields, so eq, hash and repr ignore them
+        object.__setattr__(self, "_delta", delta)
+        object.__setattr__(self, "_numerator", numerator)
+        object.__setattr__(self, "_trace", trace)
 
     @property
     def rank(self) -> int:
@@ -76,25 +99,10 @@ class CohomologyGroup:
 
 def trace_matrix(M: CyclicModule) -> Matrix:
     """I + s + s^2 + ... + s^(n-1); composes to zero with s - 1 on both sides."""
-    dom = M.domain
-    total = mat_identity(dom, M.rank)
-    power = mat_identity(dom, M.rank)
-    for _ in range(M.order - 1):
-        power = mat_mul(dom, power, M.sigma)
-        total = mat_add(dom, total, power)
-    return total
-
-
-def _integer_matrix(dom: CoefficientDomain, m: Matrix) -> IntegerMatrix:
-    """Clear denominators with one global unit; valid up to unit over Z_(p)."""
-    fr = [[Fraction(x) for x in row] for row in m]
-    den = 1
-    for row in fr:
-        for x in row:
-            den = lcm(den, x.denominator)
-    if dom.tag == "Zlocal" and den % dom.p == 0:
-        raise ValueError("denominators must be units in the localization")
-    return IntegerMatrix([[int(x * den) for x in row] for row in fr], cols=len(m[0]) if m else 0)
+    scale = M._delta ** (M.order - 1)
+    return tuple(
+        tuple(M.domain.coerce(Fraction(x, scale)) for x in row) for row in M._trace.data
+    )
 
 
 def _localized_factors(dom: CoefficientDomain, torsion: tuple[int, ...]) -> tuple[int, ...]:
@@ -103,13 +111,14 @@ def _localized_factors(dom: CoefficientDomain, torsion: tuple[int, ...]) -> tupl
     return tuple(f for f in (_p_power_part(t, dom.p) for t in torsion) if f > 1)
 
 
-def _subquotient(dom: CoefficientDomain, kernel_of: Matrix, image_of: Matrix, n: int) -> CohomologyGroup:
+def _subquotient(
+    dom: CoefficientDomain, kernel_of: IntegerMatrix, image_of: IntegerMatrix
+) -> CohomologyGroup:
     """ker(kernel_of) / column-image(image_of) as an abelian group."""
-    ker = integer_kernel_basis(_integer_matrix(dom, kernel_of))
-    image_int = _integer_matrix(dom, image_of)
-    image_rows = [row for row in image_int.transpose().data if any(row)]
+    ker = integer_kernel_basis(kernel_of)
+    image_rows = [row for row in image_of.transpose().data if any(row)]
     if dom.tag == "Q":
-        free = ker.rows - rank(IntegerMatrix(image_rows, cols=n)) if image_rows else ker.rows
+        free = ker.rows - rank(IntegerMatrix(image_rows, cols=image_of.rows)) if image_rows else ker.rows
         return CohomologyGroup(free_rank=free, torsion=())
     torsion, free = lattice_quotient(image_rows, list(ker.data))
     return CohomologyGroup(free_rank=free, torsion=_localized_factors(dom, torsion))
@@ -119,16 +128,12 @@ def cohomology(M: CyclicModule, i: int) -> CohomologyGroup:
     """H^i of the cyclic module; two-periodic in i for i >= 1."""
     if i < 0:
         raise ValueError("cohomology index must be nonnegative")
-    dom = M.domain
-    n = M.rank
-    sigma_minus_1 = mat_sub(dom, M.sigma, mat_identity(dom, n))
-    tr = trace_matrix(M)
+    sigma_minus_1 = _sigma_minus_1(M)
     if i == 0:
-        ker = integer_kernel_basis(_integer_matrix(dom, sigma_minus_1))
-        return CohomologyGroup(free_rank=ker.rows, torsion=())
+        return CohomologyGroup(free_rank=integer_kernel_basis(sigma_minus_1).rows, torsion=())
     if i % 2 == 1:
-        return _subquotient(dom, tr, sigma_minus_1, n)
-    return _subquotient(dom, sigma_minus_1, tr, n)
+        return _subquotient(M.domain, M._trace, sigma_minus_1)
+    return _subquotient(M.domain, sigma_minus_1, M._trace)
 
 
 def sigma_trivial_mod_p(M: CyclicModule, p: int) -> bool:
@@ -172,9 +177,7 @@ def verify_h2_trivial_mod_pi(M: CyclicModule) -> H2ComparisonReport:
     if not sigma_trivial_mod_p(M, p):
         raise PreconditionViolated("sigma is not trivial mod p")
     lhs = cohomology(M, 2)
-    fixed = integer_kernel_basis(
-        _integer_matrix(dom, mat_sub(dom, M.sigma, mat_identity(dom, M.rank)))
-    )
+    fixed = integer_kernel_basis(_sigma_minus_1(M))
     scaled = [tuple(p * x for x in row) for row in fixed.data]
     torsion, free = lattice_quotient(scaled, list(fixed.data))
     rhs = CohomologyGroup(free_rank=free, torsion=_localized_factors(dom, torsion))
@@ -201,79 +204,23 @@ def verify_pi_annihilates_h1(M: CyclicModule) -> bool:
     return h1.free_rank == 0 and all(p % t == 0 for t in h1.torsion)
 
 
-def _cyclotomic(d: int) -> list[int]:
-    """Integer coefficients of the d-th cyclotomic polynomial (low degree first)."""
-    poly = [-1, 1] if d == 1 else None
-    if poly is not None:
-        return poly
-    # (X^d - 1) / prod of lower cyclotomics
-    num = [-1] + [0] * (d - 1) + [1]
-    for e in range(1, d):
-        if d % e == 0:
-            phi = _cyclotomic(e)
-            num = _poly_divide_exact(num, phi)
-    return num
-
-
-def _poly_divide_exact(num: list[int], den: list[int]) -> list[int]:
-    num = list(num)
-    out = [0] * (len(num) - len(den) + 1)
-    for k in range(len(out) - 1, -1, -1):
-        c = num[k + len(den) - 1] // den[-1]
-        out[k] = c
-        if c:
-            for j, dj in enumerate(den):
-                num[k + j] -= c * dj
-    if any(num):
-        raise ArithmeticError("polynomial division was not exact")
-    return out
-
-
-def _eval_poly_at_matrix(dom: CoefficientDomain, coeffs: list[int], m: Matrix) -> Matrix:
-    n = len(m)
-    acc = tuple(tuple(dom.coerce(0) for _ in range(n)) for _ in range(n))
-    power = mat_identity(dom, n)
-    for k, c in enumerate(coeffs):
-        if c:
-            term = tuple(tuple(dom.mul(dom.coerce(c), x) for x in row) for row in power)
-            acc = mat_add(dom, acc, term)
-        if k + 1 < len(coeffs):
-            power = mat_mul(dom, power, m)
-    return acc
-
-
 def diagonalize_over_fraction_field(M: CyclicModule) -> dict[Fraction, int]:
     """Multiplicities of the rational eigenvalues among the n-th roots of unity.
 
-    The action is semisimple over a splitting field because sigma^n = I in
-    characteristic zero, so the multiplicity attached to each cyclotomic
-    factor is dim ker(Phi_d(sigma)) / phi(d).  Only d in {1, 2} yields
-    eigenvalues inside the fraction field; any other factor raises.
+    The action is semisimple because s^n = I in characteristic zero, and 1
+    and -1 are the only roots of unity in Q, so the eigenvalues lie in the
+    fraction field exactly when dim ker(s - 1) + dim ker(s + 1) is the rank;
+    otherwise this raises.
     """
-    dom = M.domain
-    n = M.rank
+    fixed = integer_kernel_basis(_sigma_minus_1(M)).rows
+    negated = integer_kernel_basis(_shift(M._numerator, -M._delta)).rows
+    if fixed + negated != M.rank:
+        raise EigenvaluesNotInField("some eigenvalue is a root of unity other than 1 and -1")
     multiplicities: dict[Fraction, int] = {}
-    accounted = 0
-    for d in range(1, M.order + 1):
-        if M.order % d:
-            continue
-        phi_d = _eval_poly_at_matrix(dom, _cyclotomic(d), M.sigma)
-        ker_rank = integer_kernel_basis(_integer_matrix(dom, phi_d)).rows
-        if ker_rank == 0:
-            continue
-        euler = sum(1 for k in range(1, d + 1) if gcd(k, d) == 1)
-        mult = ker_rank // euler
-        if d == 1:
-            multiplicities[Fraction(1)] = mult
-        elif d == 2:
-            multiplicities[Fraction(-1)] = mult
-        else:
-            raise EigenvaluesNotInField(
-                f"eigenvalues of order {d} are not in the fraction field"
-            )
-        accounted += ker_rank
-    if accounted != n:
-        raise EigenvaluesNotInField("action has eigenvalues outside the field")
+    if fixed:
+        multiplicities[Fraction(1)] = fixed
+    if negated:
+        multiplicities[Fraction(-1)] = negated
     return multiplicities
 
 

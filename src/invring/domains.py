@@ -8,10 +8,8 @@ tuples of scalars, manipulated by the helpers at the bottom.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 Scalar = int | Fraction
 Matrix = tuple[tuple[Scalar, ...], ...]
@@ -219,33 +217,6 @@ def mat_mul(domain: CoefficientDomain, a: Matrix, b: Matrix) -> Matrix:
     return tuple(out)
 
 
-def _int_mat_mul(a: list[list[int]], b: list[list[int]], p: int | None) -> list[list[int]]:
-    cols = list(zip(*b))
-    out = [[sum(map(operator.mul, row, col)) for col in cols] for row in a]
-    return out if p is None else [[x % p for x in row] for row in out]
-
-
-def mat_pow(domain: CoefficientDomain, a: Matrix, e: int) -> Matrix:
-    """a^e by squaring on integers: a = N/δ with δ the lcm of the
-    denominators gives a^e = N^e/δ^e (over F_p the residues are the ints)."""
-    p = domain.p if domain.tag == "Fp" else None
-    den = lcm(*(x.denominator for row in a for x in row))
-    scale = den**e
-    base = [[x.numerator * (den // x.denominator) for x in row] for row in a]
-    result = None
-    while e:
-        if e & 1:
-            result = base if result is None else _int_mat_mul(result, base, p)
-        e >>= 1
-        if e:
-            base = _int_mat_mul(base, base, p)
-    if result is None:
-        result = [[int(i == j) for j in range(len(a))] for i in range(len(a))]
-    if scale == 1:
-        return tuple(tuple(domain.coerce(x) for x in row) for row in result)
-    return tuple(tuple(domain.coerce(Fraction(x, scale)) for x in row) for row in result)
-
-
 def mat_eq(domain: CoefficientDomain, a: Matrix, b: Matrix) -> bool:
     if len(a) != len(b) or (a and len(a[0]) != len(b[0])):
         return False
@@ -256,18 +227,6 @@ def mat_eq(domain: CoefficientDomain, a: Matrix, b: Matrix) -> bool:
 
 def mat_is_identity(domain: CoefficientDomain, a: Matrix) -> bool:
     return mat_eq(domain, a, mat_identity(domain, len(a)))
-
-
-def mat_add(domain: CoefficientDomain, a: Matrix, b: Matrix) -> Matrix:
-    return tuple(
-        tuple(domain.add(x, y) for x, y in zip(ra, rb)) for ra, rb in zip(a, b)
-    )
-
-
-def mat_sub(domain: CoefficientDomain, a: Matrix, b: Matrix) -> Matrix:
-    return tuple(
-        tuple(domain.sub(x, y) for x, y in zip(ra, rb)) for ra, rb in zip(a, b)
-    )
 
 
 def mat_det(domain: CoefficientDomain, a: Matrix) -> Scalar:

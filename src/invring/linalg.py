@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
 
 class IntegerMatrix:
@@ -23,7 +24,7 @@ class IntegerMatrix:
     __slots__ = ("rows", "cols", "data")
 
     def __init__(self, data, cols: int | None = None):
-        self.data = tuple(tuple(int(x) for x in row) for row in data)
+        self.data = tuple(tuple(map(int, row)) for row in data)
         self.rows = len(self.data)
         if self.rows:
             self.cols = len(self.data[0])
@@ -43,16 +44,10 @@ class IntegerMatrix:
     def __mul__(self, other: "IntegerMatrix") -> "IntegerMatrix":
         if self.cols != other.rows:
             raise ValueError("dimension mismatch")
-        ot = other.data
-        out = []
-        for row in self.data:
-            out.append(
-                tuple(
-                    sum(row[k] * ot[k][j] for k in range(self.cols))
-                    for j in range(other.cols)
-                )
-            )
-        return IntegerMatrix(out, cols=other.cols)
+        cols = list(zip(*other.data)) if other.rows else [()] * other.cols
+        return IntegerMatrix(
+            [[sum(map(mul, row, col)) for col in cols] for row in self.data], cols=other.cols
+        )
 
     def transpose(self) -> "IntegerMatrix":
         return IntegerMatrix(
@@ -304,23 +299,43 @@ def lattice_solve(basis, v) -> list[Fraction] | None:
     return coords
 
 
-def lattice_member(basis, v) -> bool:
-    """True iff v lies in the integer lattice spanned by an HNF basis.
+def _lattice_coordinates(basis, v) -> list[int] | None:
+    """Integer coordinates x with x * basis = v, or None if v is outside the
+    integer lattice spanned by an HNF basis.
 
     The same walk as lattice_solve, in integers: each pivot must divide the
     residual entry exactly.
     """
     res = list(v)
+    coords = []
     for row in basis:
         j = next((k for k, x in enumerate(row) if x), None)
         if j is None:
+            coords.append(0)
             continue
         t, rem = divmod(res[j], row[j])
         if rem:
-            return False
+            return None
+        coords.append(t)
         if t:
             res = [r - t * b for r, b in zip(res, row)]
-    return not any(res)
+    return None if any(res) else coords
+
+
+def lattice_member(basis, v) -> bool:
+    """True iff v lies in the integer lattice spanned by an HNF basis."""
+    return _lattice_coordinates(basis, v) is not None
+
+
+def _coordinate_rows(sub_rows, sup_basis) -> list[list[int]]:
+    """Integer coordinates of each sub row in the HNF basis of the sup lattice."""
+    out = []
+    for s in sub_rows:
+        coords = _lattice_coordinates(sup_basis, s)
+        if coords is None:
+            raise ValueError("sub lattice is not contained in sup lattice")
+        out.append(coords)
+    return out
 
 
 def lattice_quotient(sub_rows, sup_basis) -> tuple[tuple[int, ...], int]:
@@ -333,12 +348,7 @@ def lattice_quotient(sub_rows, sup_basis) -> tuple[tuple[int, ...], int]:
         if sub_rows:
             raise ValueError("sub lattice not contained in zero lattice")
         return (), 0
-    coord_rows = []
-    for s in sub_rows:
-        coords = lattice_solve(sup_basis, s)
-        if coords is None or any(x.denominator != 1 for x in coords):
-            raise ValueError("sub lattice is not contained in sup lattice")
-        coord_rows.append([int(x) for x in coords])
+    coord_rows = _coordinate_rows(sub_rows, sup_basis)
     if not coord_rows:
         return (), m
     # quotient of Z^m by the row span = cokernel of the transposed map
@@ -358,12 +368,7 @@ def lattice_complement_generators(sub_rows, sup_basis) -> list[tuple[int, ...]]:
         return []
     if not sub_rows:
         return [tuple(r) for r in sup_basis]
-    coord_rows = []
-    for s in sub_rows:
-        coords = lattice_solve(sup_basis, s)
-        if coords is None or any(x.denominator != 1 for x in coords):
-            raise ValueError("sub lattice is not contained in sup lattice")
-        coord_rows.append([int(x) for x in coords])
+    coord_rows = _coordinate_rows(sub_rows, sup_basis)
     snf = smith_normal_form(IntegerMatrix(coord_rows, cols=m))
     vinv = unimodular_inverse(snf.right)
     picks = [i for i in range(m) if i >= len(snf.d) or snf.d[i] != 1]

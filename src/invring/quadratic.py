@@ -21,6 +21,7 @@ fundamental-unit fixture to bound the search box.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 
 from .domains import is_prime, prime_divisors
@@ -118,34 +119,33 @@ class NumberRing:
         return f"Z[{w}] with d={self.d}"
 
 
+# one term of "a + b*w": a signed integer, or an optional integer
+# coefficient (with or without "*") times a single w
+_TERM = re.compile(r"([+-]?)(?:(\d+)(\*?w)?|(w))")
+
+
 def parse_element(text: str) -> tuple[int, int]:
     """Parse "a + b*w" style element text into coordinates."""
     t = text.replace(" ", "")
     if not t:
         raise ValueError("empty element")
     a = b = 0
-    term = ""
-    terms = []
-    for ch in t:
-        if ch in "+-" and term:
-            terms.append(term)
-            term = ch if ch == "-" else ""
+    pos = 0
+    while pos < len(t):
+        m = _TERM.match(t, pos)
+        if m is None or (pos and not m.group(1)):
+            raise ValueError(
+                f"cannot parse element {text!r}: each term is an integer or an integer times w"
+            )
+        sign = -1 if m.group(1) == "-" else 1
+        digits, times_w, bare_w = m.group(2, 3, 4)
+        if bare_w:
+            b += sign
+        elif times_w:
+            b += sign * int(digits)
         else:
-            term += ch if ch != "+" else ""
-    terms.append(term)
-    for term in terms:
-        if not term:
-            continue
-        if "w" in term:
-            coeff = term.replace("*w", "").replace("w", "")
-            if coeff in ("", "+"):
-                b += 1
-            elif coeff == "-":
-                b -= 1
-            else:
-                b += int(coeff)
-        else:
-            a += int(term)
+            a += sign * int(digits)
+        pos = m.end()
     return (a, b)
 
 
@@ -523,33 +523,36 @@ def _equivalent(I: Ideal, J: Ideal) -> bool:
     return is_principal(I.multiply(J.conjugate()))
 
 
-def _divisibility_chains(n: int, max_d: int | None = None) -> list[tuple[int, ...]]:
-    """All tuples d_1 | d_2 | ... | d_k of integers > 1 with product n."""
-    if n == 1:
-        return [()]
-    if max_d is None:
-        max_d = n
-    out = []
-    for d in range(2, min(n, max_d) + 1):
-        if n % d == 0 and max_d % d == 0:
-            for rest in _divisibility_chains(n // d, d):
-                out.append(tuple(sorted((d,) + rest)))
-    return sorted(set(out))
-
-
 def _abelian_type_from_orders(h: int, orders: list[int]) -> list[int]:
-    """Invariant factors of an abelian group of order h from its element
-    orders; the counts of x with x^m = 1 pin the type uniquely."""
-    count_killed = {
-        m: sum(1 for o in orders if m % o == 0) for m in range(1, max(orders) + 1)
-    }
-    for chain in _divisibility_chains(h):
-        if all(
-            math.prod(math.gcd(d, m) for d in chain) == cnt
-            for m, cnt in count_killed.items()
-        ):
-            return list(chain)
-    raise RuntimeError("could not identify the abelian group type")
+    """Invariant factors d_1 | d_2 | ... of an abelian group of order h,
+    read from its element orders.
+
+    For a prime l dividing h, #{x : x^(l^k) = 1} = l^(r_1 + ... + r_k),
+    where r_k counts the invariant factors divisible by l^k.  The i-th
+    largest factor then carries l to the power #{k : r_k >= i}.
+    """
+    ranks = {}
+    for ell in prime_divisors(h):
+        r = []
+        total = 0
+        while True:
+            killed = sum(1 for o in orders if ell ** (len(r) + 1) % o == 0)
+            s = 0
+            while killed % ell == 0:
+                killed //= ell
+                s += 1
+            if s == total:
+                break
+            r.append(s - total)
+            total = s
+        ranks[ell] = r
+    largest_first = [
+        math.prod(ell ** sum(1 for rk in r if rk >= i) for ell, r in ranks.items())
+        for i in range(1, max((r[0] for r in ranks.values() if r), default=0) + 1)
+    ]
+    if math.prod(largest_first) != h:
+        raise RuntimeError("could not identify the abelian group type")
+    return largest_first[::-1]
 
 
 def class_group(ring: NumberRing) -> list[int]:

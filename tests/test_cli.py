@@ -255,6 +255,22 @@ MALFORMED_GROUPS = {
             "--max-degree: must be at least 1",
         ),
         (["cohomology", "verify-h1-zero", "--max-degree", "-1"], "--max-degree: must be at least 1"),
+        (
+            ["dedekind", "factor", "--d", "-5", "--element", "w*w"],
+            "cannot parse element 'w*w'",
+        ),
+        (
+            [
+                "transfer-check",
+                "--group",
+                str(FIXTURES / "s3.json"),
+                "--subgroup",
+                str(FIXTURES / "a3.json"),
+                "--p",
+                "0",
+            ],
+            "Zlocal needs a prime p, got 0",
+        ),
     ],
     ids=[
         "real-d-class-group",
@@ -276,6 +292,8 @@ MALFORMED_GROUPS = {
         "lemma-g2-zero-rank",
         "transfer-check-negative-max-degree",
         "h1-zero-negative-max-degree",
+        "factor-element-w-times-w",
+        "transfer-check-zero-p",
     ],
 )
 def test_bad_input_exits_2_without_output(argv, message, tmp_path, capsys):

@@ -18,7 +18,7 @@ from invring.cohomology import (
     verify_h2_trivial_mod_pi,
     verify_pi_annihilates_h1,
 )
-from invring.domains import QQ, ZZ, Z_local, mat_mul
+from invring.domains import GF, QQ, ZZ, Z_local, mat_mul
 from invring.fixtures import (
     random_order_p_matrix,
     random_order_p_module,
@@ -26,6 +26,66 @@ from invring.fixtures import (
 )
 from invring.groups import enumerate_group
 from invring.poly import GradedRing
+
+
+@pytest.mark.parametrize(
+    "domain, sigma, order, accepted",
+    [
+        (ZZ, ((0, 1), (1, 0)), 3, False),
+        (ZZ, ((1, 1), (0, 1)), 2, False),
+        (ZZ, ((2,),), 1, False),
+        (ZZ, ((1,),), 0, False),
+        (GF(3), ((1,),), 1, False),
+        (QQ, ((0, 2), (Fraction(1, 2), 0)), 2, True),
+        (Z_local(3), ((0, 2), (Fraction(1, 2), 0)), 2, True),
+        (Z_local(2), ((0, 2), (Fraction(1, 2), 0)), 2, False),
+        (QQ, ((0, Fraction(-1, 3)), (3, -1)), 3, True),
+        (Z_local(5), ((0, Fraction(-1, 3)), (3, -1)), 3, True),
+    ],
+)
+def test_cyclic_module_validation(domain, sigma, order, accepted):
+    if accepted:
+        M = CyclicModule(domain, sigma, order)
+        assert M.rank == len(sigma)
+    else:
+        with pytest.raises(ValueError):
+            CyclicModule(domain, sigma, order)
+
+
+def _multiplicities(M):
+    try:
+        return diagonalize_over_fraction_field(M)
+    except EigenvaluesNotInField:
+        return None
+
+
+def test_denominators_by_diagonal_conjugation():
+    # D sigma D^-1 with D = diag(q^a_i) is isomorphic to sigma over every
+    # ring in which q is a unit, so the answers must match the integer
+    # module's, and the trace must be the conjugate trace
+    rng = random.Random(9)
+    with_denominators = 0
+    for dom in (QQ, Z_local(2), Z_local(3), Z_local(11)):
+        q = 5 if dom.p == 2 else 2
+        for p in (2, 3):
+            for _ in range(15):
+                sigma = random_order_p_matrix(rng, p)
+                n = len(sigma)
+                scale = [Fraction(q) ** rng.randint(-2, 2) for _ in range(n)]
+                conj = tuple(
+                    tuple(sigma[i][j] * scale[i] / scale[j] for j in range(n)) for i in range(n)
+                )
+                with_denominators += any(x.denominator != 1 for row in conj for x in row)
+                M = CyclicModule(dom, sigma, p)
+                C = CyclicModule(dom, conj, p)
+                for i in range(5):
+                    assert cohomology(C, i) == cohomology(M, i), (dom, sigma, conj, i)
+                assert _multiplicities(C) == _multiplicities(M)
+                tr = trace_matrix(M)
+                assert trace_matrix(C) == tuple(
+                    tuple(tr[i][j] * scale[i] / scale[j] for j in range(n)) for i in range(n)
+                )
+    assert with_denominators >= 60
 
 
 def test_trace_matrix_examples():
@@ -36,13 +96,13 @@ def test_trace_matrix_examples():
 
 def test_trace_composes_to_zero_with_sigma_minus_1():
     rng = random.Random(2)
-    from invring.domains import mat_identity, mat_sub
-
     for p in (2, 3):
         for _ in range(20):
             M = random_order_p_module(rng, p)
             tr = trace_matrix(M)
-            sm1 = mat_sub(ZZ, M.sigma, mat_identity(ZZ, M.rank))
+            sm1 = tuple(
+                tuple(x - (i == j) for j, x in enumerate(row)) for i, row in enumerate(M.sigma)
+            )
             zero = tuple(tuple(0 for _ in range(M.rank)) for _ in range(M.rank))
             assert mat_mul(ZZ, tr, sm1) == zero
             assert mat_mul(ZZ, sm1, tr) == zero

@@ -11,6 +11,7 @@ from invring.quadratic import (
     Ideal,
     NumberRing,
     ZeroElement,
+    _abelian_type_from_orders,
     character_obstruction_report,
     class_group,
     divisor_map,
@@ -272,6 +273,31 @@ def test_imaginary_class_groups_match_forms_and_genus_theory():
     assert checked == 122
 
 
+def _abelian_types(n: int, top: int) -> list[tuple[int, ...]]:
+    """Invariant factors d_1 | d_2 | ... | d_k > 1 with product n and d_k | top."""
+    if n == 1:
+        return [()]
+    return [
+        rest + (d,)
+        for d in range(2, n + 1)
+        if n % d == 0 and top % d == 0
+        for rest in _abelian_types(n // d, d)
+    ]
+
+
+def test_abelian_type_from_element_orders():
+    # every abelian group of order below 97, rebuilt from its element orders
+    checked = 0
+    for n in range(1, 97):
+        for factors in _abelian_types(n, n):
+            orders = [1]
+            for d in factors:
+                orders = [math.lcm(o, d // math.gcd(x, d)) for o in orders for x in range(d)]
+            assert _abelian_type_from_orders(n, orders) == list(factors), factors
+            checked += 1
+    assert checked == 176
+
+
 def test_class_group_real_fixture_rings():
     assert class_group(NumberRing(2)) == []
     assert class_group(NumberRing(5)) == []
@@ -316,6 +342,10 @@ def test_parse_element():
     assert parse_element("1+2*w") == (1, 2)
     assert parse_element("-3*w") == (0, -3)
     assert parse_element("2 - w") == (2, -1)
+    # w is the only power of w a term may carry
+    for text in ("w*w", "ww", "2*w*w"):
+        with pytest.raises(ValueError):
+            parse_element(text)
 
 
 def test_divisor_map_injective_on_coefficients():
