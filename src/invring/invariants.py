@@ -7,17 +7,18 @@ a finite-index sublattice.  On top of the bases live the Reynolds and
 transfer maps, Hilbert functions, standard-gradedness certificates, and
 minimal generator extraction.
 
-Span bookkeeping is domain-aware: lattices in Hermite form over Z, saturated
-lattices as subspace representatives over Q, reduced echelon rows over F_p.
-Z localized at p is handled through its integer representatives; that is
-exact for kernels, and span comparisons use p-local membership.
+Spans are kept as reduced echelon rows over F_p and as integer lattices in
+Hermite form over Z, Q and Z localized at p, whose vectors are scaled by
+units of the domain to clear denominators.  One rule compares spans over
+every domain: an echelon inside another spans it exactly when the two have
+equal rank and the quotient of their pivot products, the index, is a unit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 
 from .domains import CoefficientDomain
 from .groups import MatrixGroup, coset_representatives
@@ -27,10 +28,8 @@ from .linalg import (
     kernel_mod_p,
     lattice_canonical,
     lattice_complement_generators,
-    lattice_solve,
     member_mod_p,
     rref_mod_p,
-    saturate_lattice,
 )
 from .poly import (
     GradedRing,
@@ -72,8 +71,12 @@ def _integerize_rows(vectors) -> list[list[int]]:
 def canonical_span(domain: CoefficientDomain, vectors, ncols: int) -> Rows:
     """Canonical row set spanning the given vectors over the domain.
 
-    Over Z the lattice is kept exact (no saturation); over Q the saturated
-    integer representative stands for the subspace; over F_p rows are RREF.
+    Over F_p the rows are the RREF.  Over Z, Q and Z_(p) they are the
+    Hermite basis of the integer lattice the vectors span once each is
+    scaled by a unit clearing its denominators; that basis is canonical over
+    Z only.  Over every domain an echelon a inside c spans all of c exactly
+    when len(a) == len(c) and the index of a in c, the quotient of their
+    pivot products, is a unit of the domain.
     """
     vectors = [v for v in vectors if any(not domain.is_zero(x) for x in v)]
     if not vectors:
@@ -81,41 +84,36 @@ def canonical_span(domain: CoefficientDomain, vectors, ncols: int) -> Rows:
     if domain.tag == "Fp":
         rows, _ = rref_mod_p([[int(x) for x in v] for v in vectors], ncols, domain.p)
         return rows
-    int_rows = _integerize_rows(vectors)
-    if domain.tag == "Q":
-        return saturate_lattice(int_rows, ncols)
-    return lattice_canonical(int_rows, ncols)
+    return lattice_canonical(_integerize_rows(vectors), ncols)
+
+
+def _spans(domain: CoefficientDomain, a: Rows, c: Rows) -> bool:
+    """True iff the echelon a, whose span lies inside that of c, spans c."""
+    return len(a) == len(c) and domain.is_unit(_pivot_product(a) // _pivot_product(c))
+
+
+def _pivot_product(rows: Rows) -> int:
+    return prod(next(x for x in row if x) for row in rows)
 
 
 def span_member(domain: CoefficientDomain, rows: Rows, vector) -> bool:
     if domain.tag == "Fp":
         return member_mod_p(rows, [int(x) for x in vector], domain.p)
-    if not rows:
-        return all(domain.is_zero(x) for x in vector)
-    coords = lattice_solve(rows, [Fraction(x) for x in vector])
-    if coords is None:
-        return False
-    if domain.tag == "Q":
-        return True
-    if domain.tag == "Zlocal":
-        return all(c.denominator % domain.p != 0 for c in coords)
-    return all(c.denominator == 1 for c in coords)
+    return _spans(domain, rows, canonical_span(domain, list(rows) + [vector], len(vector)))
 
 
 def span_equal(domain: CoefficientDomain, a: Rows, b: Rows) -> bool:
-    if domain.tag in ("Z", "Q", "Fp"):
-        return a == b  # both sides canonical
-    return (
-        len(a) == len(b)
-        and all(span_member(domain, b, v) for v in a)
-        and all(span_member(domain, a, v) for v in b)
-    )
+    if a == b:  # exact over Z and F_p, whose forms are canonical
+        return True
+    ncols = len((a or b)[0])
+    c = canonical_span(domain, list(a) + list(b), ncols)
+    return _spans(domain, a, c) and _spans(domain, b, c)
 
 
 def span_complement(domain: CoefficientDomain, sub: Rows, sup: Rows) -> list[tuple]:
     """Vectors extending sub to generate sup, minimal in count."""
     if domain.tag in ("Z", "Zlocal"):
-        return lattice_complement_generators(list(sub), list(sup))
+        return lattice_complement_generators(list(sub), list(sup), domain.is_unit)
     picked: list[tuple] = []
     current = sub
     ncols = len(sup[0]) if sup else 0
@@ -337,8 +335,8 @@ def minimal_generators_up_to(S: TruncatedSubalgebra) -> list[tuple[int, Polynomi
 
     In each degree the span of products of lower-degree generators is
     extended to the full invariant basis by a minimal set of new vectors
-    (Smith-form quotient generators over Z, greedy rank extension over a
-    field).  An empty tail certifies generation below D.
+    (Smith-form quotient generators over Z and Z_(p), greedy rank extension
+    over a field).  An empty tail certifies generation below D.
     """
     domain = S.domain
     gens: list[tuple[int, Polynomial]] = []

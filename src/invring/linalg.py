@@ -264,20 +264,6 @@ def lattice_canonical(rows, ncols: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(r) for r in h if any(r))
 
 
-def saturate_lattice(rows, ncols: int) -> tuple[tuple[int, ...], ...]:
-    """Smallest saturated lattice containing the given rows.
-
-    Computed as the kernel of the kernel: sat(L) = ker(N) where the rows of
-    N span {v : B v = 0} for a basis B of L.
-    """
-    basis = lattice_canonical(rows, ncols)
-    if not basis:
-        return ()
-    n = integer_kernel_basis(IntegerMatrix(basis, cols=ncols))
-    sat = integer_kernel_basis(n)
-    return tuple(sat.data)
-
-
 def lattice_solve(basis, v) -> list[Fraction] | None:
     """Rational coordinates x with x * basis = v, or None if v is outside the span.
 
@@ -355,13 +341,14 @@ def lattice_quotient(sub_rows, sup_basis) -> tuple[tuple[int, ...], int]:
     return cokernel_invariant_factors(IntegerMatrix(coord_rows, cols=m).transpose())
 
 
-def lattice_complement_generators(sub_rows, sup_basis) -> list[tuple[int, ...]]:
+def lattice_complement_generators(sub_rows, sup_basis, is_unit) -> list[tuple[int, ...]]:
     """A minimal set of sup-lattice vectors generating lattice(sup)/lattice(sub).
 
     Uses the Smith form of the coordinate matrix: the quotient is
     sum of Z/d_i plus a free part, and the preimages of its standard
-    generators (those with d_i != 1) are returned.  The count equals the
-    minimal number of generators of the quotient.
+    generators are returned for every d_i that is_unit rejects (0 included).
+    With the unit test of Z or of Z_(p) the count is the minimal number of
+    generators of the quotient over that ring.
     """
     m = len(sup_basis)
     if m == 0:
@@ -371,7 +358,7 @@ def lattice_complement_generators(sub_rows, sup_basis) -> list[tuple[int, ...]]:
     coord_rows = _coordinate_rows(sub_rows, sup_basis)
     snf = smith_normal_form(IntegerMatrix(coord_rows, cols=m))
     vinv = unimodular_inverse(snf.right)
-    picks = [i for i in range(m) if i >= len(snf.d) or snf.d[i] != 1]
+    picks = [i for i in range(m) if i >= len(snf.d) or not is_unit(snf.d[i])]
     gens = []
     for i in picks:
         vec = [0] * len(sup_basis[0])
@@ -476,24 +463,11 @@ def _echelon(rows, p: int) -> dict[int, int]:
     return pivots
 
 
-def echelon_mod_p(rows, ncols: int, p: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
-    """Forward row echelon form over F_p; returns (nonzero rows, pivot columns).
-
-    Rows come in pivot order with each pivot scaled to 1; entries above the
-    pivots are left unreduced, so the rows are not canonical.  The row count
-    is the rank, and member_mod_p accepts the rows as they are.  About half
-    the work of rref_mod_p, for callers that need only ranks or membership.
-    """
-    pivots = _echelon(rows, p)
-    cols = tuple(sorted(pivots))
-    return tuple(_unpack(pivots[c], ncols, p) for c in cols), cols
-
-
 def rref_mod_p(rows, ncols: int, p: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
     """Reduced row echelon form over F_p; returns (nonzero rows, pivot columns).
 
-    The forward pass is the echelon of echelon_mod_p; back-substitution then
-    clears the entries above each pivot, which makes the rows canonical.
+    The forward pass is the packed echelon of _echelon; back-substitution
+    then clears the entries above each pivot, which makes the rows canonical.
     """
     pivots = _echelon(rows, p)
     cols = tuple(sorted(pivots))

@@ -13,6 +13,7 @@ from invring.invariants import (
     IndexNotInvertible,
     NotHInvariant,
     NotInvertible,
+    canonical_span,
     hilbert_function,
     invariant_basis,
     is_standard_graded_up_to,
@@ -25,6 +26,7 @@ from invring.invariants import (
     truncated_invariant_ring,
     veronese,
 )
+from invring.linalg import lattice_solve
 from invring.poly import (
     GradedRing,
     act,
@@ -236,13 +238,80 @@ def test_span_bookkeeping_over_q_and_zlocal(dom):
 
 
 def test_span_membership_is_p_local():
-    # 2 is a unit in Z_(3) but not in Z_(2), so (1, 0) lies in the span of
-    # (2, 0) over Q and Z_(3) only
+    # 2 is a unit in Q and Z_(3) but not in Z or Z_(2), so (1, 0) lies in
+    # the span of (2, 0) over Q and Z_(3) only
     rows, v = ((2, 0),), (1, 0)
-    assert span_member(QQ, rows, v) and span_member(Z_local(3), rows, v)
-    assert not span_member(Z_local(2), rows, v)
-    assert span_equal(Z_local(3), rows, ((1, 0),))
-    assert not span_equal(Z_local(2), rows, ((1, 0),))
+    for dom, inside in ((QQ, True), (Z_local(3), True), (ZZ, False), (Z_local(2), False)):
+        assert span_member(dom, rows, v) == inside, dom
+        assert span_equal(dom, rows, ((1, 0),)) == inside, dom
+
+
+def _reference_member(dom, rows, v):
+    """Membership read off the rational coordinates of v in the rows."""
+    coords = lattice_solve(rows, v)
+    if coords is None:
+        return False
+    if dom == QQ:
+        return True
+    if dom == ZZ:
+        return all(c.denominator == 1 for c in coords)
+    return all(c.denominator % dom.p for c in coords)
+
+
+@pytest.mark.parametrize("dom", [ZZ, QQ, Z_local(2), Z_local(3)], ids=str)
+def test_span_rule_matches_rational_coordinates(dom):
+    # Hermite row sets of lattices that are not saturated: each row of a
+    # random integer set is scaled by 1, 2, 3 or 6 before the Hermite form
+    rng = random.Random(7)
+    scales = (1, 1, 2, 3, 6)
+    member_counts = [0, 0]
+    equal_counts = [0, 0]
+    for _ in range(150):
+        ncols = rng.randint(1, 4)
+        raw = [[rng.randint(-3, 3) for _ in range(ncols)] for _ in range(rng.randint(1, 3))]
+        a = canonical_span(dom, [[rng.choice(scales) * x for x in r] for r in raw], ncols)
+        b = canonical_span(dom, [[rng.choice(scales) * x for x in r] for r in raw], ncols)
+        probes = [[rng.randint(-4, 4) for _ in range(ncols)] for _ in range(3)]
+        for _ in range(3):
+            c = [rng.randint(-2, 2) for _ in raw]
+            probes.append([sum(ci * r[k] for ci, r in zip(c, raw)) for k in range(ncols)])
+        for v in probes:
+            want = _reference_member(dom, a, v)
+            assert span_member(dom, a, v) == want, (a, v)
+            member_counts[want] += 1
+        want = all(_reference_member(dom, b, v) for v in a) and all(
+            _reference_member(dom, a, v) for v in b
+        )
+        assert span_equal(dom, a, b) == want, (a, b)
+        equal_counts[want] += a != b
+    assert min(member_counts) > 50
+    assert equal_counts[True] > 10 or dom == ZZ
+    assert equal_counts[False] > 10 or dom == QQ
+
+
+def _permutation(images):
+    n = len(images)
+    return [[int(images[j] == i) for j in range(n)] for i in range(n)]
+
+
+@pytest.mark.parametrize(
+    "images, D, over_q",
+    [
+        ((1, 0, 3, 2, 5, 4), 3, [1, 1, 1, 2, 2, 2, 2, 2, 2]),
+        ((1, 2, 3, 0), 5, [1, 2, 2, 3, 3, 4, 4]),
+    ],
+    ids=["swap-three-pairs", "cycle-four"],
+)
+def test_generators_over_zlocal_are_minimal(images, D, over_q):
+    # over Z_(p) with p prime to |G| the generator degrees are those over Q;
+    # over Z and Z_(2) one more generator is needed in the top degree
+    degrees = {}
+    for dom in (QQ, ZZ, Z_local(2), Z_local(3), Z_local(7)):
+        G = enumerate_group([_permutation(images)], dom)
+        S = truncated_invariant_ring(G, GradedRing(len(images), dom), D)
+        degrees[dom] = [d for d, _ in minimal_generators_up_to(S)]
+    assert degrees[QQ] == degrees[Z_local(3)] == degrees[Z_local(7)] == over_q
+    assert degrees[ZZ] == degrees[Z_local(2)] == over_q + [D]
 
 
 def test_molien_count_matches_rank():

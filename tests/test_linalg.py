@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from invring.domains import ZZ
 from invring.linalg import (
     IntegerMatrix,
     _field_layout,
@@ -12,7 +13,6 @@ from invring.linalg import (
     _reduce,
     _unpack,
     cokernel_invariant_factors,
-    echelon_mod_p,
     hermite_normal_form,
     integer_kernel_basis,
     kernel_mod_p,
@@ -24,7 +24,6 @@ from invring.linalg import (
     member_mod_p,
     rank,
     rref_mod_p,
-    saturate_lattice,
     smith_normal_form,
     unimodular_inverse,
 )
@@ -126,13 +125,6 @@ def test_cokernel_examples(m, expect):
     assert cokernel_invariant_factors(IntegerMatrix(m)) == expect
 
 
-def test_saturate_lattice():
-    sat = saturate_lattice([[2, 2]], 2)
-    assert sat == ((1, 1),)
-    sat2 = saturate_lattice([[1, 2], [0, 4]], 2)
-    assert sat2 == ((1, 0), (0, 1))
-
-
 def test_lattice_solve_and_member():
     basis = lattice_canonical([[1, 2, 0], [0, 0, 3]], 3)
     assert lattice_member(basis, [2, 4, 3])
@@ -201,14 +193,14 @@ def test_lattice_quotient_free_part():
 
 def test_complement_generators_minimal():
     # <(1,2)> inside Z^2 needs exactly one generator to complete
-    gens = lattice_complement_generators([[1, 2]], [(1, 0), (0, 1)])
+    gens = lattice_complement_generators([[1, 2]], [(1, 0), (0, 1)], ZZ.is_unit)
     assert len(gens) == 1
     full = lattice_canonical([[1, 2], list(gens[0])], 2)
     assert full == ((1, 0), (0, 1))
 
 
 def test_complement_generators_empty_sub():
-    gens = lattice_complement_generators([], [(1, 0, 1), (0, 1, 0)])
+    gens = lattice_complement_generators([], [(1, 0, 1), (0, 1, 0)], ZZ.is_unit)
     assert gens == [(1, 0, 1), (0, 1, 0)]
 
 
@@ -299,12 +291,11 @@ def _incremental_basis(rows, p):
     return basis
 
 
-def _check_echelon_and_rref(rng, p, rows, basis, ncols):
-    ech, pivots = echelon_mod_p(rows, ncols, p)
-    rref, rref_pivots = rref_mod_p(rows, ncols, p)
+def _check_rref(rng, p, rows, basis, ncols):
+    rref, pivots = rref_mod_p(rows, ncols, p)
     # the RREF of a row space is unique, so these conditions pin rref
-    assert list(rref_pivots) == sorted(set(rref_pivots))
-    for i, (row, col) in enumerate(zip(rref, rref_pivots)):
+    assert list(pivots) == sorted(set(pivots))
+    for i, (row, col) in enumerate(zip(rref, pivots)):
         assert all(x == 0 for x in row[:col])
         assert [r[col] for r in rref] == [int(k == i) for k in range(len(rref))]
         assert all(0 <= x < p for x in row)
@@ -313,11 +304,6 @@ def _check_echelon_and_rref(rng, p, rows, basis, ncols):
     assert not any(any(_reduced_against(rref_basis, v, p)) for v in rows)
     input_basis = _incremental_basis(rows, p)
     assert not any(any(_reduced_against(input_basis, v, p)) for v in rref)
-    assert len(ech) == len(rref)
-    assert pivots == rref_pivots
-    for row, col in zip(ech, pivots):
-        assert all(x == 0 for x in row[:col]) and row[col] == 1
-        assert all(0 <= x < p for x in row)
     probes = [[rng.randrange(p) for _ in range(ncols)] for _ in range(10)]
     for _ in range(10):
         v = [0] * ncols
@@ -327,23 +313,22 @@ def _check_echelon_and_rref(rng, p, rows, basis, ncols):
         probes.append(v)
     probes.extend(rows)
     for v in probes:
-        assert member_mod_p(ech, v, p) == member_mod_p(rref, v, p)
         assert member_mod_p(rref, v, p) == (not any(_reduced_against(input_basis, v, p)))
-    assert all(member_mod_p(ech, v, p) for v in rows)
+    assert all(member_mod_p(rref, v, p) for v in rows)
 
 
 @pytest.mark.parametrize("p", PRIMES)
-def test_echelon_mod_p_matches_rref(p):
+def test_rref_mod_p_definition_and_membership(p):
     rng = random.Random(100 + p)
     for _ in range(60):
         ncols = rng.randint(1, 9)
         rows, basis = _planted_matrix(rng, p, rng.randint(0, 10), ncols, rng.randint(0, 5))
-        _check_echelon_and_rref(rng, p, rows, basis, ncols)
+        _check_rref(rng, p, rows, basis, ncols)
     # rows wider than a machine word, of full and of deficient rank
     for _ in range(6):
         ncols = rng.randint(60, 80)
         rows, basis = _planted_matrix(rng, p, rng.randint(20, 40), ncols, rng.randint(10, 40))
-        _check_echelon_and_rref(rng, p, rows, basis, ncols)
+        _check_rref(rng, p, rows, basis, ncols)
 
 
 @pytest.mark.parametrize("p", [2, 3, 13, 17])
