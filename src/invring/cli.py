@@ -24,6 +24,7 @@ from .cohomology import (
 )
 from .cmcert import (
     NotStandardGraded,
+    NumeratorNotTerminated,
     cm_certificate,
     gorenstein_symmetry_check,
     veronese_cm_search,
@@ -317,11 +318,15 @@ def _cmd_dedekind(args) -> int:
         return EXIT_OK
     if args.verb == "div-check":
         rng = random.Random(args.seed)
-        values = (
-            [int(args.element)]
-            if args.element
-            else [rng.randint(1, 10_000) * rng.choice([1, -1]) for _ in range(args.count)]
-        )
+        if args.element:
+            try:
+                values = [int(args.element)]
+            except ValueError:
+                raise ValueError(
+                    f"'dedekind div-check' takes a rational integer, not {args.element!r}"
+                ) from None
+        else:
+            values = [rng.randint(1, 10_000) * rng.choice([1, -1]) for _ in range(args.count)]
         bad = [a for a in values if not verify_div_compatibility(ring, a)]
         payload = {
             **_provenance(args),
@@ -462,7 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = _add_common(subs.add_parser("dedekind", help="quadratic ring computations"))
     p.add_argument("verb", choices=("factor", "class-group", "div-check"))
     p.add_argument("--d", type=int, required=True)
-    p.add_argument("--element", default=None)
+    p.add_argument("--element", default=None, help="factor: a + b*w; div-check: an integer")
     p.add_argument("--count", type=_at_least_one, default=100)
     p.set_defaults(func=_cmd_dedekind)
 
@@ -491,6 +496,7 @@ def run(argv=None) -> int:
         IndexNotInvertible,
         NotStandardGraded,
         NotSubgroup,
+        NumeratorNotTerminated,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

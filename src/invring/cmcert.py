@@ -1,10 +1,17 @@
 """Degree-truncated Cohen-Macaulay certificates for invariant rings mod p.
 
 The route: reduce a saturated truncated subalgebra mod p (rank-preserving),
-search for a homogeneous system of parameters among degree-1 combinations,
-and certify regularity degree by degree through the Hilbert-series identity
-H_{M/tM}(t) = (1 - t^deg t) H_M(t).  A certificate is evidence up to the
-truncation degree, never a proof; failed searches are reported, not raised.
+search for a homogeneous system of parameters, and certify regularity degree
+by degree through the Hilbert-series identity H_{M/tM}(t) = (1 - t^deg t)
+H_M(t).  A certificate is evidence up to the truncation degree, never a
+proof; failed searches are reported, not raised.
+
+Parameters come from one of two candidate sources: find_sop_mod_p takes
+degree-1 combinations of a standard graded algebra (capped by
+_EXHAUSTIVE_CAP and _SAMPLED_COMBOS), find_sop_mixed takes mixed degrees
+(capped by the _MIXED_* constants).  Both run one loop, _search, that ranks
+each combination's quotient and returns the first one its acceptance test
+passes; a failed search reports how many combinations it tried.
 
 The Gorenstein check is the necessary symmetry condition on the h-numerator
 of the Hilbert series; its report always carries the truncation caveat.
@@ -12,7 +19,9 @@ of the Hilbert series; its report always carries the truncation caveat.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 import random
 from dataclasses import dataclass, field
 
@@ -77,7 +86,6 @@ class SopSearchResult:
     found: bool
     thetas: tuple[Polynomial, ...]
     tried: int
-    message: str
 
 
 def reduce_mod_p(S: TruncatedSubalgebra, p: int) -> TruncatedSubalgebra:
@@ -210,13 +218,25 @@ def _combination(Sbar: TruncatedSubalgebra, coeffs, basis) -> Polynomial:
     return theta
 
 
-def _degree_one_candidates(Sbar: TruncatedSubalgebra) -> list[Polynomial]:
-    """Projective representatives of nonzero degree-1 combinations over F_p."""
-    basis = Sbar.piece_polynomials(1)
-    return [
-        _combination(Sbar, coeffs, basis)
-        for coeffs in _projective_patterns(Sbar.domain.p, len(basis))
-    ]
+def _search(Sbar: TruncatedSubalgebra, combos, candidate, accept) -> SopSearchResult:
+    """The first combination of candidate keys whose quotient passes accept.
+
+    candidate(key) gives a parameter and its regraded degree; the
+    multiplication images of a candidate are built once and reused by every
+    combination that contains it.  accept sees _quotient's (Hilbert values,
+    ideal spans) of the combination; tried counts the combinations evaluated.
+    """
+    thetas: dict = {}
+    images: dict = {}
+    tried = 0
+    for tried, combo in enumerate(combos, start=1):
+        for key in combo:
+            if key not in images:
+                thetas[key], k = candidate(key)
+                images[key] = _image_rows(Sbar, thetas[key], k)
+        if accept(_quotient(Sbar, [images[key] for key in combo])):
+            return SopSearchResult(True, tuple(thetas[key] for key in combo), tried)
+    return SopSearchResult(False, (), tried)
 
 
 _EXHAUSTIVE_CAP = 20_000
@@ -224,62 +244,33 @@ _SAMPLED_COMBOS = 200
 
 
 def find_sop_mod_p(Sbar: TruncatedSubalgebra, dim: int, seed: int = 0) -> SopSearchResult:
-    """Search for dim degree-1 elements whose quotient eventually vanishes.
+    """Search the projective degree-1 combinations over F_p for dim elements
+    whose quotient eventually vanishes.
 
     For standard graded input a single zero Hilbert value forces all later
-    values to vanish, so the success test is one zero at or below D.  Small
-    candidate sets are searched exhaustively in deterministic order;
-    otherwise _SAMPLED_COMBOS seeded random combinations are tried.  The
-    multiplication images of a candidate are built once and reused by every
-    combination that contains it.
+    values to vanish, so the success test is one zero at or below D.  When
+    the ordered dim-tuples of candidates number at most _EXHAUSTIVE_CAP,
+    every combination is tried in deterministic order; otherwise
+    _SAMPLED_COMBOS seeded random combinations are drawn and each distinct
+    one is tried once.
     """
     _require_prime_field(Sbar)
     _require_standard_graded(Sbar)
-    candidates = _degree_one_candidates(Sbar)
-    if len(candidates) < dim:
-        return SopSearchResult(
-            found=False,
-            thetas=(),
-            tried=0,
-            message=f"only {len(candidates)} degree-1 candidates for dimension {dim}",
-        )
-    total = 1
-    for i in range(dim):
-        total *= len(candidates) - i
-    tried = 0
-    if total <= _EXHAUSTIVE_CAP:
+    basis = Sbar.piece_polynomials(1)
+    candidates = [
+        _combination(Sbar, coeffs, basis)
+        for coeffs in _projective_patterns(Sbar.domain.p, len(basis))
+    ]
+    if math.perm(len(candidates), dim) <= _EXHAUSTIVE_CAP:
         combos = itertools.combinations(range(len(candidates)), dim)
     else:
         rng = random.Random(seed)
-        combos = (
+        combos = dict.fromkeys(
             tuple(sorted(rng.sample(range(len(candidates)), dim)))
             for _ in range(_SAMPLED_COMBOS)
         )
-    images: dict[int, list[list[int]]] = {}
-    seen = set()
-    for combo in combos:
-        if combo in seen:
-            continue
-        seen.add(combo)
-        tried += 1
-        for i in combo:
-            if i not in images:
-                images[i] = _image_rows(Sbar, candidates[i], 1)
-        if 0 in _quotient(Sbar, [images[i] for i in combo])[0]:
-            return SopSearchResult(
-                found=True,
-                thetas=tuple(candidates[i] for i in combo),
-                tried=tried,
-                message="system of parameters found",
-            )
-    return SopSearchResult(
-        found=False,
-        thetas=(),
-        tried=tried,
-        message=(
-            "no parameter system found; the truncation may be too small to"
-            " witness a finite-dimensional quotient"
-        ),
+    return _search(
+        Sbar, combos, lambda i: (candidates[i], 1), lambda quotient: 0 in quotient[0]
     )
 
 
@@ -335,11 +326,9 @@ def find_sop_mixed(Sbar: TruncatedSubalgebra, dim: int, seed: int = 0) -> SopSea
     Degree multisets are visited by total degree; within one, combinations
     of the sparsest candidates are tried exhaustively up to
     _MIXED_COMBO_CAP, else that many are sampled with a seeded generator,
-    and the whole search stops after _MIXED_EVAL_BUDGET evaluations.  A
-    combination's quotient Hilbert values come from the multiplication
-    images of its candidates, each built once per search; the minimal
-    generators of Sbar that the window test needs are computed once, at the
-    first combination whose quotient has a zero tail.
+    and the whole search stops after _MIXED_EVAL_BUDGET evaluations.  The
+    minimal generators of Sbar that the window test needs are computed
+    once, at the first combination whose quotient has a zero tail.
     """
     _require_prime_field(Sbar)
     D = Sbar.D
@@ -348,69 +337,47 @@ def find_sop_mixed(Sbar: TruncatedSubalgebra, dim: int, seed: int = 0) -> SopSea
         k: _candidates_of_degree(Sbar, k, _MIXED_CANDIDATE_CAP)
         for k in range(1, max_deg + 1)
     }
-    images: dict[tuple[int, int], list[list[int]]] = {}
     multisets = sorted(
         itertools.combinations_with_replacement(range(1, max_deg + 1), dim),
         key=lambda ms: (sum(ms), ms),
     )
     rng = random.Random(seed)
-    generators = None
-    tried = 0
-    for ms in multisets:
-        if tried >= _MIXED_EVAL_BUDGET:
-            break
-        if any(not per_degree[k] for k in ms):
-            continue
-        pools = []
-        degs_by_pool = []
-        for k, reps in itertools.groupby(ms):
-            count = len(list(reps))
-            pools.append(list(itertools.combinations(range(len(per_degree[k])), count)))
-            degs_by_pool.append(k)
-        total = 1
-        for pool in pools:
-            total *= len(pool)
-        if total <= _MIXED_COMBO_CAP:
-            combo_iter = itertools.product(*pools)
-        else:
 
-            def _sample():
-                for _ in range(_MIXED_COMBO_CAP):
-                    yield tuple(pool[rng.randrange(len(pool))] for pool in pools)
-
-            combo_iter = _sample()
-        for combo in combo_iter:
-            if tried >= _MIXED_EVAL_BUDGET:
-                break
-            picks = [
-                (k, idx)
-                for k, pick in zip(degs_by_pool, combo)
-                for idx in pick
-            ]
-            tried += 1
-            for k, idx in picks:
-                if (k, idx) not in images:
-                    images[k, idx] = _image_rows(Sbar, per_degree[k][idx], k)
-            h, spans = _quotient(Sbar, [images[pick] for pick in picks])
-            d0 = next((d for d in range(D + 1) if all(v == 0 for v in h[d:])), None)
-            if d0 is None:
+    def combos():
+        for ms in multisets:
+            if any(not per_degree[k] for k in ms):
                 continue
-            if generators is None:
-                generators = _generator_vectors(Sbar)
-            w = _vanishing_window(generators, spans, Sbar.domain.p)
-            if D - d0 + 1 >= w:
-                thetas = tuple(per_degree[k][idx] for k, idx in picks)
-                return SopSearchResult(
-                    found=True,
-                    thetas=thetas,
-                    tried=tried,
-                    message="system of parameters found (mixed degrees)",
+            degrees = sorted(set(ms))
+            pools = [
+                list(itertools.combinations(range(len(per_degree[k])), ms.count(k)))
+                for k in degrees
+            ]
+            if math.prod(map(len, pools)) <= _MIXED_COMBO_CAP:
+                picks = itertools.product(*pools)
+            else:
+                picks = (
+                    tuple(pool[rng.randrange(len(pool))] for pool in pools)
+                    for _ in range(_MIXED_COMBO_CAP)
                 )
-    return SopSearchResult(
-        found=False,
-        thetas=(),
-        tried=tried,
-        message="no mixed-degree parameter system found within the truncation",
+            for pick in picks:
+                yield tuple((k, idx) for k, group in zip(degrees, pick) for idx in group)
+
+    @functools.cache
+    def generators():
+        return _generator_vectors(Sbar)
+
+    def accept(quotient) -> bool:
+        h, spans = quotient
+        d0 = next((d for d in range(D + 1) if all(v == 0 for v in h[d:])), None)
+        if d0 is None:
+            return False
+        return D - d0 + 1 >= _vanishing_window(generators(), spans, Sbar.domain.p)
+
+    return _search(
+        Sbar,
+        itertools.islice(combos(), _MIXED_EVAL_BUDGET),
+        lambda key: (per_degree[key[0]][key[1]], key[0]),
+        accept,
     )
 
 

@@ -271,6 +271,22 @@ MALFORMED_GROUPS = {
             ],
             "Zlocal needs a prime p, got 0",
         ),
+        (
+            [
+                "gorenstein",
+                "--group",
+                str(FIXTURES / "swap.json"),
+                "--l",
+                "1",
+                "--max-degree",
+                "1",
+            ],
+            "numerator still nonzero",
+        ),
+        (
+            ["dedekind", "div-check", "--d", "-5", "--element", "1+w"],
+            "takes a rational integer, not '1+w'",
+        ),
     ],
     ids=[
         "real-d-class-group",
@@ -294,6 +310,8 @@ MALFORMED_GROUPS = {
         "h1-zero-negative-max-degree",
         "factor-element-w-times-w",
         "transfer-check-zero-p",
+        "gorenstein-truncation-too-short",
+        "div-check-element-not-integer",
     ],
 )
 def test_bad_input_exits_2_without_output(argv, message, tmp_path, capsys):

@@ -72,6 +72,7 @@ def test_find_sop_sampled_search():
     res = find_sop_mod_p(Sbar, 2)
     assert 255 * 254 > _EXHAUSTIVE_CAP
     assert res.found and 1 <= res.tried <= _SAMPLED_COMBOS
+    assert res.tried == 4
     again = find_sop_mod_p(Sbar, 2)
     assert (again.thetas, again.tried) == (res.thetas, res.tried)
     assert regular_sequence_certificate(Sbar, res.thetas).status == "certified"
@@ -81,7 +82,8 @@ def test_find_sop_insufficient_truncation():
     Sbar = quadric_cone_mod2(D=2)  # truncates to a single degree
     res = find_sop_mod_p(Sbar, 2)
     assert not res.found
-    assert res.message
+    # C(7, 2) pairs of the 2^3 - 1 projective degree-1 candidates, each once
+    assert res.tried == 21
 
 
 def test_find_sop_requires_standard_graded():
@@ -202,6 +204,51 @@ MIXED_TRAJECTORIES = {
     (3, 3): (False, 2000, ()),
     (3, 4): (False, 2000, ()),
 }
+
+
+# (Veronese index, prime) -> (found, tried, parameters) of each
+# find_sop_mod_p call behind veronese_cm_search (D = 12, l = 1..6); indices
+# that are not standard graded never reach the search.
+MOD_P_TRAJECTORIES = {
+    "minus-identity": {
+        (2, 2): (True, 3, ("Y^2", "X^2")),
+        (4, 2): (True, 15, ("Y^4", "X^4")),
+        (6, 2): (True, 63, ("Y^6", "X^6")),
+    },
+    "rot3": {
+        (3, 3): (True, 1, ("X^2*Y + X*Y^2", "X^3 + 2*Y^3")),
+        (5, 3): (
+            True,
+            1,
+            ("X^4*Y + 2*X^3*Y^2 + 2*X^2*Y^3 + X*Y^4", "X^5 + 2*X^3*Y^2 + X*Y^4 + 2*Y^5"),
+        ),
+        (6, 3): (True, 4, ("X^4*Y^2 + 2*X^3*Y^3 + X^2*Y^4", "X^6 + X^3*Y^3 + Y^6")),
+    },
+    "rot4": {
+        (4, 2): (True, 3, ("X^2*Y^2", "X^4 + Y^4")),
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(MOD_P_TRAJECTORIES))
+def test_find_sop_mod_p_pinned_trajectory(name, monkeypatch):
+    import invring.cmcert as cmcert
+    from invring.fixtures import fixture_group
+
+    got = {}
+
+    def recorded(Sbar, dim, seed):
+        res = find_sop_mod_p(Sbar, dim, seed=seed)
+        got[Sbar.regrade, Sbar.domain.p] = (
+            res.found,
+            res.tried,
+            tuple(str(t) for t in res.thetas),
+        )
+        return res
+
+    monkeypatch.setattr(cmcert, "find_sop_mod_p", recorded)
+    veronese_cm_search(fixture_group(name), R2, l_max=6, D=12)
+    assert got == MOD_P_TRAJECTORIES[name]
 
 
 @pytest.mark.parametrize("p", [2, 3])
