@@ -318,7 +318,7 @@ def _cmd_dedekind(args) -> int:
         return EXIT_OK
     if args.verb == "div-check":
         rng = random.Random(args.seed)
-        if args.element:
+        if args.element is not None:
             try:
                 values = [int(args.element)]
             except ValueError:

@@ -217,16 +217,10 @@ def mat_mul(domain: CoefficientDomain, a: Matrix, b: Matrix) -> Matrix:
     return tuple(out)
 
 
-def mat_eq(domain: CoefficientDomain, a: Matrix, b: Matrix) -> bool:
-    if len(a) != len(b) or (a and len(a[0]) != len(b[0])):
-        return False
-    return all(
-        domain.is_zero(domain.sub(x, y)) for ra, rb in zip(a, b) for x, y in zip(ra, rb)
-    )
-
-
 def mat_is_identity(domain: CoefficientDomain, a: Matrix) -> bool:
-    return mat_eq(domain, a, mat_identity(domain, len(a)))
+    """Group matrices are canonical (entries enter through coerce and mat_mul
+    keeps them so), so tuple equality decides."""
+    return a == mat_identity(domain, len(a))
 
 
 def mat_det(domain: CoefficientDomain, a: Matrix) -> Scalar:

@@ -172,19 +172,21 @@ def trace_average_invariant_count(G: MatrixGroup, ring: GradedRing, d: int) -> F
     return total / G.order
 
 
+def _average(f: Polynomial, mats, count: int, error: type[Exception], label: str) -> Polynomial:
+    """(1/count) sum of g.f over mats; raises error if count is not a unit."""
+    domain = f.ring.coeff
+    c = domain.coerce(count)
+    if not domain.is_unit(c):
+        raise error(f"{label} = {count} is not a unit in {domain}")
+    total = f.ring.zero_poly
+    for g in mats:
+        total = total + act(g, f)
+    return total.scale(domain.inv(c))
+
+
 def reynolds(f: Polynomial, G: MatrixGroup) -> Polynomial:
     """Group averaging projector (1/|G|) sum_g g.f onto the invariants."""
-    domain = f.ring.coeff
-    try:
-        order = domain.coerce(G.order)
-    except ValueError:
-        raise NotInvertible(f"|G| = {G.order} is not a unit in {domain}") from None
-    if not domain.is_unit(order):
-        raise NotInvertible(f"|G| = {G.order} is not a unit in {domain}")
-    total = f.ring.zero_poly
-    for g in G.elements:
-        total = total + act(g, f)
-    return total.scale(domain.inv(order))
+    return _average(f, G.elements, G.order, NotInvertible, "|G|")
 
 
 def transfer(f: Polynomial, G: MatrixGroup, H: MatrixGroup) -> Polynomial:
@@ -199,20 +201,7 @@ def transfer(f: Polynomial, G: MatrixGroup, H: MatrixGroup) -> Polynomial:
         if act(h, f) != f:
             raise NotHInvariant("polynomial is not fixed by the subgroup")
     reps = coset_representatives(G, H)
-    index = len(reps)
-    domain = f.ring.coeff
-    try:
-        index_c = domain.coerce(index)
-    except ValueError:
-        raise IndexNotInvertible(
-            f"[G:H] = {index} is not a unit in {domain}"
-        ) from None
-    if not domain.is_unit(index_c):
-        raise IndexNotInvertible(f"[G:H] = {index} is not a unit in {domain}")
-    total = f.ring.zero_poly
-    for r in reps:
-        total = total + act(r, f)
-    return total.scale(domain.inv(index_c))
+    return _average(f, reps, len(reps), IndexNotInvertible, "[G:H]")
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,11 @@
 """Exact linear algebra over the integers and prime fields.
 
-Hermite and Smith normal forms with unimodular transforms, saturated kernel
-lattices, lattice quotients and complements, and row reduction mod p.  All
-integer work uses Python's arbitrary-precision ints; nothing here rounds.
+Hermite and Smith normal forms, saturated kernel lattices, lattice quotients
+and complements, and row reduction mod p.  All integer work uses Python's
+arbitrary-precision ints; nothing here rounds.  Each elimination runs on one
+matrix, and its unimodular transform rides along in an identity border
+(Cohen, GTM 138, section 2.4; see _hnf_rows and smith_normal_form); callers
+that read no transform pass bare rows.
 
 Lattices are represented by their rows.  Canonical form throughout is the
 row-style Hermite normal form (pivots positive, entries above each pivot
@@ -85,11 +88,20 @@ class SmithForm:
     right: IntegerMatrix
 
 
-def _hnf_rows(rows: list[list[int]], ncols: int) -> tuple[list[list[int]], list[list[int]]]:
-    """Row HNF of a mutable row list; returns (H, U) with U*input = H."""
+def _identity_border(rows) -> list[list[int]]:
+    """Rows of M with the identity attached on the right: M | I."""
+    return [list(r) + [int(i == j) for j in range(len(rows))] for i, r in enumerate(rows)]
+
+
+def _hnf_rows(rows, ncols: int) -> list[list[int]]:
+    """Row HNF with pivots taken in the first ncols columns only.
+
+    Every row operation acts on the whole row, so columns past ncols ride
+    along: rows given as M | I come out as H | U with U*M = H, and U is read
+    from the border.  Callers that need no transform pass bare rows.
+    """
     m = [list(r) for r in rows]
     n = len(m)
-    u = [[int(i == j) for j in range(n)] for i in range(n)]
     piv = 0
     for col in range(ncols):
         if piv >= n:
@@ -101,10 +113,8 @@ def _hnf_rows(rows: list[list[int]], ncols: int) -> tuple[list[list[int]], list[
             i0 = min(nz, key=lambda i: (abs(m[i][col]), i))
             if i0 != piv:
                 m[piv], m[i0] = m[i0], m[piv]
-                u[piv], u[i0] = u[i0], u[piv]
             if m[piv][col] < 0:
                 m[piv] = [-x for x in m[piv]]
-                u[piv] = [-x for x in u[piv]]
             p = m[piv][col]
             clean = True
             for i in range(piv + 1, n):
@@ -112,7 +122,6 @@ def _hnf_rows(rows: list[list[int]], ncols: int) -> tuple[list[list[int]], list[
                     q = m[i][col] // p  # floor keeps remainders in [0, p)
                     if q:
                         m[i] = [a - q * b for a, b in zip(m[i], m[piv])]
-                        u[i] = [a - q * b for a, b in zip(u[i], u[piv])]
                     if m[i][col]:
                         clean = False
             if clean:
@@ -123,20 +132,20 @@ def _hnf_rows(rows: list[list[int]], ncols: int) -> tuple[list[list[int]], list[
                 q = m[i][col] // p
                 if q:
                     m[i] = [a - q * b for a, b in zip(m[i], m[piv])]
-                    u[i] = [a - q * b for a, b in zip(u[i], u[piv])]
             piv += 1
-    return m, u
+    return m
 
 
 def hermite_normal_form(M: IntegerMatrix) -> tuple[IntegerMatrix, IntegerMatrix]:
     """Row Hermite normal form (H, U) with U unimodular and U*M = H."""
-    h, u = _hnf_rows([list(r) for r in M.data], M.cols)
-    return IntegerMatrix(h, cols=M.cols), IntegerMatrix(u, cols=M.rows)
+    c = M.cols
+    hu = _hnf_rows(_identity_border(M.data), c)
+    h = IntegerMatrix([r[:c] for r in hu], cols=c)
+    return h, IntegerMatrix([r[c:] for r in hu], cols=M.rows)
 
 
 def rank(M: IntegerMatrix) -> int:
-    h, _ = _hnf_rows([list(r) for r in M.data], M.cols)
-    return sum(1 for row in h if any(row))
+    return sum(1 for row in _hnf_rows(M.data, M.cols) if any(row))
 
 
 def unimodular_inverse(M: IntegerMatrix) -> IntegerMatrix:
@@ -147,18 +156,13 @@ def unimodular_inverse(M: IntegerMatrix) -> IntegerMatrix:
     return u
 
 
-def smith_normal_form(M: IntegerMatrix) -> SmithForm:
-    """Smith normal form with both unimodular transforms.
-
-    The returned diagonal is nonnegative, divisibility-ordered, zeros
-    trailing.  The classical pivot/clear loop is used; when the pivot fails
-    to divide some remaining entry, that row is folded into the pivot row so
-    the pivot shrinks to a gcd, which guarantees the divisibility chain.
+def _smith_diagonal(a: list[list[int]], n: int, c: int) -> tuple[int, ...]:
+    """Run the Smith pivot/clear loop on the top-left n x c block of the rows
+    a, in place, and return its diagonal.  Columns and rows of a past the
+    block only ride along.  A pivot that fails to divide some remaining entry
+    takes that entry's row into the pivot row, so the pivot shrinks to a gcd
+    and the diagonal forms a divisibility chain.
     """
-    a = [list(r) for r in M.data]
-    n, c = M.rows, M.cols
-    left = [[int(i == j) for j in range(n)] for i in range(n)]
-    right = [[int(i == j) for j in range(c)] for i in range(c)]
     t = 0
     while t < min(n, c):
         entries = [
@@ -172,15 +176,11 @@ def smith_normal_form(M: IntegerMatrix) -> SmithForm:
         _, pi, pj = min(entries)
         if pi != t:
             a[t], a[pi] = a[pi], a[t]
-            left[t], left[pi] = left[pi], left[t]
         if pj != t:
             for row in a:
                 row[t], row[pj] = row[pj], row[t]
-            for row in right:
-                row[t], row[pj] = row[pj], row[t]
         if a[t][t] < 0:
             a[t] = [-x for x in a[t]]
-            left[t] = [-x for x in left[t]]
         p = a[t][t]
         col_clean = True
         for i in range(t + 1, n):
@@ -188,7 +188,6 @@ def smith_normal_form(M: IntegerMatrix) -> SmithForm:
                 q = a[i][t] // p
                 if q:
                     a[i] = [x - q * y for x, y in zip(a[i], a[t])]
-                    left[i] = [x - q * y for x, y in zip(left[i], left[t])]
                 if a[i][t]:
                     col_clean = False
         if not col_clean:
@@ -199,8 +198,6 @@ def smith_normal_form(M: IntegerMatrix) -> SmithForm:
                 q = a[t][j] // p
                 if q:
                     for row in a:
-                        row[j] -= q * row[t]
-                    for row in right:
                         row[j] -= q * row[t]
                 if a[t][j]:
                     row_clean = False
@@ -216,11 +213,24 @@ def smith_normal_form(M: IntegerMatrix) -> SmithForm:
                 break
         if bad is not None:
             a[t] = [x + y for x, y in zip(a[t], a[bad])]
-            left[t] = [x + y for x, y in zip(left[t], left[bad])]
             continue
         t += 1
-    d = tuple(a[i][i] for i in range(min(n, c)))
-    return SmithForm(d=d, left=IntegerMatrix(left, cols=n), right=IntegerMatrix(right, cols=c))
+    return tuple(a[i][i] for i in range(min(n, c)))
+
+
+def smith_normal_form(M: IntegerMatrix) -> SmithForm:
+    """Smith normal form with both unimodular transforms.
+
+    The returned diagonal is nonnegative, divisibility-ordered, zeros
+    trailing.  The pivot/clear loop runs on [[M, I], [I, 0]]: left is read
+    from the border on the right of M, right from the border below it.
+    cokernel_invariant_factors reads only d and runs the loop on bare M.
+    """
+    n, c = M.rows, M.cols
+    a = _identity_border(M.data) + [[int(i == j) for j in range(c + n)] for i in range(c)]
+    d = _smith_diagonal(a, n, c)
+    left = IntegerMatrix([r[c:] for r in a[:n]], cols=n)
+    return SmithForm(d=d, left=left, right=IntegerMatrix([r[:c] for r in a[n:]], cols=c))
 
 
 def integer_kernel_basis(M: IntegerMatrix) -> IntegerMatrix:
@@ -230,24 +240,16 @@ def integer_kernel_basis(M: IntegerMatrix) -> IntegerMatrix:
     comes from the unimodular transform rows matching zero HNF rows of M^T,
     so it generates the full kernel, not a finite-index sublattice.
     """
-    if M.cols == 0:
-        return IntegerMatrix([], cols=0)
-    if M.rows == 0:
-        return IntegerMatrix.identity(M.cols)
-    at = M.transpose()
-    h, u = _hnf_rows([list(r) for r in at.data], at.cols)
-    kernel_rows = [u[i] for i in range(len(h)) if not any(h[i])]
-    if not kernel_rows:
-        return IntegerMatrix([], cols=M.cols)
-    k, _ = _hnf_rows(kernel_rows, M.cols)
+    hu = _hnf_rows(_identity_border(M.transpose().data), M.rows)
+    k = _hnf_rows([r[M.rows :] for r in hu if not any(r[: M.rows])], M.cols)
     return IntegerMatrix([row for row in k if any(row)], cols=M.cols)
 
 
 def cokernel_invariant_factors(M: IntegerMatrix) -> tuple[tuple[int, ...], int]:
     """Structure of Z^rows / column-space(M) as (torsion factors > 1, free rank)."""
-    snf = smith_normal_form(M)
-    torsion = tuple(x for x in snf.d if x > 1)
-    nonzero = sum(1 for x in snf.d if x)
+    d = _smith_diagonal([list(r) for r in M.data], M.rows, M.cols)
+    torsion = tuple(x for x in d if x > 1)
+    nonzero = sum(1 for x in d if x)
     return torsion, M.rows - nonzero
 
 
@@ -257,11 +259,7 @@ def cokernel_invariant_factors(M: IntegerMatrix) -> tuple[tuple[int, ...], int]:
 
 def lattice_canonical(rows, ncols: int) -> tuple[tuple[int, ...], ...]:
     """Canonical (HNF, zero rows dropped) basis of the lattice spanned by rows."""
-    rows = [list(r) for r in rows]
-    if not rows:
-        return ()
-    h, _ = _hnf_rows(rows, ncols)
-    return tuple(tuple(r) for r in h if any(r))
+    return tuple(tuple(r) for r in _hnf_rows(rows, ncols) if any(r))
 
 
 def lattice_solve(basis, v) -> list[Fraction] | None:

@@ -287,6 +287,10 @@ MALFORMED_GROUPS = {
             ["dedekind", "div-check", "--d", "-5", "--element", "1+w"],
             "takes a rational integer, not '1+w'",
         ),
+        (
+            ["dedekind", "div-check", "--d", "-5", "--element", ""],
+            "'dedekind div-check' takes a rational integer, not ''",
+        ),
     ],
     ids=[
         "real-d-class-group",
@@ -312,6 +316,7 @@ MALFORMED_GROUPS = {
         "transfer-check-zero-p",
         "gorenstein-truncation-too-short",
         "div-check-element-not-integer",
+        "div-check-empty-element",
     ],
 )
 def test_bad_input_exits_2_without_output(argv, message, tmp_path, capsys):

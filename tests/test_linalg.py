@@ -125,6 +125,41 @@ def test_cokernel_examples(m, expect):
     assert cokernel_invariant_factors(IntegerMatrix(m)) == expect
 
 
+@pytest.mark.parametrize(
+    "rows, cols, deficient",
+    [(0, 3, False), (3, 0, False), (5, 2, False), (2, 5, False), (4, 4, True)],
+    ids=["0xc", "rx0", "tall", "wide", "rank-deficient"],
+)
+def test_bordered_and_bare_entries_agree(rows, cols, deficient):
+    # the Smith loop and the HNF run bordered (transforms read) and bare
+    rng = random.Random(rows * 10 + cols)
+    for _ in range(25):
+        data = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
+        if deficient:
+            data[-1] = [a - b for a, b in zip(data[0], data[1])]
+        M = IntegerMatrix(data, cols=cols)
+        s = smith_normal_form(M)
+        assert cokernel_invariant_factors(M) == (
+            tuple(x for x in s.d if x > 1),
+            rows - sum(1 for x in s.d if x),
+        )
+        h, u = hermite_normal_form(M)
+        assert u * M == h
+        diag = s.left * M * s.right
+        assert all(
+            diag.data[i][j] == (s.d[i] if i == j else 0)
+            for i in range(rows)
+            for j in range(cols)
+        )
+        h_rows = [r for r in h.data if any(r)]
+        assert rank(M) == len(h_rows)
+        assert IntegerMatrix(lattice_canonical(M.data, cols), cols=cols) == IntegerMatrix(
+            h_rows, cols=cols
+        )
+        if deficient:
+            assert len(h_rows) < rows
+
+
 def test_lattice_solve_and_member():
     basis = lattice_canonical([[1, 2, 0], [0, 0, 3]], 3)
     assert lattice_member(basis, [2, 4, 3])
