@@ -19,6 +19,7 @@ of the Hilbert series; its report always carries the truncation caveat.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
@@ -310,6 +311,28 @@ def _vanishing_window(generators, ideal_spans, p: int) -> int:
     return w
 
 
+@functools.cache
+def _binomials(n: int, k: int) -> tuple[int, ...]:
+    """comb(a, k) for a in range(n), increasing in a."""
+    return tuple(math.comb(a, k) for a in range(n))
+
+
+def _nth_combination(n: int, r: int, i: int) -> tuple[int, ...]:
+    """Entry i of itertools.combinations(range(n), r), without listing them.
+
+    Mirroring each entry c to n - 1 - c reverses that order into colex
+    order, where a_r > ... > a_1 has rank sum_k comb(a_k, k); so each a_k
+    is the largest a whose comb(a, k) fits in the rank still left.
+    """
+    rank = math.comb(n, r) - 1 - i
+    out = []
+    for k in range(r, 0, -1):
+        a = bisect.bisect_right(_binomials(n, k), rank) - 1
+        rank -= math.comb(a, k)
+        out.append(n - 1 - a)
+    return tuple(out)
+
+
 _MIXED_COMBO_CAP = 2_000
 _MIXED_CANDIDATE_CAP = 150
 _MIXED_EVAL_BUDGET = 6_000
@@ -348,15 +371,18 @@ def find_sop_mixed(Sbar: TruncatedSubalgebra, dim: int, seed: int = 0) -> SopSea
             if any(not per_degree[k] for k in ms):
                 continue
             degrees = sorted(set(ms))
-            pools = [
-                list(itertools.combinations(range(len(per_degree[k])), ms.count(k)))
-                for k in degrees
-            ]
-            if math.prod(map(len, pools)) <= _MIXED_COMBO_CAP:
-                picks = itertools.product(*pools)
+            shapes = [(len(per_degree[k]), ms.count(k)) for k in degrees]
+            sizes = [math.comb(n, r) for n, r in shapes]
+            if math.prod(sizes) <= _MIXED_COMBO_CAP:
+                picks = itertools.product(
+                    *(itertools.combinations(range(n), r) for n, r in shapes)
+                )
             else:
                 picks = (
-                    tuple(pool[rng.randrange(len(pool))] for pool in pools)
+                    tuple(
+                        _nth_combination(n, r, rng.randrange(size))
+                        for (n, r), size in zip(shapes, sizes)
+                    )
                     for _ in range(_MIXED_COMBO_CAP)
                 )
             for pick in picks:

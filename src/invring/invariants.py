@@ -4,14 +4,18 @@ Per-degree bases of the fixed subspace (R_d)^G are computed as the kernel of
 the stacked generator constraints; over Z that kernel is automatically a
 saturated lattice, so the basis generates the invariants exactly rather than
 a finite-index sublattice.  On top of the bases live the Reynolds and
-transfer maps, Hilbert functions, standard-gradedness certificates, and
-minimal generator extraction.
+transfer maps, Hilbert functions, and one generator walk behind both minimal
+generators and standard-gradedness: a product of generators of degree d is a
+generator of some degree k times a product of degree d - k, so the walk spans
+degree d from those and adds generators where that span falls short of the
+basis.  The ring is standard graded through D when none is added above 1.
 
 Spans are kept as reduced echelon rows over F_p and as integer lattices in
 Hermite form over Z, Q and Z localized at p, whose vectors are scaled by
-units of the domain to clear denominators.  One rule compares spans over
-every domain: an echelon inside another spans it exactly when the two have
-equal rank and the quotient of their pivot products, the index, is a unit.
+units of the domain to clear denominators; both forms are canonical for what
+they span.  One rule compares spans over every domain: an echelon inside
+another spans it exactly when the two have equal rank and the quotient of
+their pivot products, the index, is a unit.
 """
 
 from __future__ import annotations
@@ -153,8 +157,7 @@ def invariant_basis(G: MatrixGroup, ring: GradedRing, d: int) -> Rows:
             [[int(x) for x in row] for row in constraint_rows], n, domain.p
         )
     int_rows = _integerize_rows(constraint_rows)
-    kernel = integer_kernel_basis(IntegerMatrix(int_rows, cols=n))
-    return kernel.data
+    return integer_kernel_basis(IntegerMatrix(int_rows, cols=n)).data
 
 
 def trace_average_invariant_count(G: MatrixGroup, ring: GradedRing, d: int) -> Fraction:
@@ -300,51 +303,46 @@ class StandardGradedReport:
     checked_to: int
 
 
+def _generator_walk(S: TruncatedSubalgebra):
+    """Yield (d, new generator rows) for d = 1..D.
+
+    alg[d] spans the degree-d products of generators.  Where it falls short
+    of the basis, a minimal set of new vectors extends it: Smith-form
+    quotient generators over Z and Z_(p), greedy rank extension over a field.
+    """
+    domain = S.domain
+    gens: dict[int, list[tuple]] = {}
+    alg: dict[int, Rows] = {}
+    for d in range(1, S.D + 1):
+        products = []
+        for k, rows_k in gens.items():
+            products += S.piece_products(k, rows_k, d - k, alg[d - k])
+        span = canonical_span(domain, products, S.piece_dim(d))
+        new: list[tuple] = []
+        if not span_equal(domain, span, S.bases[d]):
+            gens[d] = new = span_complement(domain, span, S.bases[d])
+            span = canonical_span(domain, list(span) + new, S.piece_dim(d))
+            if not span_equal(domain, span, S.bases[d]):
+                raise RuntimeError(f"generator completion failed in degree {d}")
+        alg[d] = span
+        yield d, new
+
+
 def is_standard_graded_up_to(S: TruncatedSubalgebra) -> StandardGradedReport:
     """Check that products of the degree-1 basis span every piece through D.
 
     Over Z the comparison is equality of exact lattices (not merely finite
     index): the multiplicative span of the degree-1 piece must reproduce the
-    saturated basis lattice degree by degree.
+    saturated basis lattice degree by degree.  The first failing degree is
+    the first above 1 that needs a new generator.
     """
-    domain = S.domain
-    span_prev = S.bases[1]
-    for d in range(2, S.D + 1):
-        dim_d = S.piece_dim(d)
-        products = S.piece_products(1, S.bases[1], d - 1, span_prev)
-        span_d = canonical_span(domain, products, dim_d)
-        if not span_equal(domain, span_d, S.bases[d]):
+    for d, new in _generator_walk(S):
+        if d > 1 and new:
             return StandardGradedReport(False, d, S.D)
-        span_prev = span_d
     return StandardGradedReport(True, None, S.D)
 
 
 def minimal_generators_up_to(S: TruncatedSubalgebra) -> list[tuple[int, Polynomial]]:
-    """Algebra generators degree by degree through D.
-
-    In each degree the span of products of lower-degree generators is
-    extended to the full invariant basis by a minimal set of new vectors
-    (Smith-form quotient generators over Z and Z_(p), greedy rank extension
-    over a field).  An empty tail certifies generation below D.
-    """
-    domain = S.domain
-    gens: list[tuple[int, Polynomial]] = []
-    alg: dict[int, Rows] = {}
-    for d in range(1, S.D + 1):
-        dim_d = S.piece_dim(d)
-        piece = graded_piece_basis(S.ambient, S.ambient_degree(d))
-        products = []
-        for e in range(1, d // 2 + 1):
-            left, right = alg.get(e, ()), alg.get(d - e, ())
-            if left and right:
-                products += S.piece_products(e, left, d - e, right)
-        product_span = canonical_span(domain, products, dim_d)
-        new_vecs = span_complement(domain, product_span, S.bases[d])
-        for vec in new_vecs:
-            gens.append((d, polynomial_from_vector(S.ambient, piece, vec)))
-        alg[d] = canonical_span(
-            domain, [list(r) for r in product_span] + [list(v) for v in new_vecs], dim_d
-        )
-        if not span_equal(domain, alg[d], S.bases[d]):
-            raise RuntimeError(f"generator completion failed in degree {d}")
-    return gens
+    """Algebra generators degree by degree through D; an empty tail certifies
+    generation below D."""
+    return [(d, p) for d, new in _generator_walk(S) for p in S.piece_polynomials(d, new)]

@@ -24,7 +24,8 @@ import math
 import re
 from dataclasses import dataclass
 
-from .domains import is_prime, prime_divisors
+from .domains import is_prime, mat_mul, prime_divisors
+from .groups import element_inverse, enumerate_group
 from .linalg import lattice_canonical, lattice_member
 
 
@@ -355,10 +356,6 @@ def verify_div_compatibility(ring: NumberRing, a: int) -> bool:
     factor over Z then push forward, versus factor directly in the ring."""
     if a == 0:
         raise ZeroElement("zero has no divisor")
-    if a in (1, -1):
-        return divisor_map(ring, Divisor()) == Divisor() and factor_element(
-            ring, (a, 0)
-        ) == Divisor()
     lhs = divisor_map(ring, integer_divisor(a))
     rhs = factor_element(ring, (a, 0))
     return lhs == rhs
@@ -592,27 +589,21 @@ def class_group(ring: NumberRing) -> list[int]:
 def character_obstruction_report(G, ring: NumberRing) -> dict:
     """Advisory check that no nontrivial homomorphism G -> K* can exist:
     the abelianization exponent must be coprime to the roots of unity in K."""
-    from .domains import mat_mul
-    from .groups import element_inverse
-
     dom = G.coeff
-    commutators = set()
-    for a in G.elements:
-        for b in G.elements:
-            inv_a = element_inverse(dom, a)
-            inv_b = element_inverse(dom, b)
-            c = mat_mul(dom, mat_mul(dom, a, b), mat_mul(dom, inv_a, inv_b))
-            commutators.add(c)
-    from .groups import enumerate_group
-
-    derived = enumerate_group(list(commutators), dom, n=G.n, bound=G.order)
-    ab_order = G.order // derived.order
+    inverse = {a: element_inverse(dom, a) for a in G.elements}
+    commutators = {
+        mat_mul(dom, mat_mul(dom, a, b), mat_mul(dom, inverse[a], inverse[b]))
+        for a in G.elements
+        for b in G.elements
+    }
+    derived = set(enumerate_group(list(commutators), dom, n=G.n, bound=G.order).elements)
+    ab_order = G.order // len(derived)
     # exponent of the abelianization: lcm of coset orders
     exponent = 1
     for g in G.elements:
         k = 1
         power = g
-        while not derived.contains(power):
+        while power not in derived:
             power = mat_mul(dom, power, g)
             k += 1
         exponent = exponent * k // math.gcd(exponent, k)

@@ -1,5 +1,7 @@
 """Reduction mod p, parameter search, and regularity certificates."""
 
+import itertools
+import math
 import random
 
 import pytest
@@ -7,6 +9,7 @@ import pytest
 from invring.cmcert import (
     _EXHAUSTIVE_CAP,
     _SAMPLED_COMBOS,
+    _nth_combination,
     NotStandardGraded,
     NumeratorNotTerminated,
     cm_certificate,
@@ -265,6 +268,13 @@ def test_find_sop_mixed_pinned_trajectory(p):
         res = find_sop_mixed(reduce_mod_p(veronese(SH, l), p), 3)
         got = (res.found, res.tried, tuple(str(t) for t in res.thetas))
         assert got == MIXED_TRAJECTORIES[p, l], (p, l)
+
+
+def test_nth_combination_matches_itertools_order():
+    for n in range(9):
+        for r in range(n + 1):
+            listed = list(itertools.combinations(range(n), r))
+            assert [_nth_combination(n, r, i) for i in range(math.comb(n, r))] == listed
 
 
 def test_cm_certificate_mixed_handles_nonstandard():

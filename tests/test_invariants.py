@@ -13,12 +13,14 @@ from invring.invariants import (
     IndexNotInvertible,
     NotHInvariant,
     NotInvertible,
+    StandardGradedReport,
     canonical_span,
     hilbert_function,
     invariant_basis,
     is_standard_graded_up_to,
     minimal_generators_up_to,
     reynolds,
+    span_complement,
     span_equal,
     span_member,
     trace_average_invariant_count,
@@ -220,6 +222,80 @@ def test_minimal_generators_over_fp():
     S = truncated_invariant_ring(G, ring, 6)
     gens = minimal_generators_up_to(S)
     assert [d for d, _ in gens] == [1, 2]
+
+
+B3_GENS = S3_GENS + [[[-1, 0, 0], [0, 1, 0], [0, 0, 1]]]  # signed permutations
+S4_GENS = [
+    [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+    [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0]],
+]
+
+
+@pytest.mark.parametrize(
+    "gens, dom, D, degrees",
+    [
+        # sign changes leave the even monomials, and Z[x^2, y^2, z^2]^S3 is
+        # generated by the elementary symmetric functions of the squares
+        (B3_GENS, ZZ, 6, [2, 4, 6]),
+        (B3_GENS, Z_local(2), 6, [2, 4, 6]),
+        (B3_GENS, GF(3), 6, [2, 4, 6]),
+        # -1 = 1 over F_2, so only S3 acts
+        (B3_GENS, GF(2), 3, [1, 2, 3]),
+        (S4_GENS, GF(2), 4, [1, 2, 3, 4]),
+    ],
+    ids=["B3-Z", "B3-Z_(2)", "B3-F3", "B3-F2", "S4-F2"],
+)
+def test_generator_degrees_of_signed_and_symmetric_groups(gens, dom, D, degrees):
+    G = enumerate_group(gens, dom)
+    S = truncated_invariant_ring(G, GradedRing(G.n, dom), D)
+    assert [d for d, _ in minimal_generators_up_to(S)] == degrees
+
+
+def test_b3_veronese_is_not_standard_graded():
+    # S_2 has rank 1 (x^2 + y^2 + z^2) and S_4 rank 2, so the square of the
+    # one regraded degree-1 element cannot span regraded degree 2
+    S = truncated_invariant_ring(enumerate_group(B3_GENS, ZZ), GradedRing(3, ZZ), 4)
+    V = veronese(S, 2)
+    assert [len(b) for b in V.bases] == [1, 1, 2]
+    rep = is_standard_graded_up_to(V)
+    assert not rep.standard and rep.first_failing_degree == 2
+
+
+def _all_splits_generators(S):
+    """Reference generators: degree d spans the products of every pair of
+    lower pieces of the generated subalgebra, over all splits e + (d - e)."""
+    gens, alg = [], {}
+    for d in range(1, S.D + 1):
+        products = []
+        for e in range(1, d // 2 + 1):
+            products += S.piece_products(e, alg[e], d - e, alg[d - e])
+        span = canonical_span(S.domain, products, S.piece_dim(d))
+        new = span_complement(S.domain, span, S.bases[d])
+        gens += [(d, str(p)) for p in S.piece_polynomials(d, new)]
+        alg[d] = canonical_span(S.domain, list(span) + new, S.piece_dim(d))
+    return gens
+
+
+def _degree_one_powers_fail(S):
+    """Reference check: the first degree the powers of S_1 do not span."""
+    span = S.bases[1]
+    for d in range(2, S.D + 1):
+        products = S.piece_products(1, S.bases[1], d - 1, span)
+        span = canonical_span(S.domain, products, S.piece_dim(d))
+        if not span_equal(S.domain, span, S.bases[d]):
+            return d
+    return None
+
+
+@pytest.mark.parametrize("dom", [ZZ, QQ, GF(2), Z_local(3)], ids=str)
+@pytest.mark.parametrize("name", fixture_group_names())
+def test_generator_walk_matches_all_splits_reference(name, dom):
+    G = fixture_group(name, dom)
+    S = truncated_invariant_ring(G, GradedRing(G.n, dom), 6)
+    for T in (S, veronese(S, 2)):
+        assert [(d, str(p)) for d, p in minimal_generators_up_to(T)] == _all_splits_generators(T)
+        fail = _degree_one_powers_fail(T)
+        assert is_standard_graded_up_to(T) == StandardGradedReport(fail is None, fail, T.D)
 
 
 @pytest.mark.parametrize("dom", [QQ, Z_local(2), Z_local(3)], ids=str)
