@@ -4,162 +4,124 @@ Truncated invariant and Veronese subrings over Z, Q, F_p, and Z localized at
 p; transfer and Reynolds maps; cyclic group cohomology through the periodic
 trace complex; degree-truncated Cohen-Macaulay and Gorenstein certificates;
 and divisor maps with class groups of quadratic integer rings.
+
+``import invring`` loads no submodule: each public name imports the module
+that defines it on first access, so a command line run pays only for what
+it uses.  ``from invring import *`` loads them all.
 """
+
+import importlib
+import sys
+import types
 
 __version__ = "0.1.0"
 
-from .domains import GF, QQ, ZZ, CoefficientDomain, Z_local, parse_domain
-from .groups import (
-    BoundExceeded,
-    MatrixGroup,
-    NotSubgroup,
-    coset_representatives,
-    enumerate_group,
-    sylow_subgroup,
-    trivial_group,
-)
-from .invariants import (
-    HilbertFunction,
-    IndexNotInvertible,
-    NotHInvariant,
-    NotInvertible,
-    TruncatedSubalgebra,
-    hilbert_function,
-    invariant_basis,
-    is_standard_graded_up_to,
-    minimal_generators_up_to,
-    reynolds,
-    transfer,
-    truncated_invariant_ring,
-    veronese,
-)
-from .linalg import (
-    IntegerMatrix,
-    SmithForm,
-    cokernel_invariant_factors,
-    hermite_normal_form,
-    integer_kernel_basis,
-    smith_normal_form,
-)
-from .poly import (
-    GradedRing,
-    Polynomial,
-    act,
-    action_matrix,
-    format_polynomial,
-    graded_piece_basis,
-    parse_polynomial,
-)
-from .cohomology import (
-    CohomologyGroup,
-    CyclicModule,
-    EigenvaluesNotInField,
-    PreconditionViolated,
-    cohomology,
-    diagonalize_over_fraction_field,
-    graded_cohomology,
-    trace_matrix,
-    verify_h1_degree0,
-    verify_h2_trivial_mod_pi,
-    verify_pi_annihilates_h1,
-)
-from .cmcert import (
-    CMCertificate,
-    NotStandardGraded,
-    NumeratorNotTerminated,
-    cm_certificate,
-    find_sop_mixed,
-    find_sop_mod_p,
-    gorenstein_symmetry_check,
-    reduce_mod_p,
-    regular_sequence_certificate,
-    veronese_cm_search,
-)
-from .quadratic import (
-    BoundTooLarge,
-    Divisor,
-    NumberRing,
-    PrimeIdealQ,
-    ZeroElement,
-    class_group,
-    divisor_map,
-    factor_element,
-    primes_above,
-    ramification_length,
-    verify_div_compatibility,
-)
+# The public names, by the submodule that defines them.
+_EXPORTS = {
+    "domains": ("CoefficientDomain", "ZZ", "QQ", "GF", "Z_local", "parse_domain"),
+    "linalg": (
+        "IntegerMatrix",
+        "SmithForm",
+        "hermite_normal_form",
+        "smith_normal_form",
+        "integer_kernel_basis",
+        "cokernel_invariant_factors",
+    ),
+    "poly": (
+        "GradedRing",
+        "Polynomial",
+        "graded_piece_basis",
+        "act",
+        "action_matrix",
+        "parse_polynomial",
+        "format_polynomial",
+    ),
+    "groups": (
+        "MatrixGroup",
+        "enumerate_group",
+        "sylow_subgroup",
+        "coset_representatives",
+        "trivial_group",
+        "BoundExceeded",
+        "NotSubgroup",
+    ),
+    "invariants": (
+        "TruncatedSubalgebra",
+        "HilbertFunction",
+        "truncated_invariant_ring",
+        "invariant_basis",
+        "hilbert_function",
+        "veronese",
+        "is_standard_graded_up_to",
+        "minimal_generators_up_to",
+        "reynolds",
+        "transfer",
+        "NotInvertible",
+        "NotHInvariant",
+        "IndexNotInvertible",
+    ),
+    "cohomology": (
+        "CyclicModule",
+        "CohomologyGroup",
+        "trace_matrix",
+        "cohomology",
+        "graded_cohomology",
+        "verify_h2_trivial_mod_pi",
+        "verify_h1_degree0",
+        "verify_pi_annihilates_h1",
+        "diagonalize_over_fraction_field",
+        "PreconditionViolated",
+        "EigenvaluesNotInField",
+    ),
+    "cmcert": (
+        "CMCertificate",
+        "reduce_mod_p",
+        "find_sop_mod_p",
+        "find_sop_mixed",
+        "regular_sequence_certificate",
+        "cm_certificate",
+        "veronese_cm_search",
+        "gorenstein_symmetry_check",
+        "NotStandardGraded",
+        "NumeratorNotTerminated",
+    ),
+    "quadratic": (
+        "NumberRing",
+        "PrimeIdealQ",
+        "Divisor",
+        "factor_element",
+        "primes_above",
+        "ramification_length",
+        "divisor_map",
+        "verify_div_compatibility",
+        "class_group",
+        "ZeroElement",
+        "BoundTooLarge",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 
-__all__ = [
-    "__version__",
-    "CoefficientDomain",
-    "ZZ",
-    "QQ",
-    "GF",
-    "Z_local",
-    "parse_domain",
-    "IntegerMatrix",
-    "SmithForm",
-    "hermite_normal_form",
-    "smith_normal_form",
-    "integer_kernel_basis",
-    "cokernel_invariant_factors",
-    "GradedRing",
-    "Polynomial",
-    "graded_piece_basis",
-    "act",
-    "action_matrix",
-    "parse_polynomial",
-    "format_polynomial",
-    "MatrixGroup",
-    "enumerate_group",
-    "sylow_subgroup",
-    "coset_representatives",
-    "trivial_group",
-    "BoundExceeded",
-    "NotSubgroup",
-    "TruncatedSubalgebra",
-    "HilbertFunction",
-    "truncated_invariant_ring",
-    "invariant_basis",
-    "hilbert_function",
-    "veronese",
-    "is_standard_graded_up_to",
-    "minimal_generators_up_to",
-    "reynolds",
-    "transfer",
-    "NotInvertible",
-    "NotHInvariant",
-    "IndexNotInvertible",
-    "CyclicModule",
-    "CohomologyGroup",
-    "trace_matrix",
-    "cohomology",
-    "graded_cohomology",
-    "verify_h2_trivial_mod_pi",
-    "verify_h1_degree0",
-    "verify_pi_annihilates_h1",
-    "diagonalize_over_fraction_field",
-    "PreconditionViolated",
-    "EigenvaluesNotInField",
-    "CMCertificate",
-    "reduce_mod_p",
-    "find_sop_mod_p",
-    "find_sop_mixed",
-    "regular_sequence_certificate",
-    "cm_certificate",
-    "veronese_cm_search",
-    "gorenstein_symmetry_check",
-    "NotStandardGraded",
-    "NumeratorNotTerminated",
-    "NumberRing",
-    "PrimeIdealQ",
-    "Divisor",
-    "factor_element",
-    "primes_above",
-    "ramification_length",
-    "divisor_map",
-    "verify_div_compatibility",
-    "class_group",
-    "ZeroElement",
-    "BoundTooLarge",
-]
+__all__ = ["__version__", *_HOME]
+
+
+class _Package(types.ModuleType):
+    """The class of the ``invring`` module, whose public names load lazily."""
+
+    def __getattr__(self, name):
+        if name not in _HOME:
+            raise AttributeError(f"module {self.__name__!r} has no attribute {name!r}")
+        value = getattr(importlib.import_module(f"{self.__name__}.{_HOME[name]}"), name)
+        setattr(self, name, value)
+        return value
+
+    def __setattr__(self, name, value):
+        # Loading the submodule cohomology binds it here, under the name of
+        # the function cohomology; the name stays with the function.
+        if not (name == "cohomology" and isinstance(value, types.ModuleType)):
+            super().__setattr__(name, value)
+
+    def __dir__(self):
+        return sorted({*super().__dir__(), *__all__})
+
+
+sys.modules[__name__].__class__ = _Package

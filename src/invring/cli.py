@@ -4,6 +4,9 @@ Exit codes separate concerns for CI: 0 success, 1 a mathematical claim was
 refuted by computation, 2 bad input or usage, 3 an internal error.  Reports
 are deterministic for fixed inputs and seed and always embed the seed,
 truncation bound, tool version, and a hash of the group file.
+
+Each subcommand imports the invring modules it runs at the top of its
+handler, so a process loads only what its command uses.
 """
 
 from __future__ import annotations
@@ -15,48 +18,6 @@ import random
 import sys
 
 from . import __version__
-from .cohomology import (
-    cohomology,
-    graded_cohomology,
-    verify_h1_degree0,
-    verify_h2_trivial_mod_pi,
-    verify_pi_annihilates_h1,
-)
-from .cmcert import (
-    NotStandardGraded,
-    NumeratorNotTerminated,
-    cm_certificate,
-    gorenstein_symmetry_check,
-    veronese_cm_search,
-)
-from .domains import QQ, ZZ, Z_local, prime_divisors
-from .fixtures import (
-    DEDEKIND_FIXTURES,
-    fixture_group,
-    random_order_p_module,
-    random_trivial_mod_p_module,
-)
-from .groups import BoundExceeded, NotSubgroup, group_from_json_dict, sylow_subgroup
-from .invariants import (
-    IndexNotInvertible,
-    hilbert_function,
-    invariant_basis,
-    is_standard_graded_up_to,
-    minimal_generators_up_to,
-    transfer,
-    truncated_invariant_ring,
-    veronese,
-)
-from .poly import GradedRing, graded_piece_basis, polynomial_from_vector
-from .quadratic import (
-    BoundTooLarge,
-    NumberRing,
-    ZeroElement,
-    class_group,
-    factor_element,
-    parse_element,
-    verify_div_compatibility,
-)
 
 EXIT_OK = 0
 EXIT_CLAIM_FAILED = 1
@@ -66,6 +27,8 @@ EXIT_INTERNAL = 3
 
 def _load_group(path: str, coeff=None):
     """Group and file digest; coeff, when given, replaces the file's domain."""
+    from .groups import group_from_json_dict
+
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
@@ -135,6 +98,15 @@ def _cert_payload(cert) -> dict:
 
 def _cmd_veronese(args) -> int:
     """Also serves the invariants command, which is the case m = 1."""
+    from .invariants import (
+        hilbert_function,
+        is_standard_graded_up_to,
+        minimal_generators_up_to,
+        truncated_invariant_ring,
+        veronese,
+    )
+    from .poly import GradedRing
+
     group, digest = _load_group(args.group)
     ring = GradedRing(group.n, group.coeff)
     S = truncated_invariant_ring(group, ring, args.max_degree)
@@ -157,6 +129,10 @@ def _cmd_veronese(args) -> int:
 
 
 def _cmd_transfer_check(args) -> int:
+    from .domains import QQ, Z_local
+    from .invariants import invariant_basis, transfer
+    from .poly import GradedRing, graded_piece_basis, polynomial_from_vector
+
     coeff = Z_local(args.p) if args.p is not None else QQ
     G, _ = _load_group(args.group, coeff)
     H, _ = _load_group(args.subgroup, coeff)
@@ -181,6 +157,9 @@ def _cmd_transfer_check(args) -> int:
 
 
 def _cmd_cm_search(args) -> int:
+    from .cmcert import veronese_cm_search
+    from .poly import GradedRing
+
     group, digest = _load_group(args.group)
     ring = GradedRing(group.n, group.coeff)
     report = veronese_cm_search(
@@ -213,6 +192,11 @@ def _cmd_cm_search(args) -> int:
 
 
 def _cmd_gorenstein(args) -> int:
+    from .cmcert import cm_certificate, gorenstein_symmetry_check
+    from .domains import prime_divisors
+    from .invariants import hilbert_function, truncated_invariant_ring, veronese
+    from .poly import GradedRing
+
     group, digest = _load_group(args.group)
     ring = GradedRing(group.n, group.coeff)
     S = truncated_invariant_ring(group, ring, args.max_degree)
@@ -240,6 +224,11 @@ def _cmd_gorenstein(args) -> int:
 
 def _h1_degree_zero_holds() -> bool:
     """H^1 vanishes in degree 0 for the minus-identity, a3 and rot3 fixtures."""
+    from .cohomology import verify_h1_degree0
+    from .domains import ZZ
+    from .fixtures import fixture_group
+    from .poly import GradedRing
+
     return all(
         verify_h1_degree0(G, GradedRing(G.n, ZZ))
         for G in map(fixture_group, ("minus-identity", "a3", "rot3"))
@@ -247,6 +236,10 @@ def _h1_degree_zero_holds() -> bool:
 
 
 def _cmd_cohomology(args) -> int:
+    from .cohomology import cohomology, graded_cohomology, verify_h2_trivial_mod_pi
+    from .fixtures import random_order_p_module, random_trivial_mod_p_module
+    from .poly import GradedRing
+
     if args.verb == "compute":
         if args.group is None:
             raise ValueError("--group is required for 'cohomology compute'")
@@ -295,6 +288,14 @@ def _cmd_cohomology(args) -> int:
 
 
 def _cmd_dedekind(args) -> int:
+    from .quadratic import (
+        NumberRing,
+        class_group,
+        factor_element,
+        parse_element,
+        verify_div_compatibility,
+    )
+
     ring = NumberRing(args.d)
     if args.verb == "factor":
         if args.element is None:
@@ -341,6 +342,19 @@ def _cmd_dedekind(args) -> int:
 
 
 def _cmd_lemma_suite(args) -> int:
+    from .cohomology import cohomology, verify_h2_trivial_mod_pi, verify_pi_annihilates_h1
+    from .domains import Z_local
+    from .fixtures import (
+        DEDEKIND_FIXTURES,
+        fixture_group,
+        random_order_p_module,
+        random_trivial_mod_p_module,
+    )
+    from .groups import sylow_subgroup
+    from .invariants import invariant_basis, transfer
+    from .poly import GradedRing, graded_piece_basis, polynomial_from_vector
+    from .quadratic import NumberRing, class_group, verify_div_compatibility
+
     rng = random.Random(args.seed)
     results: dict[str, bool] = {}
 
@@ -478,6 +492,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Exceptions that mean bad input, besides ValueError, KeyError and OSError,
+# by the module that raises them.
+_USAGE_ERRORS = {
+    "cmcert": ("NotStandardGraded", "NumeratorNotTerminated"),
+    "groups": ("BoundExceeded", "NotSubgroup"),
+    "invariants": ("IndexNotInvertible",),
+    "quadratic": ("BoundTooLarge", "ZeroElement"),
+}
+
+
+def _usage_errors() -> tuple:
+    """The exit-2 exception classes.  A module this process never imported
+    cannot have raised its exceptions, so none is imported here."""
+    found = [ValueError, KeyError, OSError]
+    for module, names in _USAGE_ERRORS.items():
+        loaded = sys.modules.get(f"{__package__}.{module}")
+        if loaded is not None:
+            found += [getattr(loaded, name) for name in names]
+    return tuple(found)
+
+
 def run(argv=None) -> int:
     parser = build_parser()
     try:
@@ -486,18 +521,7 @@ def run(argv=None) -> int:
         return int(exc.code) if exc.code is not None else EXIT_USAGE
     try:
         return args.func(args)
-    except (
-        ValueError,
-        KeyError,
-        OSError,
-        ZeroElement,
-        BoundExceeded,
-        BoundTooLarge,
-        IndexNotInvertible,
-        NotStandardGraded,
-        NotSubgroup,
-        NumeratorNotTerminated,
-    ) as exc:
+    except _usage_errors() as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .domains import CoefficientDomain, Matrix, scalar_mod_p_residue
+from .domains import CoefficientDomain, Matrix, is_prime, scalar_mod_p_residue
 from .groups import MatrixGroup, _p_power_part, cyclic_generator
 from .linalg import IntegerMatrix, integer_kernel_basis, lattice_quotient, rank
 from .poly import GradedRing, action_matrix
@@ -186,8 +186,6 @@ def verify_h2_trivial_mod_pi(M: CyclicModule) -> H2ComparisonReport:
 
 def verify_h1_degree0(G: MatrixGroup, ring: GradedRing) -> bool:
     """H^1 of the trivial rank-one module vanishes for cyclic prime order."""
-    from .domains import is_prime
-
     if not is_prime(G.order):
         raise PreconditionViolated("group must be cyclic of prime order")
     dom = ring.coeff

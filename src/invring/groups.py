@@ -18,6 +18,7 @@ from .domains import (
     mat_identity,
     mat_is_identity,
     mat_mul,
+    parse_domain,
 )
 
 DEFAULT_BOUND = 10_000
@@ -225,8 +226,6 @@ def group_from_json_dict(payload: dict) -> MatrixGroup:
     n x n matrices given as lists of rows, with integer or string entries;
     anything else raises ValueError.
     """
-    from .domains import parse_domain
-
     if not isinstance(payload, dict):
         raise ValueError("group file must hold a JSON object")
     try:

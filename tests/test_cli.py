@@ -335,7 +335,7 @@ def test_internal_error_exits_3(monkeypatch, capsys):
     def broken(ring):
         raise RuntimeError("bookkeeping failed")
 
-    monkeypatch.setattr("invring.cli.class_group", broken)
+    monkeypatch.setattr("invring.quadratic.class_group", broken)
     assert run(["dedekind", "class-group", "--d", "-5"]) == EXIT_INTERNAL
     captured = capsys.readouterr()
     assert captured.out == ""
