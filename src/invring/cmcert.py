@@ -26,7 +26,7 @@ import math
 import random
 from dataclasses import dataclass, field
 
-from .domains import GF, prime_divisors, scalar_mod_p_residue
+from .domains import GF, prime_divisors
 from .groups import MatrixGroup
 from .invariants import (
     TruncatedSubalgebra,
@@ -40,7 +40,7 @@ from .linalg import _insert, _pack, _reduce, rref_mod_p
 from .poly import GradedRing, Polynomial, graded_piece_basis
 
 
-class NotStandardGraded(Exception):
+class NotStandardGraded(ValueError):
     """The algebra is not generated in degree one, so degree-1 parameter
     search does not apply; take a Veronese first."""
 
@@ -49,7 +49,7 @@ class NotStandardGraded(Exception):
         self.degree = degree
 
 
-class NumeratorNotTerminated(Exception):
+class NumeratorNotTerminated(ValueError):
     """The h-numerator has not stabilized to zero inside the truncation."""
 
 
@@ -102,9 +102,7 @@ def reduce_mod_p(S: TruncatedSubalgebra, p: int) -> TruncatedSubalgebra:
     new_bases = []
     for d in range(S.D + 1):
         dim_d = S.piece_dim(d)
-        reduced = [
-            [scalar_mod_p_residue(x, p) for x in row] for row in S.bases[d]
-        ]
+        reduced = [[fp.coerce(x) for x in row] for row in S.bases[d]]
         rows, _ = rref_mod_p(reduced, dim_d, p) if reduced else ((), ())
         if len(rows) != len(S.bases[d]):
             raise RuntimeError(

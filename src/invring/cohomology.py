@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .domains import CoefficientDomain, Matrix, is_prime, scalar_mod_p_residue
+from .domains import GF, CoefficientDomain, Matrix, is_prime
 from .groups import MatrixGroup, _p_power_part, cyclic_generator
 from .linalg import IntegerMatrix, integer_kernel_basis, lattice_quotient, rank
 from .poly import GradedRing, action_matrix
@@ -39,11 +39,11 @@ def _sigma_minus_1(M: CyclicModule) -> IntegerMatrix:
     return _shift(M._numerator, M._delta)
 
 
-class PreconditionViolated(Exception):
+class PreconditionViolated(ValueError):
     """The module does not satisfy the hypothesis of the requested check."""
 
 
-class EigenvaluesNotInField(Exception):
+class EigenvaluesNotInField(ValueError):
     """Some eigenvalue of the action lies outside the fraction field."""
 
 
@@ -138,12 +138,10 @@ def cohomology(M: CyclicModule, i: int) -> CohomologyGroup:
 
 def sigma_trivial_mod_p(M: CyclicModule, p: int) -> bool:
     """True when the action is the identity on the reduction mod p."""
-    for i, row in enumerate(M.sigma):
-        for j, x in enumerate(row):
-            target = 1 if i == j else 0
-            if scalar_mod_p_residue(x, p) != target % p:
-                return False
-    return True
+    fp = GF(p)
+    return all(
+        fp.coerce(x) == int(i == j) for i, row in enumerate(M.sigma) for j, x in enumerate(row)
+    )
 
 
 @dataclass(frozen=True)

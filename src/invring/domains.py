@@ -147,8 +147,10 @@ class CoefficientDomain:
     def parse_scalar(self, text: str) -> Scalar:
         text = text.strip()
         if "/" in text:
-            num, den = text.split("/")
-            return self.coerce(Fraction(int(num), int(den)))
+            num, den = (int(part) for part in text.split("/"))
+            if den == 0:
+                raise ValueError(f"zero denominator in {text!r}")
+            return self.coerce(Fraction(num, den))
         return self.coerce(int(text))
 
     def __str__(self):
@@ -242,11 +244,3 @@ def mat_det(domain: CoefficientDomain, a: Matrix) -> Scalar:
             if f:
                 m[i] = [x - f * y for x, y in zip(m[i], m[col])]
     return domain.coerce(det)
-
-
-def scalar_mod_p_residue(x: Scalar, p: int) -> int:
-    """Residue of a p-integral scalar in F_p; denominator must be coprime to p."""
-    f = Fraction(x)
-    if f.denominator % p == 0:
-        raise ValueError(f"{x} is not p-integral at {p}")
-    return (f.numerator * pow(f.denominator, -1, p)) % p

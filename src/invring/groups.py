@@ -24,11 +24,11 @@ from .domains import (
 DEFAULT_BOUND = 10_000
 
 
-class BoundExceeded(Exception):
+class BoundExceeded(ValueError):
     """Closure grew past the bound; the generated group is infinite or too large."""
 
 
-class NotSubgroup(Exception):
+class NotSubgroup(ValueError):
     """The claimed subgroup is not contained in the ambient group."""
 
 

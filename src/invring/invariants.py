@@ -47,15 +47,15 @@ from .poly import (
 Rows = tuple[tuple, ...]
 
 
-class NotInvertible(Exception):
+class NotInvertible(ValueError):
     """The group order is not a unit in the coefficient domain."""
 
 
-class NotHInvariant(Exception):
+class NotHInvariant(ValueError):
     """The transfer argument is not fixed by the subgroup."""
 
 
-class IndexNotInvertible(Exception):
+class IndexNotInvertible(ValueError):
     """The subgroup index is not a unit in the coefficient domain."""
 
 

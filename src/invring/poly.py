@@ -373,7 +373,10 @@ def parse_polynomial(ring: GradedRing, text: str) -> Polynomial:
                 if i < n and tokens[i] == "/":
                     if i + 1 >= n or not tokens[i + 1].isdigit():
                         raise ValueError("malformed fraction coefficient")
-                    num = num / int(tokens[i + 1])
+                    den = int(tokens[i + 1])
+                    if den == 0:
+                        raise ValueError("zero denominator in fraction coefficient")
+                    num = num / den
                     i += 2
                 coeff *= num
             elif tok in name_index:

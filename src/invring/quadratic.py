@@ -29,11 +29,11 @@ from .groups import element_inverse, enumerate_group
 from .linalg import lattice_canonical, lattice_member
 
 
-class ZeroElement(Exception):
+class ZeroElement(ValueError):
     """Divisors of zero are undefined."""
 
 
-class BoundTooLarge(Exception):
+class BoundTooLarge(ValueError):
     """The ring is outside the desk-scale window for exact enumeration."""
 
 

@@ -1,10 +1,13 @@
 """CLI dispatch, exit codes, and report determinism."""
 
+import importlib
 import json
 import pathlib
+import pkgutil
 
 import pytest
 
+import invring
 from invring.cli import EXIT_CLAIM_FAILED, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, run
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures" / "groups"
@@ -26,6 +29,8 @@ def test_invariants_report(capsys):
         {"degree": 1, "poly": "X + Y"},
         {"degree": 2, "poly": "X*Y"},
     ]
+    assert payload["standard_graded"]["standard"] is False
+    assert payload["standard_graded"]["first_failing_degree"] == 2
     assert payload["version"]
     assert payload["seed"] == 0
     assert payload["group_file_sha256"]
@@ -191,6 +196,7 @@ MALFORMED_GROUPS = {
     "<scalar-generators>": '{"n": 2, "coefficients": "Z", "generators": 5}',
     "<flat-generators>": '{"n": 2, "coefficients": "Z", "generators": [[0, 1], [1, 0]]}',
     "<null-n>": '{"n": null, "coefficients": "Z", "generators": []}',
+    "<zero-denominator>": '{"n": 2, "coefficients": "Q", "generators": [[["1/0", 1], [1, 0]]]}',
 }
 
 
@@ -232,6 +238,7 @@ MALFORMED_GROUPS = {
         (["invariants", "--group", "<scalar-generators>"], "'generators' must be a list"),
         (["invariants", "--group", "<flat-generators>"], "generator [0, 1] is not a list"),
         (["invariants", "--group", "<null-n>"], "field 'n' must be an integer, not null"),
+        (["invariants", "--group", "<zero-denominator>"], "zero denominator in '1/0'"),
         (["cohomology", "periodicity", "--trials", "-1"], "--trials: must be at least 1"),
         (["lemma-suite", "--trials", "-3"], "--trials: must be at least 1"),
         (["dedekind", "div-check", "--d", "-5", "--count", "-2"], "--count: must be at least 1"),
@@ -305,6 +312,7 @@ MALFORMED_GROUPS = {
         "scalar-generators",
         "flat-generators",
         "null-n",
+        "zero-denominator-entry",
         "periodicity-negative-trials",
         "lemma-suite-negative-trials",
         "div-check-negative-count",
@@ -340,6 +348,38 @@ def test_internal_error_exits_3(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "internal error: RuntimeError: bookkeeping failed" in captured.err
+
+
+@pytest.mark.parametrize("error", [KeyError, RuntimeError])
+def test_handler_error_exits_3(error, monkeypatch, capsys):
+    """Only ValueError and OSError mean bad input; a KeyError is a bug."""
+
+    def broken(args):
+        raise error(args.d)
+
+    monkeypatch.setattr("invring.cli._cmd_dedekind", broken)
+    assert run(["dedekind", "class-group", "--d", "-5"]) == EXIT_INTERNAL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"internal error: {error.__name__}: -5" in captured.err
+
+
+def test_library_exceptions_are_value_errors():
+    """run() sends ValueError to exit 2, and library callers catch input
+    errors with except ValueError, so every exception class that an invring
+    module defines must be one."""
+    defined = [
+        cls
+        for info in pkgutil.iter_modules(invring.__path__)
+        for cls in vars(importlib.import_module(f"invring.{info.name}")).values()
+        if isinstance(cls, type)
+        and issubclass(cls, Exception)
+        and cls.__module__ == f"invring.{info.name}"
+    ]
+    assert {"BoundExceeded", "ZeroElement", "PreconditionViolated"} <= {
+        cls.__name__ for cls in defined
+    }
+    assert [cls.__name__ for cls in defined if not issubclass(cls, ValueError)] == []
 
 
 def test_text_and_tsv_formats(capsys):

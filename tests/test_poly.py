@@ -134,6 +134,11 @@ def test_parse_rejects_unknown_symbol():
         parse_polynomial(R2, "X + Q")
 
 
+def test_parse_rejects_zero_denominator():
+    with pytest.raises(ValueError, match="zero denominator"):
+        parse_polynomial(GradedRing(2, QQ), "1/0*X")
+
+
 def test_zlocal_coefficients_enforced():
     ring = GradedRing(2, Z_local(3))
     f = parse_polynomial(ring, "1/2*X")
