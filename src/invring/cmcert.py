@@ -13,6 +13,15 @@ _EXHAUSTIVE_CAP and _SAMPLED_COMBOS), find_sop_mixed takes mixed degrees
 each combination's quotient and returns the first one its acceptance test
 passes; a failed search reports how many combinations it tried.
 
+Before ranking, _search sieves out every combination whose members share a
+zero at one of the F_p-rational points it is given: such a combination is
+no system of parameters at any truncation, since the quotient of the
+ambient ring by it is infinite-dimensional and the ambient ring is finite
+over the invariants.  A sieved combination still counts in tried and
+against the search budget.  find_sop_mixed sieves at every projective point
+of the ambient ring; find_sop_mod_p passes no points and does not sieve yet
+(ROADMAP item 10a), since sieving there would change its answers.
+
 The Gorenstein check is the necessary symmetry condition on the h-numerator
 of the Hilbert series; its report always carries the truncation caveat.
 """
@@ -84,9 +93,13 @@ class CMCertificate:
 
 @dataclass(frozen=True)
 class SopSearchResult:
+    """tried counts the combinations the search went through, sieved or
+    not; ranked counts those whose quotient it ranked."""
+
     found: bool
     thetas: tuple[Polynomial, ...]
     tried: int
+    ranked: int
 
 
 def reduce_mod_p(S: TruncatedSubalgebra, p: int) -> TruncatedSubalgebra:
@@ -217,25 +230,57 @@ def _combination(Sbar: TruncatedSubalgebra, coeffs, basis) -> Polynomial:
     return theta
 
 
-def _search(Sbar: TruncatedSubalgebra, combos, candidate, accept) -> SopSearchResult:
+def _zero_mask(theta: Polynomial, points) -> int:
+    """Bit i set when theta vanishes over F_p at points[i]."""
+    p = theta.ring.coeff.p
+    mask = 0
+    for i, point in enumerate(points):
+        value = sum(
+            c * math.prod(pow(x, e, p) for x, e in zip(point, exps))
+            for exps, c in theta.terms.items()
+        )
+        if value % p == 0:
+            mask |= 1 << i
+    return mask
+
+
+def _search(
+    Sbar: TruncatedSubalgebra, combos, candidate, accept, points
+) -> SopSearchResult:
     """The first combination of candidate keys whose quotient passes accept.
 
-    candidate(key) gives a parameter and its regraded degree; the
-    multiplication images of a candidate are built once and reused by every
-    combination that contains it.  accept sees _quotient's (Hilbert values,
-    ideal spans) of the combination; tried counts the combinations evaluated.
+    candidate(key) gives a parameter and its regraded degree.  A combination
+    whose members all vanish at one of the F_p-rational points is skipped
+    unranked: it has a common zero, so it is no system of parameters.  A
+    candidate's zero mask is built when it first appears, its
+    multiplication images when it first appears in a ranked combination;
+    both are reused by every later combination that contains it.  accept
+    sees _quotient's (Hilbert values, ideal spans) of the combination; tried
+    counts every combination gone through, sieved ones included, and ranked
+    those that were ranked.
     """
     thetas: dict = {}
+    masks: dict = {}
     images: dict = {}
-    tried = 0
+    tried = ranked = 0
+    every_point = (1 << len(points)) - 1
     for tried, combo in enumerate(combos, start=1):
+        common = every_point
+        for key in combo:
+            if key not in thetas:
+                thetas[key] = candidate(key)
+                masks[key] = _zero_mask(thetas[key][0], points)
+            common &= masks[key]
+        if common:
+            continue
+        ranked += 1
         for key in combo:
             if key not in images:
-                thetas[key], k = candidate(key)
-                images[key] = _image_rows(Sbar, thetas[key], k)
+                images[key] = _image_rows(Sbar, *thetas[key])
         if accept(_quotient(Sbar, [images[key] for key in combo])):
-            return SopSearchResult(True, tuple(thetas[key] for key in combo), tried)
-    return SopSearchResult(False, (), tried)
+            found = tuple(thetas[key][0] for key in combo)
+            return SopSearchResult(True, found, tried, ranked)
+    return SopSearchResult(False, (), tried, ranked)
 
 
 _EXHAUSTIVE_CAP = 20_000
@@ -251,7 +296,8 @@ def find_sop_mod_p(Sbar: TruncatedSubalgebra, dim: int, seed: int = 0) -> SopSea
     the ordered dim-tuples of candidates number at most _EXHAUSTIVE_CAP,
     every combination is tried in deterministic order; otherwise
     _SAMPLED_COMBOS seeded random combinations are drawn and each distinct
-    one is tried once.
+    one is tried once.  No combination is sieved for a common zero yet
+    (ROADMAP item 10a): every one tried is ranked.
     """
     _require_prime_field(Sbar)
     _require_standard_graded(Sbar)
@@ -269,7 +315,11 @@ def find_sop_mod_p(Sbar: TruncatedSubalgebra, dim: int, seed: int = 0) -> SopSea
             for _ in range(_SAMPLED_COMBOS)
         )
     return _search(
-        Sbar, combos, lambda i: (candidates[i], 1), lambda quotient: 0 in quotient[0]
+        Sbar,
+        combos,
+        lambda i: (candidates[i], 1),
+        lambda quotient: 0 in quotient[0],
+        (),
     )
 
 
@@ -347,7 +397,9 @@ def find_sop_mixed(Sbar: TruncatedSubalgebra, dim: int, seed: int = 0) -> SopSea
     Degree multisets are visited by total degree; within one, combinations
     of the sparsest candidates are tried exhaustively up to
     _MIXED_COMBO_CAP, else that many are sampled with a seeded generator,
-    and the whole search stops after _MIXED_EVAL_BUDGET evaluations.  The
+    and the whole search stops after _MIXED_EVAL_BUDGET combinations.  A
+    combination whose members share a zero at a projective F_p-rational
+    point is not ranked, but counts in tried and against that budget.  The
     minimal generators of Sbar that the window test needs are computed
     once, at the first combination whose quotient has a zero tail.
     """
@@ -402,6 +454,7 @@ def find_sop_mixed(Sbar: TruncatedSubalgebra, dim: int, seed: int = 0) -> SopSea
         itertools.islice(combos(), _MIXED_EVAL_BUDGET),
         lambda key: (per_degree[key[0]][key[1]], key[0]),
         accept,
+        tuple(_projective_patterns(Sbar.domain.p, Sbar.ambient.nvars)),
     )
 
 
@@ -411,12 +464,14 @@ def cm_certificate(
     seed: int = 0,
     mixed: bool = False,
 ) -> dict[int, CMCertificate]:
-    """Per-prime certificates for a standard graded truncated algebra over Z.
+    """Per-prime certificates for a truncated algebra over Z.
 
-    Only primes dividing the group order are checked; any other prime is
-    certified vacuously, since the group order is invertible there.  With
-    mixed=True the standard-graded gate is dropped and parameters may carry
-    mixed homogeneous degrees.
+    Without mixed the algebra must be standard graded through D
+    (NotStandardGraded otherwise) and the parameters have degree 1; with
+    mixed=True that gate is dropped and the parameters may carry mixed
+    homogeneous degrees.  Only primes dividing the group order are checked;
+    any other prime is certified vacuously, since the group order is
+    invertible there.
     """
     if not mixed:
         _require_standard_graded(S)

@@ -9,7 +9,11 @@ import pytest
 from invring.cmcert import (
     _EXHAUSTIVE_CAP,
     _SAMPLED_COMBOS,
+    _candidates_of_degree,
+    _MIXED_CANDIDATE_CAP,
     _nth_combination,
+    _projective_patterns,
+    _zero_mask,
     NotStandardGraded,
     NumeratorNotTerminated,
     cm_certificate,
@@ -21,14 +25,15 @@ from invring.cmcert import (
     regular_sequence_certificate,
     veronese_cm_search,
 )
-from invring.domains import GF, QQ, ZZ
-from invring.groups import enumerate_group, trivial_group
+from invring.domains import GF, QQ, ZZ, prime_divisors
+from invring.fixtures import fixture_group
+from invring.groups import enumerate_group, sylow_subgroup, trivial_group
 from invring.invariants import (
     hilbert_function,
     truncated_invariant_ring,
     veronese,
 )
-from invring.poly import GradedRing
+from invring.poly import GradedRing, act, parse_polynomial
 
 R2 = GradedRing(2, ZZ)
 MINUS_I = enumerate_group([[[-1, 0], [0, -1]]], ZZ)
@@ -208,6 +213,19 @@ MIXED_TRAJECTORIES = {
     (3, 4): (False, 2000, ()),
 }
 
+# Combinations of each MIXED_TRAJECTORIES search that reached the rank; the
+# rest share a zero at an F_p-rational point and are sieved out unranked.
+MIXED_RANKED = {
+    (2, 1): 1,
+    (2, 2): 1,
+    (2, 3): 0,
+    (2, 4): 403,
+    (3, 1): 1,
+    (3, 2): 1100,
+    (3, 3): 1712,
+    (3, 4): 0,
+}
+
 
 # (Veronese index, prime) -> (found, tried, parameters) of each
 # find_sop_mod_p call behind veronese_cm_search (D = 12, l = 1..6); indices
@@ -257,8 +275,6 @@ def test_find_sop_mod_p_pinned_trajectory(name, monkeypatch):
 @pytest.mark.parametrize("p", [2, 3])
 def test_find_sop_mixed_pinned_trajectory(p):
     from invring.cmcert import _MIXED_EVAL_BUDGET
-    from invring.fixtures import fixture_group
-    from invring.groups import sylow_subgroup
 
     assert _MIXED_EVAL_BUDGET == 6000
     SH = truncated_invariant_ring(
@@ -268,6 +284,103 @@ def test_find_sop_mixed_pinned_trajectory(p):
         res = find_sop_mixed(reduce_mod_p(veronese(SH, l), p), 3)
         got = (res.found, res.tried, tuple(str(t) for t in res.thetas))
         assert got == MIXED_TRAJECTORIES[p, l], (p, l)
+        assert res.ranked == MIXED_RANKED[p, l], (p, l)
+
+
+def _vanishes_at(theta, point) -> bool:
+    """theta(point) == 0, by the substitution X_j -> point[j] * X_1."""
+    n = theta.ring.nvars
+    g = [list(point)] + [[0] * n for _ in range(n - 1)]
+    return act(g, theta).is_zero()
+
+
+ROT3_L5_PAIR = (
+    "X^4*Y + 2*X^3*Y^2 + 2*X^2*Y^3 + X*Y^4",
+    "X^5 + 2*X^3*Y^2 + X*Y^4 + 2*Y^5",
+)
+
+
+def test_zero_mask_rot3_pair_shares_a_rational_zero():
+    # the pair find_sop_mod_p accepts at rot3, l = 5, p = 3 (ROADMAP item 10):
+    # both are multiples of X^2 + X*Y + Y^2, which vanishes at (1 : 1)
+    ring = GradedRing(2, GF(3))
+    points = tuple(_projective_patterns(3, 2))
+    assert points == ((0, 1), (1, 0), (1, 1), (1, 2))
+    first, second = (parse_polynomial(ring, text) for text in ROT3_L5_PAIR)
+    assert _zero_mask(first, points) == 0b1111
+    assert _zero_mask(second, points) == 0b100
+    assert _zero_mask(first, points) & _zero_mask(second, points) == 1 << points.index((1, 1))
+
+
+def test_zero_mask_s3_degree_four_no_rational_common_zero():
+    # e1^4, e2^2, e1*e3 vanish together only at (1 : zeta : zeta^2), zeta a
+    # primitive cube root of unity, which lies over F_4 and not over F_2
+    ring = GradedRing(3, GF(2))
+    points = tuple(_projective_patterns(2, 3))
+    assert len(points) == 7
+    e1 = parse_polynomial(ring, "X + Y + Z")
+    e2 = parse_polynomial(ring, "X*Y + X*Z + Y*Z")
+    e3 = parse_polynomial(ring, "X*Y*Z")
+    masks = [_zero_mask(theta, points) for theta in (e1**4, e2**2, e1 * e3)]
+    assert all(masks)
+    assert masks[0] & masks[1] & masks[2] == 0
+
+
+def test_zero_mask_matches_substitution_on_sylow3_cell():
+    # every candidate find_sop_mixed builds on the S3 Sylow-3 cell l = 2
+    SH = truncated_invariant_ring(
+        sylow_subgroup(fixture_group("s3"), 3), GradedRing(3, ZZ), 8
+    )
+    Sbar = reduce_mod_p(veronese(SH, 2), 3)
+    points = tuple(_projective_patterns(3, 3))
+    assert len(points) == 13
+    checked = 0
+    for k in range(1, Sbar.D):
+        for theta in _candidates_of_degree(Sbar, k, _MIXED_CANDIDATE_CAP):
+            expected = sum(1 << i for i, v in enumerate(points) if _vanishes_at(theta, v))
+            assert _zero_mask(theta, points) == expected, str(theta)
+            checked += 1
+    assert checked == 275
+
+
+def test_find_sop_mixed_sieves_rot3_common_zero():
+    # an unsieved search accepts ROT3_L5_PAIR here after one combination;
+    # all 6 pairs of the 4 degree-1 candidates vanish at (1 : 1)
+    S = truncated_invariant_ring(fixture_group("rot3"), R2, 12)
+    res = find_sop_mixed(reduce_mod_p(veronese(S, 5), 3), 2)
+    assert (res.found, res.tried, res.ranked) == (False, 6, 0)
+
+
+def _criterion_cells():
+    """(label, reduced algebra) of the Veronese cells of criterion 06 at
+    every prime dividing the group order, and of criterion 07 for S3 and
+    for its Sylow subgroups."""
+    for name in ("minus-identity", "swap", "rot3", "rot4"):
+        G = fixture_group(name)
+        S = truncated_invariant_ring(G, R2, 12)
+        for l in range(1, 7):
+            for p in prime_divisors(G.order):
+                yield f"06 {name} l={l} p={p}", reduce_mod_p(veronese(S, l), p)
+    ring = GradedRing(3, ZZ)
+    G = fixture_group("s3")
+    SG = truncated_invariant_ring(G, ring, 8)
+    for p in (2, 3):
+        SH = truncated_invariant_ring(sylow_subgroup(G, p), ring, 8)
+        for l in range(1, 5):
+            yield f"07 H p={p} l={l}", reduce_mod_p(veronese(SH, l), p)
+            yield f"07 G p={p} l={l}", reduce_mod_p(veronese(SG, l), p)
+
+
+def test_find_sop_mixed_systems_have_no_common_rational_zero():
+    found = 0
+    for label, Sbar in _criterion_cells():
+        n = Sbar.ambient.nvars
+        res = find_sop_mixed(Sbar, n)
+        if res.found:
+            found += 1
+            for v in _projective_patterns(Sbar.domain.p, n):
+                assert not all(_vanishes_at(t, v) for t in res.thetas), (label, v)
+    assert found == 24
 
 
 def test_nth_combination_matches_itertools_order():
