@@ -1,14 +1,20 @@
 """Degree-truncated invariant rings and Veronese subrings.
 
 Per-degree bases of the fixed subspace (R_d)^G are computed as the kernel of
-the stacked generator constraints; over Z that kernel is automatically a
-saturated lattice, so the basis generates the invariants exactly rather than
-a finite-index sublattice.  On top of the bases live the Reynolds and
-transfer maps, Hilbert functions, and one generator walk behind both minimal
-generators and standard-gradedness: a product of generators of degree d is a
-generator of some degree k times a product of degree d - k, so the walk spans
-degree d from those and adds generators where that span falls short of the
-basis.  The ring is standard graded through D when none is added above 1.
+the generator constraints g - I, taken per connected block: the system is
+block diagonal up to permuting rows and columns, its kernel is the direct
+sum of the block kernels, and the block rows in Hermite form (RREF over F_p)
+merged by pivot are the unique Hermite form (RREF) of the whole kernel.
+Over Z that kernel is automatically a saturated lattice, so the basis
+generates the invariants exactly rather than a finite-index sublattice.  For
+a monomial group the blocks are the monomial orbits.
+
+On top of the bases live the Reynolds and transfer maps, Hilbert functions,
+and one generator walk behind both minimal generators and
+standard-gradedness: a product of generators of degree d is a generator of
+some degree k times a product of degree d - k, so the walk spans degree d
+from those and adds generators where that span falls short of the basis.
+The ring is standard graded through D when none is added above 1.
 
 Spans are kept as reduced echelon rows over F_p and as integer lattices in
 Hermite form over Z, Q and Z localized at p, whose vectors are scaled by
@@ -22,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from math import lcm, prod
 
 from .domains import CoefficientDomain
@@ -132,11 +139,54 @@ def span_complement(domain: CoefficientDomain, sub: Rows, sup: Rows) -> list[tup
 # invariant bases
 
 
+def _constraint_blocks(n: int, constraints) -> list[tuple[list[int], list[list]]]:
+    """Connected blocks of constraint rows on n columns.
+
+    constraints holds pairs (i, row) with row the i-th row of some g - I.
+    One pass over each row's support joins index i and every column in that
+    support (union-find), so each row lies inside one block and the system
+    is block diagonal up to permuting rows and columns.  Returns per block
+    its columns in ascending order and its nonzero rows restricted to them,
+    blocks ordered by first column; a column no row touches is a block of
+    its own without rows.
+    """
+    parent = list(range(n))
+
+    def find(j: int) -> int:
+        while parent[j] != j:
+            parent[j] = j = parent[parent[j]]
+        return j
+
+    kept = []
+    for i, row in constraints:
+        support = list(compress(range(n), row))  # entries are canonical
+        if support:
+            kept.append((i, row))
+            root = find(i)
+            for j in support:
+                parent[find(j)] = root
+    blocks: dict[int, tuple[list[int], list[list]]] = {}
+    for j in range(n):
+        blocks.setdefault(find(j), ([], []))[0].append(j)
+    for i, row in kept:
+        cols, rows = blocks[find(i)]
+        rows.append([row[j] for j in cols])
+    return list(blocks.values())
+
+
 def invariant_basis(G: MatrixGroup, ring: GradedRing, d: int) -> Rows:
     """Canonical basis of the degree-d invariants (R_d)^G.
 
     Returned rows are coefficient vectors over the deglex monomial basis.
     Over Z and Z_(p) the rows span the saturated invariant lattice.
+
+    The kernel is taken per connected block of the constraints g - I.  The
+    kernel of a block-diagonal system is the direct sum of the block
+    kernels, and a direct sum of saturated lattices is saturated.  Block
+    rows in Hermite form (RREF over F_p), embedded and ordered by pivot,
+    are in Hermite form (RREF) as a whole: entries above a pivot from
+    another block are 0.  That form is unique, so the rows are those of
+    the kernel of the whole stacked system.
     """
     piece = graded_piece_basis(ring, d)
     n = piece.dim
@@ -144,20 +194,27 @@ def invariant_basis(G: MatrixGroup, ring: GradedRing, d: int) -> Rows:
         return ()
     domain = ring.coeff
     gens = G.generators if G.generators else G.elements
-    constraint_rows: list[list] = []
+    constraints: list[tuple[int, list]] = []
     for g in gens:
-        a = action_matrix(ring, g, d)
-        for i in range(n):
-            row = list(a[i])
+        for i, row in enumerate(action_matrix(ring, g, d)):
+            row = list(row)
             row[i] = domain.sub(row[i], domain.one)
-            if any(row):  # entries are canonical, so only zero is falsy
-                constraint_rows.append(row)
-    if domain.tag == "Fp":
-        return kernel_mod_p(
-            [[int(x) for x in row] for row in constraint_rows], n, domain.p
-        )
-    int_rows = _integerize_rows(constraint_rows)
-    return integer_kernel_basis(IntegerMatrix(int_rows, cols=n)).data
+            constraints.append((i, row))
+    pivoted: list[tuple[int, tuple]] = []
+    for cols, rows in _constraint_blocks(n, constraints):
+        if domain.tag == "Fp":
+            kernel = kernel_mod_p([[int(x) for x in r] for r in rows], len(cols), domain.p)
+        else:
+            kernel = integer_kernel_basis(
+                IntegerMatrix(_integerize_rows(rows), cols=len(cols))
+            ).data
+        for k in kernel:
+            v = [0] * n
+            for j, x in zip(cols, k):
+                v[j] = x
+            pivoted.append((cols[next(t for t, x in enumerate(k) if x)], tuple(v)))
+    pivoted.sort()  # pivots are distinct, so only they are compared
+    return tuple(v for _, v in pivoted)
 
 
 def trace_average_invariant_count(G: MatrixGroup, ring: GradedRing, d: int) -> Fraction:

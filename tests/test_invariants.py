@@ -14,6 +14,8 @@ from invring.invariants import (
     NotHInvariant,
     NotInvertible,
     StandardGradedReport,
+    _constraint_blocks,
+    _integerize_rows,
     canonical_span,
     hilbert_function,
     invariant_basis,
@@ -28,10 +30,11 @@ from invring.invariants import (
     truncated_invariant_ring,
     veronese,
 )
-from invring.linalg import lattice_solve
+from invring.linalg import IntegerMatrix, integer_kernel_basis, kernel_mod_p, lattice_solve
 from invring.poly import (
     GradedRing,
     act,
+    action_matrix,
     graded_piece_basis,
     parse_polynomial,
     polynomial_from_vector,
@@ -451,3 +454,133 @@ def test_invariant_basis_over_zlocal_matches_z():
     rl = GradedRing(3, Z_local(3))
     for d in range(5):
         assert invariant_basis(Gz, rz, d) == invariant_basis(Gl, rl, d)
+
+
+# ---------------------------------------------------------------------------
+# per-block kernels against the kernel of the whole stacked system
+
+DOMAINS = [ZZ, QQ, GF(2), GF(3), GF(5), Z_local(2), Z_local(3)]
+# Weyl group of A3 on its root lattice: simple reflections, not monomial
+W_A3_GENS = [
+    [[-1, 1, 0], [0, 1, 0], [0, 0, 1]],
+    [[1, 0, 0], [1, -1, 1], [0, 0, 1]],
+    [[1, 0, 0], [0, 1, 0], [0, 1, -1]],
+]
+HALF_SWAP_GENS = [[[0, 2], [Fraction(1, 2), 0]]]  # non-unit scalars over Q
+ROT3_PLUS_ONE_GENS = [[[0, -1, 0], [1, -1, 0], [0, 0, 1]]]  # diag(rot3, 1)
+
+
+def _constraints(G, ring, d):
+    """Pairs (i, row i of g - I) for every generator g, zero rows included."""
+    dom = ring.coeff
+    out = []
+    for g in G.generators or G.elements:
+        for i, row in enumerate(action_matrix(ring, g, d)):
+            row = list(row)
+            row[i] = dom.sub(row[i], dom.one)
+            out.append((i, row))
+    return out
+
+
+def _stacked_kernel(G, ring, d):
+    """Reference: one kernel of all constraint rows stacked, taken whole."""
+    n = graded_piece_basis(ring, d).dim
+    if n == 0:
+        return ()
+    rows = [row for _, row in _constraints(G, ring, d)]
+    if ring.coeff.tag == "Fp":
+        return kernel_mod_p([[int(x) for x in r] for r in rows], n, ring.coeff.p)
+    return integer_kernel_basis(IntegerMatrix(_integerize_rows(rows), cols=n)).data
+
+
+@pytest.mark.parametrize("dom", DOMAINS, ids=str)
+def test_block_kernels_match_stacked_kernel_on_fixtures(dom):
+    for name in fixture_group_names():
+        G = fixture_group(name, dom)
+        ring = GradedRing(G.n, dom)
+        for d in range(11):
+            assert invariant_basis(G, ring, d) == _stacked_kernel(G, ring, d), (name, d)
+
+
+@pytest.mark.parametrize(
+    "gens, dom, D",
+    [
+        (S4_GENS, ZZ, 6),
+        (S4_GENS, GF(3), 6),
+        (B3_GENS, ZZ, 8),
+        (B3_GENS, GF(3), 8),
+        (W_A3_GENS, ZZ, 6),
+        (W_A3_GENS, QQ, 6),
+        (W_A3_GENS, GF(3), 6),
+        (W_A3_GENS, Z_local(3), 6),
+        (HALF_SWAP_GENS, QQ, 8),
+        (HALF_SWAP_GENS, GF(3), 8),
+        (HALF_SWAP_GENS, Z_local(3), 8),
+    ],
+    ids=[
+        "S4-Z", "S4-F3", "B3-Z", "B3-F3", "WA3-Z", "WA3-Q", "WA3-F3", "WA3-Z_(3)",
+        "half-swap-Q", "half-swap-F3", "half-swap-Z_(3)",
+    ],
+)
+def test_block_kernels_match_stacked_kernel(gens, dom, D):
+    G = enumerate_group(gens, dom)
+    ring = GradedRing(G.n, dom)
+    for d in range(D + 1):
+        assert invariant_basis(G, ring, d) == _stacked_kernel(G, ring, d), d
+
+
+def test_block_rows_merge_in_pivot_order():
+    """Under diag(rot3, 1) the blocks are the monomials with one power of Z,
+    and from degree 6 on some carry two or more kernel rows, so rows of
+    different blocks interleave in pivot order."""
+    G = enumerate_group(ROT3_PLUS_ONE_GENS, ZZ)
+    ring = GradedRing(3, ZZ)
+    for d in range(9):
+        piece = graded_piece_basis(ring, d)
+        blocks = _constraint_blocks(piece.dim, _constraints(G, ring, d))
+        assert sorted(sorted({piece.monomials[j][2] for j in cols}) for cols, _ in blocks) == [
+            [c] for c in range(d + 1)
+        ]
+        assert invariant_basis(G, ring, d) == _stacked_kernel(G, ring, d), d
+
+
+def _partitions_into_at_most(d, parts):
+    return sum(
+        1
+        for c in itertools.combinations_with_replacement(range(d + 1), parts)
+        if sum(c) == d
+    )
+
+
+def test_s4_blocks_are_monomial_orbits():
+    """S4 permutes the monomials of degree d, with one orbit per partition
+    of d into at most 4 parts, and each orbit is one connected block."""
+    G = enumerate_group(S4_GENS, ZZ)
+    ring = GradedRing(4, ZZ)
+    for d in range(8):
+        n = graded_piece_basis(ring, d).dim
+        blocks = _constraint_blocks(n, _constraints(G, ring, d))
+        assert len(blocks) == _partitions_into_at_most(d, 4), d
+        assert sorted(j for cols, _ in blocks for j in cols) == list(range(n))
+
+
+def test_block_without_rows_contributes_its_unit_vector():
+    G = fixture_group("s3")
+    ring = GradedRing(3, ZZ)
+    piece = graded_piece_basis(ring, 3)
+    xyz = piece.index((1, 1, 1))
+    blocks = _constraint_blocks(piece.dim, _constraints(G, ring, 3))
+    assert ([xyz], []) in blocks
+    unit = tuple(int(j == xyz) for j in range(piece.dim))
+    assert unit in invariant_basis(G, ring, 3)
+
+
+def test_constraint_blocks_join_index_and_support():
+    # rows over 5 columns: 0 - 2 joined by row 0, 3 by its own row, 1 and 4 untouched
+    constraints = [(0, [1, 0, -1, 0, 0]), (3, [0, 0, 0, 2, 0]), (4, [0, 0, 0, 0, 0])]
+    assert _constraint_blocks(5, constraints) == [
+        ([0, 2], [[1, -1]]),
+        ([1], []),
+        ([3], [[2]]),
+        ([4], []),
+    ]
