@@ -4,6 +4,11 @@ Per-degree monomial bases in a fixed deglex order (degree, then descending
 lexicographic exponent), an exact linear substitution action of square
 matrices on polynomials, and the induced matrix of that action on each
 graded piece.  Every variable has degree 1.
+
+Products of polynomials and the action matrices do their arithmetic in
+plain ints and Fractions, reduced mod p once at the end over F_p, rather
+than through the domain's per-scalar methods.  The monomial bases
+and the index tables of the action matrices are cached per (nvars, degree).
 """
 
 from __future__ import annotations
@@ -12,6 +17,8 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
+from operator import add
 
 from .domains import CoefficientDomain, Matrix, Scalar
 
@@ -40,6 +47,8 @@ class GradedRing:
         return _default_names(self.nvars)
 
     def variable(self, i: int) -> "Polynomial":
+        if not 0 <= i < self.nvars:
+            raise ValueError(f"no variable {i} in {self.nvars} variables")
         exps = tuple(1 if j == i else 0 for j in range(self.nvars))
         return Polynomial(self, {exps: self.coeff.one})
 
@@ -91,11 +100,40 @@ def _piece_cached(nvars: int, d: int) -> GradedPiece:
     return GradedPiece(degree=d, monomials=tuple(_monomials_of_degree(nvars, d)))
 
 
+@lru_cache(maxsize=None)
+def _step_table(nvars: int, k: int):
+    """Index tables for one degree-k step of action_matrix, k >= 1.
+
+    steps[t] = (j, s): X_j is the first variable dividing the t-th monomial
+    x^m of degree k, and s is the index of x^m / X_j in degree k - 1.
+    times_var[a][i] is the degree-k index of X_i times the a-th monomial of
+    degree k - 1.
+    """
+    piece = _piece_cached(nvars, k)
+    lower = _piece_cached(nvars, k - 1)
+    index = piece._positions
+    times_var = tuple(
+        tuple(index[e[:i] + (e[i] + 1,) + e[i + 1:]] for i in range(nvars))
+        for e in lower.monomials
+    )
+    steps = []
+    for m in piece.monomials:
+        j = next(i for i, mi in enumerate(m) if mi)
+        steps.append((j, lower._positions[m[:j] + (m[j] - 1,) + m[j + 1:]]))
+    return tuple(steps), times_var
+
+
 def graded_piece_basis(ring: GradedRing, d: int) -> GradedPiece:
     """Monomial basis of the degree-d piece, descending lex within the degree."""
     if d < 0:
         raise ValueError("degree must be nonnegative")
     return _piece_cached(ring.nvars, d)
+
+
+def _scaled_to_ints(terms):
+    """(D, {e: c * D}) with D the lcm of the denominators of the coefficients."""
+    den = lcm(*(c.denominator for c in terms.values()))
+    return den, {e: c.numerator * (den // c.denominator) for e, c in terms.items()}
 
 
 class Polynomial:
@@ -106,6 +144,14 @@ class Polynomial:
     def __init__(self, ring: GradedRing, terms: dict[Exponent, Scalar]):
         self.ring = ring
         self.terms = {e: c for e, c in terms.items() if not ring.coeff.is_zero(c)}
+
+    @classmethod
+    def _from_nonzero(cls, ring: GradedRing, terms: dict[Exponent, Scalar]) -> "Polynomial":
+        """A polynomial whose terms are already canonical and nonzero."""
+        f = cls.__new__(cls)
+        f.ring = ring
+        f.terms = terms
+        return f
 
     def _sorted_terms(self):
         return sorted(
@@ -145,14 +191,33 @@ class Polynomial:
         return Polynomial(self.ring, {e: dom.neg(c) for e, c in self.terms.items()})
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
+        """Product, summed in plain ints without per-term domain calls.
+
+        Over Q and Z_(p) the sums run on integer numerators over each
+        factor's common denominator, divided out once at the end; over F_p
+        they are reduced mod p once at the end.
+        """
         dom = self.ring.coeff
-        out: dict[Exponent, Scalar] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                prod = dom.mul(c1, c2)
-                out[e] = dom.add(out.get(e, dom.zero), prod)
-        return Polynomial(self.ring, out)
+        left, right, den = self.terms, other.terms, 1
+        if dom.tag in ("Q", "Zlocal"):
+            d1, left = _scaled_to_ints(left)
+            d2, right = _scaled_to_ints(right)
+            den = d1 * d2
+        out: dict[Exponent, int] = {}
+        get = out.get
+        right_items = right.items()
+        for e1, c1 in left.items():
+            for e2, c2 in right_items:
+                e = tuple(map(add, e1, e2))
+                out[e] = get(e, 0) + c1 * c2
+        if dom.tag == "Fp":
+            p = dom.p
+            terms = {e: r for e, v in out.items() if (r := v % p)}
+        elif dom.tag == "Z":
+            terms = {e: v for e, v in out.items() if v}
+        else:
+            terms = {e: Fraction(v, den) for e, v in out.items() if v}
+        return Polynomial._from_nonzero(self.ring, terms)
 
     def scale(self, c) -> "Polynomial":
         dom = self.ring.coeff
@@ -160,6 +225,8 @@ class Polynomial:
         return Polynomial(self.ring, {e: dom.mul(c, v) for e, v in self.terms.items()})
 
     def __pow__(self, n: int) -> "Polynomial":
+        if n < 0:
+            raise ValueError("polynomial powers need a nonnegative exponent")
         result = self.ring.constant(1)
         base = self
         while n:
@@ -195,9 +262,13 @@ class Polynomial:
 
 
 def polynomial_from_vector(ring: GradedRing, piece: GradedPiece, vec) -> Polynomial:
-    return Polynomial(
+    """The polynomial with coefficient vector vec on the monomials of piece."""
+    if len(vec) != piece.dim:
+        raise ValueError(f"vector of length {len(vec)} for a piece of dimension {piece.dim}")
+    coerce = ring.coeff.coerce
+    return Polynomial._from_nonzero(
         ring,
-        {m: ring.coeff.coerce(c) for m, c in zip(piece.monomials, vec)},
+        {m: v for m, c in zip(piece.monomials, vec) if c and (v := coerce(c))},
     )
 
 
@@ -252,8 +323,9 @@ def action_matrix(ring: GradedRing, g: Matrix, d: int) -> Matrix:
     The images are built degree by degree: with X_j the first variable
     dividing x^m, the image of x^m is the image of x^(m - e_j) times the form
     L_j = sum_i g[i][j] X_i.  The products run in plain ints and Fractions
-    (reduced mod p over F_p) on monomial indices, and the entries enter the
-    domain once, at the end.
+    (reduced mod p once per image over F_p) on monomial indices, and the
+    entries enter the domain once, at the end.  The index tables of each
+    step come from _step_table, cached per (nvars, degree) like the pieces.
     """
     n = ring.nvars
     if len(g) != n or any(len(row) != n for row in g):
@@ -269,19 +341,11 @@ def action_matrix(ring: GradedRing, g: Matrix, d: int) -> Matrix:
                 form.append((i, c.numerator if c.denominator == 1 else c))
         forms.append(form)
     images = [{0: 1}]  # images of the degree-0 monomials, keyed by index
-    lower = graded_piece_basis(ring, 0)
     for k in range(1, d + 1):
-        piece = graded_piece_basis(ring, k)
-        index = piece._positions
-        # times_var[a][i]: index of x^(a-th monomial of degree k - 1) * X_i
-        times_var = [
-            [index[e[:i] + (e[i] + 1,) + e[i + 1:]] for i in range(n)]
-            for e in lower.monomials
-        ]
+        steps, times_var = _step_table(n, k)
         nxt = []
-        for m in piece.monomials:
-            j = next(i for i, mi in enumerate(m) if mi)
-            src = images[lower._positions[m[:j] + (m[j] - 1,) + m[j + 1:]]]
+        for j, s in steps:
+            src = images[s]
             form = forms[j]
             img: dict[int, Scalar] = {}
             for a, c in src.items():
@@ -293,7 +357,7 @@ def action_matrix(ring: GradedRing, g: Matrix, d: int) -> Matrix:
                 nxt.append({t: v for t, v in img.items() if v})
             else:
                 nxt.append({t: r for t, v in img.items() if (r := v % p)})
-        images, lower = nxt, piece
+        images = nxt
     # ints already are Z and F_p scalars; Q and Z_(p) hold Fractions
     convert = dom.coerce if dom.tag in ("Q", "Zlocal") else None
     zero = dom.zero

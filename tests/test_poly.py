@@ -10,6 +10,7 @@ from invring.domains import GF, QQ, ZZ, Z_local
 from invring.poly import (
     GradedRing,
     Polynomial,
+    _step_table,
     act,
     action_matrix,
     format_polynomial,
@@ -43,6 +44,31 @@ def test_multiply():
     assert (X + Y) * (X + Y) == X * X + (X * Y).scale(2) + Y * Y
     assert (X - Y) * (X + Y) == X * X - Y * Y
     assert (X * Y) * R2.zero_poly == R2.zero_poly
+
+
+def test_pow_negative_exponent_raises():
+    X = R2.variable(0)
+    assert X ** 0 == R2.constant(1)
+    assert (X + R2.variable(1)) ** 3 == (X + R2.variable(1)) * (X + R2.variable(1)) ** 2
+    with pytest.raises(ValueError, match="nonnegative"):
+        X ** -1
+
+
+@pytest.mark.parametrize("i", [-1, 2, 5])
+def test_variable_out_of_range_raises(i):
+    with pytest.raises(ValueError, match="no variable"):
+        R2.variable(i)
+
+
+def test_polynomial_from_vector_checks_length():
+    piece = graded_piece_basis(R2, 2)
+    for vec in ((1, 2), (1, 2, 3, 4)):
+        with pytest.raises(ValueError, match="length"):
+            polynomial_from_vector(R2, piece, vec)
+    assert polynomial_from_vector(R2, piece, (1, 0, -2)) == parse_polynomial(R2, "X^2 - 2*Y^2")
+    f3 = GradedRing(2, GF(3))
+    f = polynomial_from_vector(f3, graded_piece_basis(f3, 1), (3, -2))
+    assert f.terms == {(0, 1): 1}  # 3 is zero in F_3 and leaves no term
 
 
 def test_act_examples():
@@ -153,7 +179,80 @@ def test_fp_coefficients_reduce():
     assert f.terms == {(1, 0): 2}
 
 
+# -- products against per-term domain arithmetic ------------------------------
+
+
+def _reference_mul(f, g):
+    """f * g with every product and sum through the domain's own methods."""
+    dom = f.ring.coeff
+    out = {}
+    for e1, c1 in f.terms.items():
+        for e2, c2 in g.terms.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            out[e] = dom.add(out.get(e, dom.zero), dom.mul(c1, c2))
+    return {e: c for e, c in out.items() if not dom.is_zero(c)}
+
+
+def _assert_canonical(f):
+    dom = f.ring.coeff
+    for c in f.terms.values():
+        assert c != 0
+        if dom.tag == "Fp":
+            assert type(c) is int and 0 <= c < dom.p
+        elif dom.tag == "Z":
+            assert type(c) is int
+        else:
+            assert type(c) is Fraction
+
+
+def _random_polynomial(rng, ring, nterms, max_exp):
+    """Few exponents over few variables, so products collide often."""
+    dom = ring.coeff
+    terms = {}
+    for _ in range(nterms):
+        e = tuple(rng.randint(0, max_exp) for _ in range(ring.nvars))
+        terms[e] = dom.coerce(_random_entry(rng, dom))
+    return Polynomial(ring, terms)
+
+
+@pytest.mark.parametrize("dom", [ZZ, QQ, GF(2), GF(3), GF(5), Z_local(3)], ids=str)
+def test_mul_matches_per_term_reference(dom):
+    rng = random.Random(f"mul-{dom}")
+    cases = []
+    for n in (1, 2, 3):
+        ring = GradedRing(n, dom)
+        for _ in range(25):
+            f = _random_polynomial(rng, ring, rng.randint(0, 6), 2)
+            g = _random_polynomial(rng, ring, rng.randint(0, 6), 2)
+            cases.append((f, g))
+    ring = GradedRing(2, dom)
+    X, Y = ring.variable(0), ring.variable(1)
+    cases.append((X - Y, X + Y))  # the X*Y terms cancel
+    cases.append((ring.zero_poly, X + Y))
+    if dom.tag == "Fp":
+        # (X + Y)^p = X^p + Y^p: the binomial coefficients wrap to zero mod p
+        p = dom.p
+        power = (X + Y) ** p
+        assert power.terms == {(p, 0): 1, (0, p): 1}
+        cases.append(((X + Y) ** (p - 1), X + Y))
+        cases.append((X.scale(p - 1) + Y.scale(p - 1), X.scale(p - 1) + Y))  # wraps
+    for f, g in cases:
+        got = f * g
+        assert got.terms == _reference_mul(f, g), (f, g)
+        _assert_canonical(got)
+
+
 # -- action matrices against the substitution definition ---------------------
+
+
+def test_step_table_known_answer():
+    # degree 1: X, Y; degree 2: X^2, X*Y, Y^2
+    steps, times_var = _step_table(2, 2)
+    assert steps == ((0, 0), (0, 1), (1, 1))  # X^2 = X*X, X*Y = X*Y, Y^2 = Y*Y
+    assert times_var == ((0, 1), (1, 2))  # X -> X^2, X*Y; Y -> X*Y, Y^2
+    steps, times_var = _step_table(3, 1)
+    assert steps == ((0, 0), (1, 0), (2, 0))
+    assert times_var == ((0, 1, 2),)
 
 
 def _reference_action_matrix(ring, g, d):
