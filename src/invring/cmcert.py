@@ -11,7 +11,11 @@ degree-1 combinations of a standard graded algebra (capped by
 _EXHAUSTIVE_CAP and _SAMPLED_COMBOS), find_sop_mixed takes mixed degrees
 (capped by the _MIXED_* constants).  Both run one loop, _search, that ranks
 each combination's quotient and returns the first one its acceptance test
-passes; a failed search reports how many combinations it tried.
+passes; a failed search reports how many combinations it tried.  A
+candidate is its coefficient pattern over the basis of one degree: its zero
+mask and multiplication images are combined, by linearity over F_p, from
+per-degree tables of the basis values at the points and the basis products,
+and a polynomial is built only for the system returned.
 
 Before ranking, _search sieves out every combination whose members share a
 zero at one of the F_p-rational points it is given: such a combination is
@@ -32,6 +36,7 @@ import bisect
 import functools
 import itertools
 import math
+import operator
 import random
 from dataclasses import dataclass, field
 
@@ -45,7 +50,7 @@ from .invariants import (
     truncated_invariant_ring,
     veronese,
 )
-from .linalg import _insert, _pack, _reduce, rref_mod_p
+from .linalg import _field_layout, _insert, _pack, _reduce, rref_mod_p
 from .poly import GradedRing, Polynomial, graded_piece_basis
 
 
@@ -222,26 +227,60 @@ def _projective_patterns(p: int, r: int):
             yield coeffs
 
 
-def _combination(Sbar: TruncatedSubalgebra, coeffs, basis) -> Polynomial:
+def _combination(Sbar: TruncatedSubalgebra, coeffs, k: int) -> Polynomial:
+    """The polynomial sum c_i b_i over the degree-k basis b of Sbar."""
     theta = Sbar.ambient.zero_poly
-    for c, b in zip(coeffs, basis):
+    for c, b in zip(coeffs, Sbar.piece_polynomials(k)):
         if c:
             theta = theta + b.scale(c)
     return theta
 
 
-def _zero_mask(theta: Polynomial, points) -> int:
-    """Bit i set when theta vanishes over F_p at points[i]."""
-    p = theta.ring.coeff.p
-    mask = 0
-    for i, point in enumerate(points):
-        value = sum(
-            c * math.prod(pow(x, e, p) for x, e in zip(point, exps))
-            for exps, c in theta.terms.items()
+def _point_values(basis, points, p: int) -> list[tuple[int, ...]]:
+    """Per point, the values over F_p of the basis polynomials there."""
+    return [
+        tuple(
+            sum(
+                c * math.prod(pow(x, e, p) for x, e in zip(point, exps))
+                for exps, c in b.terms.items()
+            )
+            % p
+            for b in basis
         )
-        if value % p == 0:
-            mask |= 1 << i
+        for point in points
+    ]
+
+
+def _pattern_mask(coeffs, values, p: int) -> int:
+    """Bit t set when sum c_i b_i vanishes at point t, read off the
+    per-point basis values of _point_values."""
+    mask = 0
+    for t, column in enumerate(values):
+        if sum(map(operator.mul, coeffs, column)) % p == 0:
+            mask |= 1 << t
     return mask
+
+
+def _product_table(Sbar: TruncatedSubalgebra, k: int) -> list[list[list[int]]]:
+    """_image_rows of each element of the degree-k basis, in basis order."""
+    return [_image_rows(Sbar, b, k) for b in Sbar.piece_polynomials(k)]
+
+
+def _pattern_images(coeffs, table, p: int) -> list[list[int]]:
+    """_image_rows of sum c_i b_i, by linearity from _product_table.
+
+    Each field of acc + c * row is at most (p - 1) + (p - 1)^2 = p(p - 1),
+    the bound fold, like _reduce, relies on.
+    """
+    _, fold = _field_layout(p)
+    images = [[0] * len(rows) for rows in table[0]]
+    for c, image in zip(coeffs, table):
+        if c:
+            images = [
+                [fold(a + c * row) for a, row in zip(acc, rows)]
+                for acc, rows in zip(images, image)
+            ]
+    return images
 
 
 def _search(
@@ -249,17 +288,25 @@ def _search(
 ) -> SopSearchResult:
     """The first combination of candidate keys whose quotient passes accept.
 
-    candidate(key) gives a parameter and its regraded degree.  A combination
-    whose members all vanish at one of the F_p-rational points is skipped
-    unranked: it has a common zero, so it is no system of parameters.  A
-    candidate's zero mask is built when it first appears, its
-    multiplication images when it first appears in a ranked combination;
-    both are reused by every later combination that contains it.  accept
-    sees _quotient's (Hilbert values, ideal spans) of the combination; tried
+    candidate(key) gives a parameter as its coefficient pattern over the
+    basis of one regraded degree k, and k.  A combination whose members all
+    vanish at one of the F_p-rational points is skipped unranked: it has a
+    common zero, so it is no system of parameters.  Evaluation at a point
+    and multiplication are linear, so a candidate's zero mask and its
+    multiplication images are combined from per-degree tables of the basis
+    (values at the points, packed products with every lower basis), each
+    built on the first use of its degree.  A mask is built when its
+    candidate first appears, images when it first appears in a ranked
+    combination; both are reused by every later combination that contains
+    it.  Polynomials are built only for the system returned.  accept sees
+    _quotient's (Hilbert values, ideal spans) of the combination; tried
     counts every combination gone through, sieved ones included, and ranked
     those that were ranked.
     """
-    thetas: dict = {}
+    p = Sbar.domain.p
+    values: dict = {}
+    tables: dict = {}
+    patterns: dict = {}
     masks: dict = {}
     images: dict = {}
     tried = ranked = 0
@@ -267,18 +314,23 @@ def _search(
     for tried, combo in enumerate(combos, start=1):
         common = every_point
         for key in combo:
-            if key not in thetas:
-                thetas[key] = candidate(key)
-                masks[key] = _zero_mask(thetas[key][0], points)
+            if key not in masks:
+                coeffs, k = patterns[key] = candidate(key)
+                if k not in values:
+                    values[k] = _point_values(Sbar.piece_polynomials(k), points, p)
+                masks[key] = _pattern_mask(coeffs, values[k], p)
             common &= masks[key]
         if common:
             continue
         ranked += 1
         for key in combo:
             if key not in images:
-                images[key] = _image_rows(Sbar, *thetas[key])
+                coeffs, k = patterns[key]
+                if k not in tables:
+                    tables[k] = _product_table(Sbar, k)
+                images[key] = _pattern_images(coeffs, tables[k], p)
         if accept(_quotient(Sbar, [images[key] for key in combo])):
-            found = tuple(thetas[key][0] for key in combo)
+            found = tuple(_combination(Sbar, *patterns[key]) for key in combo)
             return SopSearchResult(True, found, tried, ranked)
     return SopSearchResult(False, (), tried, ranked)
 
@@ -301,11 +353,7 @@ def find_sop_mod_p(Sbar: TruncatedSubalgebra, dim: int, seed: int = 0) -> SopSea
     """
     _require_prime_field(Sbar)
     _require_standard_graded(Sbar)
-    basis = Sbar.piece_polynomials(1)
-    candidates = [
-        _combination(Sbar, coeffs, basis)
-        for coeffs in _projective_patterns(Sbar.domain.p, len(basis))
-    ]
+    candidates = list(_projective_patterns(Sbar.domain.p, len(Sbar.bases[1])))
     if math.perm(len(candidates), dim) <= _EXHAUSTIVE_CAP:
         combos = itertools.combinations(range(len(candidates)), dim)
     else:
@@ -323,15 +371,14 @@ def find_sop_mod_p(Sbar: TruncatedSubalgebra, dim: int, seed: int = 0) -> SopSea
     )
 
 
-def _candidates_of_degree(Sbar: TruncatedSubalgebra, k: int, cap: int) -> list[Polynomial]:
-    """Degree-k projective candidates, sparsest of the first 4 * cap
-    coefficient patterns first."""
-    basis = Sbar.piece_polynomials(k)
+def _candidates_of_degree(Sbar: TruncatedSubalgebra, k: int, cap: int) -> list[tuple[int, ...]]:
+    """Coefficient patterns of the degree-k projective candidates over the
+    basis of Sbar, sparsest of the first 4 * cap patterns first."""
     patterns = sorted(
-        itertools.islice(_projective_patterns(Sbar.domain.p, len(basis)), 4 * cap),
+        itertools.islice(_projective_patterns(Sbar.domain.p, len(Sbar.bases[k])), 4 * cap),
         key=lambda cs: (sum(1 for c in cs if c), cs),
     )
-    return [_combination(Sbar, coeffs, basis) for coeffs in patterns[:cap]]
+    return patterns[:cap]
 
 
 def _generator_vectors(Sbar: TruncatedSubalgebra) -> list[tuple[int, int]]:

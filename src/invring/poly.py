@@ -53,7 +53,7 @@ class GradedRing:
         return Polynomial(self, {exps: self.coeff.one})
 
     def constant(self, c) -> "Polynomial":
-        return Polynomial(self, {(0,) * self.nvars: self.coeff.coerce(c)})
+        return Polynomial(self, {(0,) * self.nvars: c})
 
     @property
     def zero_poly(self) -> "Polynomial":
@@ -137,13 +137,19 @@ def _scaled_to_ints(terms):
 
 
 class Polynomial:
-    """Exact multivariate polynomial; terms map exponent tuples to coefficients."""
+    """Exact multivariate polynomial; terms map exponent tuples to coefficients.
+
+    Every coefficient enters through the domain's coerce, so the terms hold
+    canonical nonzero scalars (ints in [0, p) over F_p); a term whose
+    coefficient is zero in the domain is dropped.
+    """
 
     __slots__ = ("ring", "terms")
 
     def __init__(self, ring: GradedRing, terms: dict[Exponent, Scalar]):
         self.ring = ring
-        self.terms = {e: c for e, c in terms.items() if not ring.coeff.is_zero(c)}
+        coerce = ring.coeff.coerce
+        self.terms = {e: v for e, c in terms.items() if (v := coerce(c))}
 
     @classmethod
     def _from_nonzero(cls, ring: GradedRing, terms: dict[Exponent, Scalar]) -> "Polynomial":
@@ -177,18 +183,18 @@ class Polynomial:
         out = dict(self.terms)
         for e, c in other.terms.items():
             out[e] = dom.add(out.get(e, dom.zero), c)
-        return Polynomial(self.ring, out)
+        return Polynomial._from_nonzero(self.ring, {e: c for e, c in out.items() if c})
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         dom = self.ring.coeff
         out = dict(self.terms)
         for e, c in other.terms.items():
             out[e] = dom.sub(out.get(e, dom.zero), c)
-        return Polynomial(self.ring, out)
+        return Polynomial._from_nonzero(self.ring, {e: c for e, c in out.items() if c})
 
     def __neg__(self) -> "Polynomial":
         dom = self.ring.coeff
-        return Polynomial(self.ring, {e: dom.neg(c) for e, c in self.terms.items()})
+        return Polynomial._from_nonzero(self.ring, {e: dom.neg(c) for e, c in self.terms.items()})
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         """Product, summed in plain ints without per-term domain calls.
@@ -222,7 +228,8 @@ class Polynomial:
     def scale(self, c) -> "Polynomial":
         dom = self.ring.coeff
         c = dom.coerce(c)
-        return Polynomial(self.ring, {e: dom.mul(c, v) for e, v in self.terms.items()})
+        terms = {e: m for e, v in self.terms.items() if (m := dom.mul(c, v))}
+        return Polynomial._from_nonzero(self.ring, terms)
 
     def __pow__(self, n: int) -> "Polynomial":
         if n < 0:
@@ -279,7 +286,6 @@ def act(g: Matrix, f: Polynomial) -> Polynomial:
     equals act(g) after act(h).
     """
     ring = f.ring
-    dom = ring.coeff
     n = ring.nvars
     if len(g) != n or any(len(row) != n for row in g):
         raise ValueError("matrix size must match the number of variables")
@@ -289,7 +295,7 @@ def act(g: Matrix, f: Polynomial) -> Polynomial:
             Polynomial(
                 ring,
                 {
-                    tuple(1 if k == i else 0 for k in range(n)): dom.coerce(g[i][j])
+                    tuple(1 if k == i else 0 for k in range(n)): g[i][j]
                     for i in range(n)
                 },
             )
@@ -327,6 +333,8 @@ def action_matrix(ring: GradedRing, g: Matrix, d: int) -> Matrix:
     entries enter the domain once, at the end.  The index tables of each
     step come from _step_table, cached per (nvars, degree) like the pieces.
     """
+    if d < 0:
+        raise ValueError("degree must be nonnegative")
     n = ring.nvars
     if len(g) != n or any(len(row) != n for row in g):
         raise ValueError("matrix size must match the number of variables")
@@ -417,7 +425,6 @@ def parse_polynomial(ring: GradedRing, text: str) -> Polynomial:
         tokens.append(m.group(1))
         pos = m.end()
     name_index = {name: i for i, name in enumerate(ring.var_names)}
-    dom = ring.coeff
     result = ring.zero_poly
     i = 0
     n = len(tokens)
@@ -458,7 +465,7 @@ def parse_polynomial(ring: GradedRing, text: str) -> Polynomial:
             expect_factor = False
         if expect_factor:
             raise ValueError("empty term in polynomial")
-        return Polynomial(ring, {tuple(exps): dom.coerce(coeff)}), i
+        return Polynomial(ring, {tuple(exps): coeff}), i
 
     sign = 1
     while i < n:

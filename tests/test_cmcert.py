@@ -10,10 +10,15 @@ from invring.cmcert import (
     _EXHAUSTIVE_CAP,
     _SAMPLED_COMBOS,
     _candidates_of_degree,
+    _combination,
+    _image_rows,
     _MIXED_CANDIDATE_CAP,
     _nth_combination,
+    _pattern_images,
+    _pattern_mask,
+    _point_values,
+    _product_table,
     _projective_patterns,
-    _zero_mask,
     NotStandardGraded,
     NumeratorNotTerminated,
     cm_certificate,
@@ -306,10 +311,12 @@ def test_zero_mask_rot3_pair_shares_a_rational_zero():
     ring = GradedRing(2, GF(3))
     points = tuple(_projective_patterns(3, 2))
     assert points == ((0, 1), (1, 0), (1, 1), (1, 2))
-    first, second = (parse_polynomial(ring, text) for text in ROT3_L5_PAIR)
-    assert _zero_mask(first, points) == 0b1111
-    assert _zero_mask(second, points) == 0b100
-    assert _zero_mask(first, points) & _zero_mask(second, points) == 1 << points.index((1, 1))
+    pair = [parse_polynomial(ring, text) for text in ROT3_L5_PAIR]
+    values = _point_values(pair, points, 3)
+    first, second = (_pattern_mask(coeffs, values, 3) for coeffs in ((1, 0), (0, 1)))
+    assert first == 0b1111
+    assert second == 0b100
+    assert first & second == 1 << points.index((1, 1))
 
 
 def test_zero_mask_s3_degree_four_no_rational_common_zero():
@@ -321,9 +328,19 @@ def test_zero_mask_s3_degree_four_no_rational_common_zero():
     e1 = parse_polynomial(ring, "X + Y + Z")
     e2 = parse_polynomial(ring, "X*Y + X*Z + Y*Z")
     e3 = parse_polynomial(ring, "X*Y*Z")
-    masks = [_zero_mask(theta, points) for theta in (e1**4, e2**2, e1 * e3)]
+    values = _point_values([e1**4, e2**2, e1 * e3], points, 2)
+    masks = [_pattern_mask(coeffs, values, 2) for coeffs in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
     assert all(masks)
     assert masks[0] & masks[1] & masks[2] == 0
+
+
+def _cell_candidates(Sbar, points):
+    """(degree, coefficient pattern, per-point basis values) of every
+    candidate find_sop_mixed builds on Sbar."""
+    for k in range(1, Sbar.D):
+        values = _point_values(Sbar.piece_polynomials(k), points, Sbar.domain.p)
+        for coeffs in _candidates_of_degree(Sbar, k, _MIXED_CANDIDATE_CAP):
+            yield k, coeffs, values
 
 
 def test_zero_mask_matches_substitution_on_sylow3_cell():
@@ -335,12 +352,48 @@ def test_zero_mask_matches_substitution_on_sylow3_cell():
     points = tuple(_projective_patterns(3, 3))
     assert len(points) == 13
     checked = 0
-    for k in range(1, Sbar.D):
-        for theta in _candidates_of_degree(Sbar, k, _MIXED_CANDIDATE_CAP):
-            expected = sum(1 << i for i, v in enumerate(points) if _vanishes_at(theta, v))
-            assert _zero_mask(theta, points) == expected, str(theta)
-            checked += 1
+    for k, coeffs, values in _cell_candidates(Sbar, points):
+        theta = _combination(Sbar, coeffs, k)
+        expected = sum(1 << i for i, v in enumerate(points) if _vanishes_at(theta, v))
+        assert _pattern_mask(coeffs, values, 3) == expected, str(theta)
+        checked += 1
     assert checked == 275
+
+
+@pytest.mark.parametrize(
+    "make, count",
+    [
+        (
+            lambda: reduce_mod_p(
+                veronese(truncated_invariant_ring(fixture_group("s3"), GradedRing(3, ZZ), 8), 2), 3
+            ),
+            194,
+        ),
+        (lambda: _s3_sylow3_veronese_mod3(2), 275),
+        (lambda: reduce_mod_p(truncated_invariant_ring(SWAP, R2, 8), 17), 637),
+    ],
+    ids=["s3-p3-l2", "s3-sylow3-p3-l2", "swap-p17"],
+)
+def test_pattern_tables_match_polynomial_candidates(make, count):
+    # the search's masks and multiplication images, combined by linearity
+    # from the per-degree basis tables, against each candidate polynomial's
+    # own _image_rows and its substitution at every F_p-rational point; the
+    # first two are the criterion-07 cells at p = 3, l = 2, the last packs
+    # two bytes per field
+    Sbar = make()
+    p = Sbar.domain.p
+    points = tuple(_projective_patterns(p, Sbar.ambient.nvars))
+    tables = {}
+    checked = 0
+    for k, coeffs, values in _cell_candidates(Sbar, points):
+        if k not in tables:
+            tables[k] = _product_table(Sbar, k)
+        theta = _combination(Sbar, coeffs, k)
+        assert _pattern_images(coeffs, tables[k], p) == _image_rows(Sbar, theta, k), str(theta)
+        expected = sum(1 << i for i, v in enumerate(points) if _vanishes_at(theta, v))
+        assert _pattern_mask(coeffs, values, p) == expected, str(theta)
+        checked += 1
+    assert checked == count
 
 
 def test_find_sop_mixed_sieves_rot3_common_zero():

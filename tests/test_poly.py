@@ -179,6 +179,27 @@ def test_fp_coefficients_reduce():
     assert f.terms == {(1, 0): 2}
 
 
+def test_constructor_brings_coefficients_into_the_domain():
+    # direct construction coerces every coefficient, as parsing does
+    f3 = GradedRing(2, GF(3))
+    f = Polynomial(f3, {(1, 0): 5, (0, 1): 3, (1, 1): -1})
+    assert f.terms == {(1, 0): 2, (1, 1): 2}
+    assert str(f) == "2*X*Y + 2*X"
+    assert f == Polynomial(f3, {(1, 0): 2, (1, 1): 2}) == parse_polynomial(f3, "2*X*Y + 2*X")
+    assert Polynomial(f3, {(1, 0): Fraction(1, 2)}).terms == {(1, 0): 2}
+    assert f3.constant(4).terms == {(0, 0): 1}
+    assert f3.constant(3).is_zero()
+    with pytest.raises(ValueError):
+        Polynomial(f3, {(1, 0): Fraction(1, 3)})
+    z3 = GradedRing(2, Z_local(3))
+    g = Polynomial(z3, {(1, 0): 2, (0, 1): Fraction(1, 2), (1, 1): 0})
+    assert g.terms == {(1, 0): 2, (0, 1): Fraction(1, 2)}
+    assert all(type(c) is Fraction for c in g.terms.values())
+    assert g == parse_polynomial(z3, "2*X + 1/2*Y")
+    with pytest.raises(ValueError):
+        Polynomial(z3, {(1, 0): Fraction(1, 3)})
+
+
 # -- products against per-term domain arithmetic ------------------------------
 
 
@@ -305,6 +326,13 @@ def test_action_matrix_size_mismatch():
         action_matrix(R2, ((1, 0, 0), (0, 1, 0), (0, 0, 1)), 0)
     with pytest.raises(ValueError, match="matrix size"):
         action_matrix(R2, ((1, 0), (0,)), 2)
+
+
+@pytest.mark.parametrize("d", [-1, -2])
+def test_action_matrix_negative_degree_raises(d):
+    # like graded_piece_basis; a negative degree has no monomial basis
+    with pytest.raises(ValueError, match="nonnegative"):
+        action_matrix(R2, ((1, 0), (0, 1)), d)
 
 
 def test_invariant_bases_match_reference_action(monkeypatch):
