@@ -6,6 +6,12 @@ by degree through the Hilbert-series identity H_{M/tM}(t) = (1 - t^deg t)
 H_M(t).  A certificate is evidence up to the truncation degree, never a
 proof; failed searches are reported, not raised.
 
+Inside this module a parameter is a pair (row, k): its regraded degree k and
+its coefficients over the monomials of ambient degree k * regrade.  Public
+parameters must lie in the algebra at regraded degree 1..D; they become rows
+in _parameter_rows, and polynomials are built only for the systems the
+searches return, each as long as the Krull dimension, the number of variables.
+
 Parameters come from one of two candidate sources: find_sop_mod_p takes
 degree-1 combinations of a standard graded algebra (capped by
 _EXHAUSTIVE_CAP and _SAMPLED_COMBOS), find_sop_mixed takes mixed degrees
@@ -14,8 +20,7 @@ each combination's quotient and returns the first one its acceptance test
 passes; a failed search reports how many combinations it tried.  A
 candidate is its coefficient pattern over the basis of one degree: its zero
 mask and multiplication images are combined, by linearity over F_p, from
-per-degree tables of the basis values at the points and the basis products,
-and a polynomial is built only for the system returned.
+per-degree tables of the basis rows' values at the points and products.
 
 Before ranking, _search sieves out every combination whose members share a
 zero at one of the F_p-rational points it is given: such a combination is
@@ -40,7 +45,7 @@ import operator
 import random
 from dataclasses import dataclass, field
 
-from .domains import GF, prime_divisors
+from .domains import GF, is_prime, prime_divisors
 from .groups import MatrixGroup
 from .invariants import (
     TruncatedSubalgebra,
@@ -50,8 +55,8 @@ from .invariants import (
     truncated_invariant_ring,
     veronese,
 )
-from .linalg import _field_layout, _insert, _pack, _reduce, rref_mod_p
-from .poly import GradedRing, Polynomial, graded_piece_basis
+from .linalg import _field_layout, _insert, _pack, _reduce, member_mod_p, rref_mod_p
+from .poly import GradedRing, Polynomial, graded_piece_basis, polynomial_from_vector
 
 
 class NotStandardGraded(ValueError):
@@ -136,22 +141,34 @@ def reduce_mod_p(S: TruncatedSubalgebra, p: int) -> TruncatedSubalgebra:
     )
 
 
-def _regraded_degrees(Sbar: TruncatedSubalgebra, thetas) -> list[int]:
-    degrees = []
+def _parameter_rows(Sbar: TruncatedSubalgebra, thetas) -> list[tuple[tuple[int, ...], int]]:
+    """Each public parameter as (row, k): k is its regraded degree and row
+    its coefficients over the monomials of ambient degree k * regrade.
+
+    Raises ValueError unless the parameter is a nonzero homogeneous element
+    of Sbar of regraded degree 1..D.
+    """
+    out = []
     for theta in thetas:
         deg = theta.degree()
         if deg is None or not theta.is_homogeneous():
             raise ValueError("parameters must be nonzero and homogeneous")
-        if deg % Sbar.regrade:
+        k, rest = divmod(deg, Sbar.regrade)
+        if rest:
             raise ValueError("parameter degree must be a multiple of the regrading")
-        degrees.append(deg // Sbar.regrade)
-    return degrees
+        if not 1 <= k <= Sbar.D:
+            raise ValueError(f"parameter {theta} has regraded degree {k}, outside 1..{Sbar.D}")
+        piece = graded_piece_basis(Sbar.ambient, Sbar.ambient_degree(k))
+        row = tuple(map(Sbar.domain.coerce, theta.to_vector(piece)))
+        if not member_mod_p(Sbar.bases[k], row, Sbar.domain.p):
+            raise ValueError(f"parameter {theta} is not in the algebra")
+        out.append((row, k))
+    return out
 
 
-def _image_rows(Sbar: TruncatedSubalgebra, theta: Polynomial, k: int) -> list[list[int]]:
+def _image_rows(Sbar: TruncatedSubalgebra, row, k: int) -> list[list[int]]:
     """Packed F_p rows of theta * (basis of S_{d-k}) for every degree d
-    through D; theta has regraded degree k."""
-    row = theta.to_vector(graded_piece_basis(Sbar.ambient, Sbar.ambient_degree(k)))
+    through D; theta is the parameter (row, k) of _parameter_rows."""
     p = Sbar.domain.p
     return [
         [_pack(v, p) for v in Sbar.piece_products(k, [row], d - k, Sbar.bases[d - k])]
@@ -176,29 +193,31 @@ def _quotient(
 
 def truncated_quotient(Sbar: TruncatedSubalgebra, thetas) -> tuple[int, ...]:
     """Hilbert values of the algebra modulo the ideal generated by the
-    parameters, through D; each lies between 0 and the base value."""
+    parameters, through D; each lies between 0 and the base value.  Each
+    parameter must lie in the algebra at regraded degree 1..D (ValueError)."""
     _require_prime_field(Sbar)
-    thetas = list(thetas)
-    degrees = _regraded_degrees(Sbar, thetas)
-    return _quotient(Sbar, [_image_rows(Sbar, t, k) for t, k in zip(thetas, degrees)])[0]
+    params = _parameter_rows(Sbar, thetas)
+    return _quotient(Sbar, [_image_rows(Sbar, row, k) for row, k in params])[0]
 
 
 def regular_sequence_certificate(Sbar: TruncatedSubalgebra, thetas) -> CMCertificate:
     """Certify that thetas form a regular sequence degree by degree.
 
-    At stage j and degree d the quotient Hilbert value must equal
-    h_{j-1}(d) - h_{j-1}(d - deg theta_j); any strict excess reports the
-    first failing (stage, degree).  Certification covers degrees <= D only.
+    Each theta must be a nonzero homogeneous element of the algebra of
+    regraded degree 1..D (ValueError otherwise).  At stage j and degree d
+    the quotient Hilbert value must equal h_{j-1}(d) - h_{j-1}(d - deg
+    theta_j); any strict excess reports the first failing (stage, degree).
+    Certification covers degrees <= D only.
     """
     _require_prime_field(Sbar)
     thetas = list(thetas)
-    degrees = _regraded_degrees(Sbar, thetas)
+    params = _parameter_rows(Sbar, thetas)
     h_prev = list(hilbert_function(Sbar).values)
     failed_stage = failed_degree = None
     h_cur = h_prev
     spans = None
-    for stage, (theta, k) in enumerate(zip(thetas, degrees), start=1):
-        h_cur, spans = _quotient(Sbar, [_image_rows(Sbar, theta, k)], spans)
+    for stage, (row, k) in enumerate(params, start=1):
+        h_cur, spans = _quotient(Sbar, [_image_rows(Sbar, row, k)], spans)
         for d in range(Sbar.D + 1):
             expected = h_prev[d] - (h_prev[d - k] if d >= k else 0)
             if h_cur[d] != expected:
@@ -210,7 +229,7 @@ def regular_sequence_certificate(Sbar: TruncatedSubalgebra, thetas) -> CMCertifi
     status = "failed" if failed_stage is not None else "certified"
     return CMCertificate(
         p=Sbar.domain.p,
-        parameter_degrees=tuple(degrees),
+        parameter_degrees=tuple(k for _, k in params),
         parameters=tuple(str(t) for t in thetas),
         verified_to=Sbar.D,
         status=status,
@@ -221,34 +240,47 @@ def regular_sequence_certificate(Sbar: TruncatedSubalgebra, thetas) -> CMCertifi
 
 
 def _projective_patterns(p: int, r: int):
-    """Coefficient tuples over F_p with first nonzero entry 1, in product order."""
-    for coeffs in itertools.product(range(p), repeat=r):
-        if next((c for c in coeffs if c), None) == 1:
-            yield coeffs
+    """The length-r tuples over F_p with first nonzero entry 1, in
+    itertools.product order: in blocks by the position of the leading 1,
+    last position first, each block's tails in product order."""
+    for t in range(r):
+        lead = (0,) * (r - 1 - t) + (1,)
+        for tail in itertools.product(range(p), repeat=t):
+            yield lead + tail
+
+
+def _projective_pattern(p: int, r: int, i: int) -> tuple[int, ...]:
+    """Entry i of _projective_patterns(p, r), without listing them: the
+    block with t entries after the leading 1 holds p^t tails, and tail j of
+    a block is j written in base p."""
+    t, size = 0, 1
+    while i >= size:
+        i -= size
+        t, size = t + 1, size * p
+    tail = [0] * t
+    for j in reversed(range(t)):
+        i, tail[j] = divmod(i, p)
+    return (0,) * (r - 1 - t) + (1, *tail)
 
 
 def _combination(Sbar: TruncatedSubalgebra, coeffs, k: int) -> Polynomial:
-    """The polynomial sum c_i b_i over the degree-k basis b of Sbar."""
-    theta = Sbar.ambient.zero_poly
-    for c, b in zip(coeffs, Sbar.piece_polynomials(k)):
-        if c:
-            theta = theta + b.scale(c)
-    return theta
+    """The polynomial sum c_i b_i over the degree-k basis rows b of Sbar."""
+    p = Sbar.domain.p
+    row = [sum(map(operator.mul, coeffs, column)) % p for column in zip(*Sbar.bases[k])]
+    piece = graded_piece_basis(Sbar.ambient, Sbar.ambient_degree(k))
+    return polynomial_from_vector(Sbar.ambient, piece, row)
 
 
-def _point_values(basis, points, p: int) -> list[tuple[int, ...]]:
-    """Per point, the values over F_p of the basis polynomials there."""
-    return [
-        tuple(
-            sum(
-                c * math.prod(pow(x, e, p) for x, e in zip(point, exps))
-                for exps, c in b.terms.items()
-            )
-            % p
-            for b in basis
-        )
-        for point in points
-    ]
+def _point_values(rows, piece, points, p: int) -> list[tuple[int, ...]]:
+    """Per point, the values over F_p there of the polynomials with the
+    given coefficient rows over the monomials of piece."""
+    out = []
+    for point in points:
+        monomials = [
+            math.prod(pow(x, e, p) for x, e in zip(point, exps)) for exps in piece.monomials
+        ]
+        out.append(tuple(sum(map(operator.mul, row, monomials)) % p for row in rows))
+    return out
 
 
 def _pattern_mask(coeffs, values, p: int) -> int:
@@ -262,8 +294,8 @@ def _pattern_mask(coeffs, values, p: int) -> int:
 
 
 def _product_table(Sbar: TruncatedSubalgebra, k: int) -> list[list[list[int]]]:
-    """_image_rows of each element of the degree-k basis, in basis order."""
-    return [_image_rows(Sbar, b, k) for b in Sbar.piece_polynomials(k)]
+    """_image_rows of each row of the degree-k basis, in basis order."""
+    return [_image_rows(Sbar, row, k) for row in Sbar.bases[k]]
 
 
 def _pattern_images(coeffs, table, p: int) -> list[list[int]]:
@@ -317,7 +349,8 @@ def _search(
             if key not in masks:
                 coeffs, k = patterns[key] = candidate(key)
                 if k not in values:
-                    values[k] = _point_values(Sbar.piece_polynomials(k), points, p)
+                    piece = graded_piece_basis(Sbar.ambient, Sbar.ambient_degree(k))
+                    values[k] = _point_values(Sbar.bases[k], piece, points, p)
                 masks[key] = _pattern_mask(coeffs, values[k], p)
             common &= masks[key]
         if common:
@@ -339,41 +372,47 @@ _EXHAUSTIVE_CAP = 20_000
 _SAMPLED_COMBOS = 200
 
 
-def find_sop_mod_p(Sbar: TruncatedSubalgebra, dim: int, seed: int = 0) -> SopSearchResult:
-    """Search the projective degree-1 combinations over F_p for dim elements
-    whose quotient eventually vanishes.
+def find_sop_mod_p(Sbar: TruncatedSubalgebra, seed: int = 0) -> SopSearchResult:
+    """Search the projective degree-1 combinations over F_p for as many
+    elements as the ambient ring has variables whose quotient vanishes.
 
     For standard graded input a single zero Hilbert value forces all later
     values to vanish, so the success test is one zero at or below D.  When
-    the ordered dim-tuples of candidates number at most _EXHAUSTIVE_CAP,
-    every combination is tried in deterministic order; otherwise
-    _SAMPLED_COMBOS seeded random combinations are drawn and each distinct
-    one is tried once.  No combination is sieved for a common zero yet
-    (ROADMAP item 10a): every one tried is ranked.
+    the ordered tuples of candidates number at most _EXHAUSTIVE_CAP, every
+    combination is tried in deterministic order; otherwise _SAMPLED_COMBOS
+    seeded random combinations of candidate indices are drawn, each distinct
+    one tried once and its candidates decoded by _projective_pattern.  No
+    combination is sieved for a common zero yet (ROADMAP item 10a).
     """
     _require_prime_field(Sbar)
     _require_standard_graded(Sbar)
-    candidates = list(_projective_patterns(Sbar.domain.p, len(Sbar.bases[1])))
-    if math.perm(len(candidates), dim) <= _EXHAUSTIVE_CAP:
-        combos = itertools.combinations(range(len(candidates)), dim)
+    p, r, dim = Sbar.domain.p, len(Sbar.bases[1]), Sbar.ambient.nvars
+    count = (p**r - 1) // (p - 1)  # patterns of _projective_patterns(p, r)
+    if math.perm(count, dim) <= _EXHAUSTIVE_CAP:
+        combos = itertools.combinations(range(count), dim)
     else:
         rng = random.Random(seed)
         combos = dict.fromkeys(
-            tuple(sorted(rng.sample(range(len(candidates)), dim)))
-            for _ in range(_SAMPLED_COMBOS)
+            tuple(sorted(rng.sample(range(count), dim))) for _ in range(_SAMPLED_COMBOS)
         )
     return _search(
         Sbar,
         combos,
-        lambda i: (candidates[i], 1),
+        lambda i: (_projective_pattern(p, r, i), 1),
         lambda quotient: 0 in quotient[0],
         (),
     )
 
 
-def _candidates_of_degree(Sbar: TruncatedSubalgebra, k: int, cap: int) -> list[tuple[int, ...]]:
+_MIXED_COMBO_CAP = 2_000
+_MIXED_CANDIDATE_CAP = 150
+_MIXED_EVAL_BUDGET = 6_000
+
+
+def _candidates_of_degree(Sbar: TruncatedSubalgebra, k: int) -> list[tuple[int, ...]]:
     """Coefficient patterns of the degree-k projective candidates over the
-    basis of Sbar, sparsest of the first 4 * cap patterns first."""
+    basis of Sbar, sparsest of the first 4 * _MIXED_CANDIDATE_CAP first."""
+    cap = _MIXED_CANDIDATE_CAP
     patterns = sorted(
         itertools.islice(_projective_patterns(Sbar.domain.p, len(Sbar.bases[k])), 4 * cap),
         key=lambda cs: (sum(1 for c in cs if c), cs),
@@ -428,13 +467,9 @@ def _nth_combination(n: int, r: int, i: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-_MIXED_COMBO_CAP = 2_000
-_MIXED_CANDIDATE_CAP = 150
-_MIXED_EVAL_BUDGET = 6_000
-
-
-def find_sop_mixed(Sbar: TruncatedSubalgebra, dim: int, seed: int = 0) -> SopSearchResult:
-    """Parameter search allowing mixed homogeneous degrees.
+def find_sop_mixed(Sbar: TruncatedSubalgebra, seed: int = 0) -> SopSearchResult:
+    """Parameter search allowing mixed homogeneous degrees; a system has as
+    many elements as the ambient ring has variables.
 
     Needed when the algebra is not standard graded: pure powers of a
     high-degree generator are only reachable by a parameter of that degree.
@@ -453,12 +488,9 @@ def find_sop_mixed(Sbar: TruncatedSubalgebra, dim: int, seed: int = 0) -> SopSea
     _require_prime_field(Sbar)
     D = Sbar.D
     max_deg = max(1, D - 1)
-    per_degree = {
-        k: _candidates_of_degree(Sbar, k, _MIXED_CANDIDATE_CAP)
-        for k in range(1, max_deg + 1)
-    }
+    per_degree = {k: _candidates_of_degree(Sbar, k) for k in range(1, max_deg + 1)}
     multisets = sorted(
-        itertools.combinations_with_replacement(range(1, max_deg + 1), dim),
+        itertools.combinations_with_replacement(range(1, max_deg + 1), Sbar.ambient.nvars),
         key=lambda ms: (sum(ms), ms),
     )
     rng = random.Random(seed)
@@ -520,35 +552,27 @@ def cm_certificate(
     any other prime is certified vacuously, since the group order is
     invertible there.
     """
+    primes = list(primes)
+    if not all(is_prime(p) for p in primes):
+        raise ValueError(f"expects primes, got {primes}")
     if not mixed:
         _require_standard_graded(S)
-    dim = S.ambient.nvars
     out: dict[int, CMCertificate] = {}
     for p in primes:
-        if S.group.order % p != 0:
-            out[p] = CMCertificate(
-                p=p,
-                parameter_degrees=(),
-                parameters=(),
-                verified_to=S.D,
-                status="vacuous",
-            )
-            continue
-        Sbar = reduce_mod_p(S, p)
-        if mixed:
-            search = find_sop_mixed(Sbar, dim, seed=seed)
-        else:
-            search = find_sop_mod_p(Sbar, dim, seed=seed)
-        if not search.found:
-            out[p] = CMCertificate(
-                p=p,
-                parameter_degrees=(),
-                parameters=(),
-                verified_to=S.D,
-                status="no-sop-found",
-            )
-            continue
-        out[p] = regular_sequence_certificate(Sbar, search.thetas)
+        status = "vacuous"
+        if S.group.order % p == 0:
+            Sbar = reduce_mod_p(S, p)
+            if mixed:
+                search = find_sop_mixed(Sbar, seed=seed)
+            else:
+                search = find_sop_mod_p(Sbar, seed=seed)
+            if search.found:
+                out[p] = regular_sequence_certificate(Sbar, search.thetas)
+                continue
+            status = "no-sop-found"
+        out[p] = CMCertificate(
+            p=p, parameter_degrees=(), parameters=(), verified_to=S.D, status=status
+        )
     return out
 
 

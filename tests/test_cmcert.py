@@ -12,12 +12,13 @@ from invring.cmcert import (
     _candidates_of_degree,
     _combination,
     _image_rows,
-    _MIXED_CANDIDATE_CAP,
     _nth_combination,
+    _parameter_rows,
     _pattern_images,
     _pattern_mask,
     _point_values,
     _product_table,
+    _projective_pattern,
     _projective_patterns,
     NotStandardGraded,
     NumeratorNotTerminated,
@@ -38,7 +39,7 @@ from invring.invariants import (
     truncated_invariant_ring,
     veronese,
 )
-from invring.poly import GradedRing, act, parse_polynomial
+from invring.poly import GradedRing, act, graded_piece_basis, parse_polynomial
 
 R2 = GradedRing(2, ZZ)
 MINUS_I = enumerate_group([[[-1, 0], [0, -1]]], ZZ)
@@ -62,7 +63,7 @@ def test_reduce_mod_p_preserves_ranks():
 
 def test_find_sop_quadric_cone():
     Sbar = quadric_cone_mod2()
-    res = find_sop_mod_p(Sbar, 2)
+    res = find_sop_mod_p(Sbar)
     assert res.found
     names = sorted(str(t) for t in res.thetas)
     assert names == ["X^2", "Y^2"]
@@ -71,7 +72,7 @@ def test_find_sop_quadric_cone():
 def test_find_sop_full_polynomial_ring():
     S = truncated_invariant_ring(trivial_group(2, ZZ), R2, 8)
     Sbar = reduce_mod_p(S, 3)
-    res = find_sop_mod_p(Sbar, 2)
+    res = find_sop_mod_p(Sbar)
     assert res.found
     assert sorted(str(t) for t in res.thetas) == ["X", "Y"]
 
@@ -82,18 +83,18 @@ def test_find_sop_sampled_search():
     # exhaustively, so the search samples
     S = truncated_invariant_ring(trivial_group(2, ZZ), R2, 14)
     Sbar = reduce_mod_p(veronese(S, 7), 2)
-    res = find_sop_mod_p(Sbar, 2)
+    res = find_sop_mod_p(Sbar)
     assert 255 * 254 > _EXHAUSTIVE_CAP
     assert res.found and 1 <= res.tried <= _SAMPLED_COMBOS
     assert res.tried == 4
-    again = find_sop_mod_p(Sbar, 2)
+    again = find_sop_mod_p(Sbar)
     assert (again.thetas, again.tried) == (res.thetas, res.tried)
     assert regular_sequence_certificate(Sbar, res.thetas).status == "certified"
 
 
 def test_find_sop_insufficient_truncation():
     Sbar = quadric_cone_mod2(D=2)  # truncates to a single degree
-    res = find_sop_mod_p(Sbar, 2)
+    res = find_sop_mod_p(Sbar)
     assert not res.found
     # C(7, 2) pairs of the 2^3 - 1 projective degree-1 candidates, each once
     assert res.tried == 21
@@ -103,12 +104,12 @@ def test_find_sop_requires_standard_graded():
     S = truncated_invariant_ring(MINUS_I, R2, 6)
     Sbar = reduce_mod_p(S, 2)
     with pytest.raises(NotStandardGraded):
-        find_sop_mod_p(Sbar, 2)
+        find_sop_mod_p(Sbar)
 
 
 def test_regular_sequence_quadric():
     Sbar = quadric_cone_mod2()
-    thetas = find_sop_mod_p(Sbar, 2).thetas
+    thetas = find_sop_mod_p(Sbar).thetas
     cert = regular_sequence_certificate(Sbar, thetas)
     assert cert.status == "certified"
     assert cert.quotient_hilbert[:3] == (1, 1, 0)
@@ -196,7 +197,7 @@ def test_find_sop_mixed_weighted_polynomial_ring():
     )
     S = truncated_invariant_ring(G, ring, 8)
     Sbar = reduce_mod_p(S, 2)
-    res = find_sop_mixed(Sbar, 3)
+    res = find_sop_mixed(Sbar)
     assert res.found
     assert sorted(t.degree() for t in res.thetas) == [1, 2, 3]
     cert = regular_sequence_certificate(Sbar, res.thetas)
@@ -263,8 +264,8 @@ def test_find_sop_mod_p_pinned_trajectory(name, monkeypatch):
 
     got = {}
 
-    def recorded(Sbar, dim, seed):
-        res = find_sop_mod_p(Sbar, dim, seed=seed)
+    def recorded(Sbar, seed):
+        res = find_sop_mod_p(Sbar, seed=seed)
         got[Sbar.regrade, Sbar.domain.p] = (
             res.found,
             res.tried,
@@ -286,7 +287,7 @@ def test_find_sop_mixed_pinned_trajectory(p):
         sylow_subgroup(fixture_group("s3"), p), GradedRing(3, ZZ), 8
     )
     for l in range(1, 5):
-        res = find_sop_mixed(reduce_mod_p(veronese(SH, l), p), 3)
+        res = find_sop_mixed(reduce_mod_p(veronese(SH, l), p))
         got = (res.found, res.tried, tuple(str(t) for t in res.thetas))
         assert got == MIXED_TRAJECTORIES[p, l], (p, l)
         assert res.ranked == MIXED_RANKED[p, l], (p, l)
@@ -311,8 +312,9 @@ def test_zero_mask_rot3_pair_shares_a_rational_zero():
     ring = GradedRing(2, GF(3))
     points = tuple(_projective_patterns(3, 2))
     assert points == ((0, 1), (1, 0), (1, 1), (1, 2))
-    pair = [parse_polynomial(ring, text) for text in ROT3_L5_PAIR]
-    values = _point_values(pair, points, 3)
+    piece = graded_piece_basis(ring, 5)
+    rows = [parse_polynomial(ring, text).to_vector(piece) for text in ROT3_L5_PAIR]
+    values = _point_values(rows, piece, points, 3)
     first, second = (_pattern_mask(coeffs, values, 3) for coeffs in ((1, 0), (0, 1)))
     assert first == 0b1111
     assert second == 0b100
@@ -328,7 +330,9 @@ def test_zero_mask_s3_degree_four_no_rational_common_zero():
     e1 = parse_polynomial(ring, "X + Y + Z")
     e2 = parse_polynomial(ring, "X*Y + X*Z + Y*Z")
     e3 = parse_polynomial(ring, "X*Y*Z")
-    values = _point_values([e1**4, e2**2, e1 * e3], points, 2)
+    piece = graded_piece_basis(ring, 4)
+    rows = [f.to_vector(piece) for f in (e1**4, e2**2, e1 * e3)]
+    values = _point_values(rows, piece, points, 2)
     masks = [_pattern_mask(coeffs, values, 2) for coeffs in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
     assert all(masks)
     assert masks[0] & masks[1] & masks[2] == 0
@@ -338,8 +342,9 @@ def _cell_candidates(Sbar, points):
     """(degree, coefficient pattern, per-point basis values) of every
     candidate find_sop_mixed builds on Sbar."""
     for k in range(1, Sbar.D):
-        values = _point_values(Sbar.piece_polynomials(k), points, Sbar.domain.p)
-        for coeffs in _candidates_of_degree(Sbar, k, _MIXED_CANDIDATE_CAP):
+        piece = graded_piece_basis(Sbar.ambient, Sbar.ambient_degree(k))
+        values = _point_values(Sbar.bases[k], piece, points, Sbar.domain.p)
+        for coeffs in _candidates_of_degree(Sbar, k):
             yield k, coeffs, values
 
 
@@ -376,10 +381,10 @@ def test_zero_mask_matches_substitution_on_sylow3_cell():
 )
 def test_pattern_tables_match_polynomial_candidates(make, count):
     # the search's masks and multiplication images, combined by linearity
-    # from the per-degree basis tables, against each candidate polynomial's
-    # own _image_rows and its substitution at every F_p-rational point; the
-    # first two are the criterion-07 cells at p = 3, l = 2, the last packs
-    # two bytes per field
+    # from the per-degree basis tables, against the _image_rows of each
+    # candidate polynomial's own row, read back through _parameter_rows, and
+    # its substitution at every F_p-rational point; the first two are the
+    # criterion-07 cells at p = 3, l = 2, the last packs two bytes per field
     Sbar = make()
     p = Sbar.domain.p
     points = tuple(_projective_patterns(p, Sbar.ambient.nvars))
@@ -389,7 +394,9 @@ def test_pattern_tables_match_polynomial_candidates(make, count):
         if k not in tables:
             tables[k] = _product_table(Sbar, k)
         theta = _combination(Sbar, coeffs, k)
-        assert _pattern_images(coeffs, tables[k], p) == _image_rows(Sbar, theta, k), str(theta)
+        [(row, degree)] = _parameter_rows(Sbar, [theta])
+        assert degree == k
+        assert _pattern_images(coeffs, tables[k], p) == _image_rows(Sbar, row, k), str(theta)
         expected = sum(1 << i for i, v in enumerate(points) if _vanishes_at(theta, v))
         assert _pattern_mask(coeffs, values, p) == expected, str(theta)
         checked += 1
@@ -400,7 +407,7 @@ def test_find_sop_mixed_sieves_rot3_common_zero():
     # an unsieved search accepts ROT3_L5_PAIR here after one combination;
     # all 6 pairs of the 4 degree-1 candidates vanish at (1 : 1)
     S = truncated_invariant_ring(fixture_group("rot3"), R2, 12)
-    res = find_sop_mixed(reduce_mod_p(veronese(S, 5), 3), 2)
+    res = find_sop_mixed(reduce_mod_p(veronese(S, 5), 3))
     assert (res.found, res.tried, res.ranked) == (False, 6, 0)
 
 
@@ -427,11 +434,10 @@ def _criterion_cells():
 def test_find_sop_mixed_systems_have_no_common_rational_zero():
     found = 0
     for label, Sbar in _criterion_cells():
-        n = Sbar.ambient.nvars
-        res = find_sop_mixed(Sbar, n)
+        res = find_sop_mixed(Sbar)
         if res.found:
             found += 1
-            for v in _projective_patterns(Sbar.domain.p, n):
+            for v in _projective_patterns(Sbar.domain.p, Sbar.ambient.nvars):
                 assert not all(_vanishes_at(t, v) for t in res.thetas), (label, v)
     assert found == 24
 
@@ -462,7 +468,7 @@ def test_truncated_quotient_bounds():
     from invring.cmcert import truncated_quotient
 
     Sbar = quadric_cone_mod2()
-    thetas = find_sop_mod_p(Sbar, 2).thetas
+    thetas = find_sop_mod_p(Sbar).thetas
     q = truncated_quotient(Sbar, thetas)
     base = hilbert_function(Sbar).values
     assert all(0 <= h <= b for h, b in zip(q, base))
@@ -545,6 +551,59 @@ def test_quotient_evaluators_reject_non_prime_field():
         truncated_quotient(S, xs)
     with pytest.raises(ValueError):
         regular_sequence_certificate(S, xs)
+
+
+@pytest.mark.parametrize("evaluator", ["truncated_quotient", "regular_sequence_certificate"])
+@pytest.mark.parametrize(
+    "texts, message",
+    [
+        (("X", "Y"), "not in the algebra"),
+        (("X^7", "Y^7"), "outside 1..6"),
+        (("X + Y", "1"), "outside 1..6"),
+    ],
+    ids=["not-invariant", "above-D", "constant"],
+)
+def test_quotient_evaluators_reject_parameters_outside_the_algebra(evaluator, texts, message):
+    # over F_2 the swap invariants are spanned by the symmetric polynomials;
+    # X and Y are not invariant, X^7 and Y^7 lie above D = 6, and a constant
+    # has degree 0, so none of these is a parameter of this truncation
+    import invring.cmcert as cmcert
+
+    Sbar = reduce_mod_p(truncated_invariant_ring(SWAP, R2, 6), 2)
+    thetas = [parse_polynomial(Sbar.ambient, text) for text in texts]
+    with pytest.raises(ValueError, match=message):
+        getattr(cmcert, evaluator)(Sbar, thetas)
+
+
+@pytest.mark.parametrize("primes", [[9], [0], [2, 4], [1]], ids=["9", "0", "2-4", "1"])
+def test_cm_certificate_rejects_non_primes(primes):
+    S = truncated_invariant_ring(fixture_group("s3"), GradedRing(3, ZZ), 6)
+    with pytest.raises(ValueError, match="expects primes"):
+        cm_certificate(S, primes, mixed=True)
+
+
+def test_projective_pattern_matches_product_order():
+    for p in (2, 3, 5):
+        for r in range(6):
+            listed = [
+                cs
+                for cs in itertools.product(range(p), repeat=r)
+                if next((c for c in cs if c), None) == 1
+            ]
+            assert [_projective_pattern(p, r, i) for i in range(len(listed))] == listed
+            assert list(_projective_patterns(p, r)) == listed
+
+
+def test_find_sop_mod_p_samples_without_listing_candidates():
+    # -I on four variables, Veronese 4 at D = 4: the degree-1 piece has the
+    # 35 quartic monomials, so 2^35 - 1 projective candidates over F_2; the
+    # sampled search decodes only the candidates it draws
+    G = enumerate_group([[[-1 if i == j else 0 for j in range(4)] for i in range(4)]], ZZ)
+    S = truncated_invariant_ring(G, GradedRing(4, ZZ), 4)
+    Sbar = reduce_mod_p(veronese(S, 4), 2)
+    assert len(Sbar.bases[1]) == 35
+    res = find_sop_mod_p(Sbar)
+    assert (res.found, res.tried, res.thetas) == (False, _SAMPLED_COMBOS, ())
 
 
 def test_hilbert_bookkeeping_inequality():
