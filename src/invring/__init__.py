@@ -1,9 +1,10 @@
 """Exact-arithmetic computations with invariant rings of finite matrix groups.
 
 Truncated invariant and Veronese subrings over Z, Q, F_p, and Z localized at
-p; transfer and Reynolds maps; cyclic group cohomology through the periodic
-trace complex; degree-truncated Cohen-Macaulay and Gorenstein certificates;
-and divisor maps with class groups of quadratic integer rings.
+p; the transfer map, which from the trivial subgroup is the Reynolds map;
+cyclic group cohomology through the periodic trace complex; degree-truncated
+Cohen-Macaulay and Gorenstein certificates; and divisor maps with class
+groups of quadratic integer rings.
 
 ``import invring`` loads no submodule: each public name imports the module
 that defines it on first access, so a command line run pays only for what
@@ -33,7 +34,6 @@ _EXPORTS = {
         "graded_piece_basis",
         "act",
         "action_matrix",
-        "parse_polynomial",
         "format_polynomial",
     ),
     "groups": (
@@ -54,9 +54,7 @@ _EXPORTS = {
         "veronese",
         "is_standard_graded_up_to",
         "minimal_generators_up_to",
-        "reynolds",
         "transfer",
-        "NotInvertible",
         "NotHInvariant",
         "IndexNotInvertible",
     ),
@@ -69,9 +67,7 @@ _EXPORTS = {
         "verify_h2_trivial_mod_pi",
         "verify_h1_degree0",
         "verify_pi_annihilates_h1",
-        "diagonalize_over_fraction_field",
         "PreconditionViolated",
-        "EigenvaluesNotInField",
     ),
     "cmcert": (
         "CMCertificate",

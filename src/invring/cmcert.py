@@ -668,6 +668,8 @@ def gorenstein_symmetry_check(S, sop_degrees) -> GorensteinReport:
     sop_degrees = list(sop_degrees)
     if not sop_degrees:
         raise ValueError("need at least one parameter degree")
+    if min(sop_degrees) < 1:
+        raise ValueError(f"parameter degrees must be at least 1, got {sop_degrees}")
     D = len(values) - 1
     coeffs = h_numerator(values, sop_degrees)
     window = max(sop_degrees)

@@ -43,10 +43,6 @@ class PreconditionViolated(ValueError):
     """The module does not satisfy the hypothesis of the requested check."""
 
 
-class EigenvaluesNotInField(ValueError):
-    """Some eigenvalue of the action lies outside the fraction field."""
-
-
 @dataclass(frozen=True)
 class CyclicModule:
     """A free module over the domain with one invertible action of order n."""
@@ -98,7 +94,11 @@ class CohomologyGroup:
 
 
 def trace_matrix(M: CyclicModule) -> Matrix:
-    """I + s + s^2 + ... + s^(n-1); composes to zero with s - 1 on both sides."""
+    """I + s + s^2 + ... + s^(n-1); composes to zero with s - 1 on both sides.
+
+    The module's own trace T = delta^(n-1) Tr, divided by its scale: the
+    map that the cohomology groups are computed from, over the domain.
+    """
     scale = M._delta ** (M.order - 1)
     return tuple(
         tuple(M.domain.coerce(Fraction(x, scale)) for x in row) for row in M._trace.data
@@ -198,26 +198,6 @@ def verify_pi_annihilates_h1(M: CyclicModule) -> bool:
         raise PreconditionViolated("sigma is not trivial mod p")
     h1 = cohomology(M, 1)
     return h1.free_rank == 0 and all(p % t == 0 for t in h1.torsion)
-
-
-def diagonalize_over_fraction_field(M: CyclicModule) -> dict[Fraction, int]:
-    """Multiplicities of the rational eigenvalues among the n-th roots of unity.
-
-    The action is semisimple because s^n = I in characteristic zero, and 1
-    and -1 are the only roots of unity in Q, so the eigenvalues lie in the
-    fraction field exactly when dim ker(s - 1) + dim ker(s + 1) is the rank;
-    otherwise this raises.
-    """
-    fixed = integer_kernel_basis(_sigma_minus_1(M)).rows
-    negated = integer_kernel_basis(_shift(M._numerator, -M._delta)).rows
-    if fixed + negated != M.rank:
-        raise EigenvaluesNotInField("some eigenvalue is a root of unity other than 1 and -1")
-    multiplicities: dict[Fraction, int] = {}
-    if fixed:
-        multiplicities[Fraction(1)] = fixed
-    if negated:
-        multiplicities[Fraction(-1)] = negated
-    return multiplicities
 
 
 def graded_cohomology(G: MatrixGroup, ring: GradedRing, i: int, d: int) -> CohomologyGroup:

@@ -70,7 +70,12 @@ class CoefficientDomain:
     # -- constructors -----------------------------------------------------
 
     def coerce(self, x) -> Scalar:
-        """Bring an int or Fraction into this domain, or raise ValueError."""
+        """Bring an int or Fraction into this domain, or raise ValueError.
+
+        A float is refused: its binary value is rarely the number meant.
+        """
+        if isinstance(x, float):
+            raise ValueError(f"{x!r} is a float; give an int or a Fraction")
         if self.tag == "Z":
             if isinstance(x, Fraction):
                 if x.denominator != 1:

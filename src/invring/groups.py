@@ -114,15 +114,6 @@ def element_order(domain: CoefficientDomain, m: Matrix, cap: int = DEFAULT_BOUND
     return k
 
 
-def element_inverse(domain: CoefficientDomain, m: Matrix) -> Matrix:
-    """Inverse via the element's finite order: m^(k-1)."""
-    k = element_order(domain, m)
-    inv = mat_identity(domain, len(m))
-    for _ in range(k - 1):
-        inv = mat_mul(domain, inv, m)
-    return inv
-
-
 def _p_power_part(order: int, p: int) -> int:
     k = 1
     while order % p == 0:

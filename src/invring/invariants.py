@@ -9,11 +9,12 @@ Over Z that kernel is automatically a saturated lattice, so the basis
 generates the invariants exactly rather than a finite-index sublattice.  For
 a monomial group the blocks are the monomial orbits.
 
-On top of the bases live the Reynolds and transfer maps, Hilbert functions,
-and one generator walk behind both minimal generators and
-standard-gradedness: a product of generators of degree d is a generator of
-some degree k times a product of degree d - k, so the walk spans degree d
-from those and adds generators where that span falls short of the basis.
+On top of the bases live the transfer map (the Reynolds operator is the
+transfer from the trivial group), Hilbert functions, and one generator walk
+behind both minimal generators and standard-gradedness: a product of
+generators of degree d is a generator of some degree k times a product of
+degree d - k, so the walk spans degree d from those and adds generators
+where that span falls short of the basis.
 The ring is standard graded through D when none is added above 1.
 
 Spans are kept as reduced echelon rows over F_p and as integer lattices in
@@ -52,10 +53,6 @@ from .poly import (
 )
 
 Rows = tuple[tuple, ...]
-
-
-class NotInvertible(ValueError):
-    """The group order is not a unit in the coefficient domain."""
 
 
 class NotHInvariant(ValueError):
@@ -232,36 +229,28 @@ def trace_average_invariant_count(G: MatrixGroup, ring: GradedRing, d: int) -> F
     return total / G.order
 
 
-def _average(f: Polynomial, mats, count: int, error: type[Exception], label: str) -> Polynomial:
-    """(1/count) sum of g.f over mats; raises error if count is not a unit."""
-    domain = f.ring.coeff
-    c = domain.coerce(count)
-    if not domain.is_unit(c):
-        raise error(f"{label} = {count} is not a unit in {domain}")
-    total = f.ring.zero_poly
-    for g in mats:
-        total = total + act(g, f)
-    return total.scale(domain.inv(c))
-
-
-def reynolds(f: Polynomial, G: MatrixGroup) -> Polynomial:
-    """Group averaging projector (1/|G|) sum_g g.f onto the invariants."""
-    return _average(f, G.elements, G.order, NotInvertible, "|G|")
-
-
 def transfer(f: Polynomial, G: MatrixGroup, H: MatrixGroup) -> Polynomial:
-    """Averaged coset sum sending H-invariants to G-invariants.
+    """Averaged coset sum (1/[G:H]) sum of g.f over coset representatives g,
+    sending H-invariants to G-invariants.
 
     Splits the inclusion of the G-invariants into the H-invariants whenever
     the index [G:H] is a unit; raises if f is not H-invariant or the index
-    is not invertible.
+    is not invertible.  With H trivial it is the Reynolds operator
+    (1/|G|) sum_g g.f.
     """
     h_gens = H.generators if H.generators else H.elements
     for h in h_gens:
         if act(h, f) != f:
             raise NotHInvariant("polynomial is not fixed by the subgroup")
     reps = coset_representatives(G, H)
-    return _average(f, reps, len(reps), IndexNotInvertible, "[G:H]")
+    domain = f.ring.coeff
+    index = domain.coerce(len(reps))
+    if not domain.is_unit(index):
+        raise IndexNotInvertible(f"[G:H] = {len(reps)} is not a unit in {domain}")
+    total = f.ring.zero_poly
+    for g in reps:
+        total = total + act(g, f)
+    return total.scale(domain.inv(index))
 
 
 # ---------------------------------------------------------------------------

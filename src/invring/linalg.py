@@ -454,20 +454,16 @@ def _insert(pivots: dict[int, int], rows, p: int) -> None:
             pivots[col] = v if lead == 1 else fold(v * pow(lead, -1, p))
 
 
-def _echelon(rows, p: int) -> dict[int, int]:
-    """Echelon of integer rows, which need not be reduced mod p."""
+def rref_mod_p(rows, ncols: int, p: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """Reduced row echelon form over F_p of integer rows, which need not be
+    reduced mod p; returns (nonzero rows, pivot columns).
+
+    The forward pass inserts the packed rows into an echelon;
+    back-substitution then clears the entries above each pivot, which makes
+    the rows canonical.
+    """
     pivots: dict[int, int] = {}
     _insert(pivots, (_pack([x % p for x in row], p) for row in rows), p)
-    return pivots
-
-
-def rref_mod_p(rows, ncols: int, p: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
-    """Reduced row echelon form over F_p; returns (nonzero rows, pivot columns).
-
-    The forward pass is the packed echelon of _echelon; back-substitution
-    then clears the entries above each pivot, which makes the rows canonical.
-    """
-    pivots = _echelon(rows, p)
     cols = tuple(sorted(pivots))
     m = [pivots[c] for c in cols]
     width, fold = _field_layout(p)
@@ -497,5 +493,10 @@ def kernel_mod_p(rows, ncols: int, p: int) -> tuple[tuple[int, ...], ...]:
 
 
 def member_mod_p(rref_rows, v, p: int) -> bool:
-    """True iff v lies in the row space of rref_rows over F_p."""
-    return not _reduce(_echelon(rref_rows, p), _pack([x % p for x in v], p), p)
+    """True iff v lies in the row space of rref_rows over F_p.
+
+    The rows are already an echelon: each is packed as it stands and kept
+    under its lead column, where its entry is 1.
+    """
+    pivots = {next(j for j, x in enumerate(row) if x): _pack(row, p) for row in rref_rows}
+    return not _reduce(pivots, _pack([x % p for x in v], p), p)

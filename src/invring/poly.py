@@ -13,7 +13,6 @@ and the index tables of the action matrices are cached per (nvars, degree).
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -381,9 +380,6 @@ def action_matrix(ring: GradedRing, g: Matrix, d: int) -> Matrix:
 # text form: "3*X^2*Y - 1/2*Z", variables named per the ring
 
 
-_TOKEN = re.compile(r"\s*(\^|\*|\+|-|/|[A-Za-z][A-Za-z0-9_]*|\d+)")
-
-
 def format_polynomial(f: Polynomial) -> str:
     if f.is_zero():
         return "0"
@@ -410,74 +406,3 @@ def format_polynomial(f: Polynomial) -> str:
         else:
             parts.append(("- " if neg else "+ ") + body)
     return " ".join(parts)
-
-
-def parse_polynomial(ring: GradedRing, text: str) -> Polynomial:
-    """Parse coefficient*monomial sums like "3*X^2*Y - 1/2*Z" or "X1^2*X2"."""
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m:
-            if text[pos:].strip():
-                raise ValueError(f"cannot tokenize polynomial at {text[pos:]!r}")
-            break
-        tokens.append(m.group(1))
-        pos = m.end()
-    name_index = {name: i for i, name in enumerate(ring.var_names)}
-    result = ring.zero_poly
-    i = 0
-    n = len(tokens)
-
-    def parse_term(i: int) -> tuple[Polynomial, int]:
-        coeff = Fraction(1)
-        exps = [0] * ring.nvars
-        expect_factor = True
-        while i < n and tokens[i] not in ("+", "-"):
-            tok = tokens[i]
-            if tok == "*":
-                i += 1
-                continue
-            if tok.isdigit():
-                num = Fraction(int(tok))
-                i += 1
-                if i < n and tokens[i] == "/":
-                    if i + 1 >= n or not tokens[i + 1].isdigit():
-                        raise ValueError("malformed fraction coefficient")
-                    den = int(tokens[i + 1])
-                    if den == 0:
-                        raise ValueError("zero denominator in fraction coefficient")
-                    num = num / den
-                    i += 2
-                coeff *= num
-            elif tok in name_index:
-                j = name_index[tok]
-                i += 1
-                if i < n and tokens[i] == "^":
-                    if i + 1 >= n or not tokens[i + 1].isdigit():
-                        raise ValueError(f"malformed power on {tok}")
-                    exps[j] += int(tokens[i + 1])
-                    i += 2
-                else:
-                    exps[j] += 1
-            else:
-                raise ValueError(f"unknown symbol {tok!r} in polynomial")
-            expect_factor = False
-        if expect_factor:
-            raise ValueError("empty term in polynomial")
-        return Polynomial(ring, {tuple(exps): coeff}), i
-
-    sign = 1
-    while i < n:
-        if tokens[i] == "+":
-            sign = 1
-            i += 1
-            continue
-        if tokens[i] == "-":
-            sign = -sign
-            i += 1
-            continue
-        term, i = parse_term(i)
-        result = result + (term if sign == 1 else -term)
-        sign = 1
-    return result

@@ -24,8 +24,7 @@ import math
 import re
 from dataclasses import dataclass
 
-from .domains import is_prime, mat_mul, prime_divisors
-from .groups import element_inverse, enumerate_group
+from .domains import is_prime, prime_divisors
 from .linalg import lattice_canonical, lattice_member
 
 
@@ -107,13 +106,6 @@ class NumberRing:
         if a == 0:
             return wpart if b > 0 else f"-{wpart}"
         return f"{a} {'+' if b > 0 else '-'} {wpart}"
-
-    def roots_of_unity_order(self) -> int:
-        if self.d == -1:
-            return 4
-        if self.d == -3:
-            return 6
-        return 2
 
     def __str__(self):
         w = "(1+sqrt(d))/2" if self.half_basis else "sqrt(d)"
@@ -584,33 +576,3 @@ def class_group(ring: NumberRing) -> list[int]:
                 raise RuntimeError("element order exceeded the group order")
         orders.append(k)
     return _abelian_type_from_orders(h, orders)
-
-
-def character_obstruction_report(G, ring: NumberRing) -> dict:
-    """Advisory check that no nontrivial homomorphism G -> K* can exist:
-    the abelianization exponent must be coprime to the roots of unity in K."""
-    dom = G.coeff
-    inverse = {a: element_inverse(dom, a) for a in G.elements}
-    commutators = {
-        mat_mul(dom, mat_mul(dom, a, b), mat_mul(dom, inverse[a], inverse[b]))
-        for a in G.elements
-        for b in G.elements
-    }
-    derived = set(enumerate_group(list(commutators), dom, n=G.n, bound=G.order).elements)
-    ab_order = G.order // len(derived)
-    # exponent of the abelianization: lcm of coset orders
-    exponent = 1
-    for g in G.elements:
-        k = 1
-        power = g
-        while power not in derived:
-            power = mat_mul(dom, power, g)
-            k += 1
-        exponent = exponent * k // math.gcd(exponent, k)
-    mu = ring.roots_of_unity_order()
-    return {
-        "abelianization_order": ab_order,
-        "abelianization_exponent": exponent,
-        "roots_of_unity_order": mu,
-        "no_nontrivial_character": math.gcd(exponent, mu) == 1,
-    }

@@ -39,7 +39,7 @@ from invring.invariants import (
     truncated_invariant_ring,
     veronese,
 )
-from invring.poly import GradedRing, act, graded_piece_basis, parse_polynomial
+from invring.poly import GradedRing, Polynomial, act, graded_piece_basis
 
 R2 = GradedRing(2, ZZ)
 MINUS_I = enumerate_group([[[-1, 0], [0, -1]]], ZZ)
@@ -300,9 +300,10 @@ def _vanishes_at(theta, point) -> bool:
     return act(g, theta).is_zero()
 
 
+# X^4*Y + 2*X^3*Y^2 + 2*X^2*Y^3 + X*Y^4 and X^5 + 2*X^3*Y^2 + X*Y^4 + 2*Y^5
 ROT3_L5_PAIR = (
-    "X^4*Y + 2*X^3*Y^2 + 2*X^2*Y^3 + X*Y^4",
-    "X^5 + 2*X^3*Y^2 + X*Y^4 + 2*Y^5",
+    {(4, 1): 1, (3, 2): 2, (2, 3): 2, (1, 4): 1},
+    {(5, 0): 1, (3, 2): 2, (1, 4): 1, (0, 5): 2},
 )
 
 
@@ -313,7 +314,7 @@ def test_zero_mask_rot3_pair_shares_a_rational_zero():
     points = tuple(_projective_patterns(3, 2))
     assert points == ((0, 1), (1, 0), (1, 1), (1, 2))
     piece = graded_piece_basis(ring, 5)
-    rows = [parse_polynomial(ring, text).to_vector(piece) for text in ROT3_L5_PAIR]
+    rows = [Polynomial(ring, terms).to_vector(piece) for terms in ROT3_L5_PAIR]
     values = _point_values(rows, piece, points, 3)
     first, second = (_pattern_mask(coeffs, values, 3) for coeffs in ((1, 0), (0, 1)))
     assert first == 0b1111
@@ -327,9 +328,10 @@ def test_zero_mask_s3_degree_four_no_rational_common_zero():
     ring = GradedRing(3, GF(2))
     points = tuple(_projective_patterns(2, 3))
     assert len(points) == 7
-    e1 = parse_polynomial(ring, "X + Y + Z")
-    e2 = parse_polynomial(ring, "X*Y + X*Z + Y*Z")
-    e3 = parse_polynomial(ring, "X*Y*Z")
+    X, Y, Z = (ring.variable(i) for i in range(3))
+    e1 = X + Y + Z
+    e2 = X * Y + X * Z + Y * Z
+    e3 = X * Y * Z
     piece = graded_piece_basis(ring, 4)
     rows = [f.to_vector(piece) for f in (e1**4, e2**2, e1 * e3)]
     values = _point_values(rows, piece, points, 2)
@@ -555,22 +557,22 @@ def test_quotient_evaluators_reject_non_prime_field():
 
 @pytest.mark.parametrize("evaluator", ["truncated_quotient", "regular_sequence_certificate"])
 @pytest.mark.parametrize(
-    "texts, message",
+    "terms, message",
     [
-        (("X", "Y"), "not in the algebra"),
-        (("X^7", "Y^7"), "outside 1..6"),
-        (("X + Y", "1"), "outside 1..6"),
+        (({(1, 0): 1}, {(0, 1): 1}), "not in the algebra"),
+        (({(7, 0): 1}, {(0, 7): 1}), "outside 1..6"),
+        (({(1, 0): 1, (0, 1): 1}, {(0, 0): 1}), "outside 1..6"),
     ],
     ids=["not-invariant", "above-D", "constant"],
 )
-def test_quotient_evaluators_reject_parameters_outside_the_algebra(evaluator, texts, message):
+def test_quotient_evaluators_reject_parameters_outside_the_algebra(evaluator, terms, message):
     # over F_2 the swap invariants are spanned by the symmetric polynomials;
     # X and Y are not invariant, X^7 and Y^7 lie above D = 6, and a constant
     # has degree 0, so none of these is a parameter of this truncation
     import invring.cmcert as cmcert
 
     Sbar = reduce_mod_p(truncated_invariant_ring(SWAP, R2, 6), 2)
-    thetas = [parse_polynomial(Sbar.ambient, text) for text in texts]
+    thetas = [Polynomial(Sbar.ambient, t) for t in terms]
     with pytest.raises(ValueError, match=message):
         getattr(cmcert, evaluator)(Sbar, thetas)
 
@@ -666,3 +668,10 @@ def test_gorenstein_asymmetric_artificial_data():
 def test_gorenstein_not_terminated():
     with pytest.raises(NumeratorNotTerminated):
         gorenstein_symmetry_check([1, 2, 4, 8], [1])
+
+
+@pytest.mark.parametrize("degrees", [[0, 0], [1, 0], [2, -1]])
+def test_gorenstein_rejects_parameter_degree_below_one(degrees):
+    # 1 - t^0 = 0 would zero the numerator and read as symmetric
+    with pytest.raises(ValueError, match="at least 1"):
+        gorenstein_symmetry_check([1, 2, 3, 4, 5, 6], degrees)

@@ -52,6 +52,12 @@ def test_enumerate_rejects_noninvertible():
         enumerate_group([[[2, 0], [0, 1]]], ZZ)
 
 
+def test_enumerate_rejects_float_entries():
+    # 1.5 once truncated to 1, which made this the swap group
+    with pytest.raises(ValueError, match="float"):
+        enumerate_group([[[0, 1.5], [1, 0]]], ZZ)
+
+
 def test_enumerate_over_fp():
     g = enumerate_group([[[2, 0], [0, 1]]], GF(5))
     assert g.order == 4  # 2 has order 4 mod 5

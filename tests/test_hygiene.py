@@ -12,6 +12,10 @@ src/invring, must be passed by some call in src/ or tests/, by keyword or
 by position.  Calls are matched by name; a class name stands for its
 __init__.
 
+Unread exports: every name in invring.__all__ is read somewhere in src/,
+perfbench/ or the README, other than in its own definition and the export
+table.
+
 Fixture drift: the built-in group table equals fixtures/groups/*.json.
 """
 
@@ -19,6 +23,7 @@ import ast
 import json
 import math
 import pathlib
+import re
 
 import invring
 from invring.fixtures import GROUP_GENERATORS
@@ -64,6 +69,17 @@ def test_no_dead_module_level_names():
         if name not in referenced and name not in invring.__all__
     ]
     assert not dead, f"module-level names used nowhere: {dead}"
+
+
+def test_every_export_is_read():
+    # the export table lists names as strings, which _referenced_names skips
+    read = set(re.findall(r"\w+", (ROOT / "README.md").read_text()))
+    for path in sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py")):
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            own = set(_defined_names(ast.Module(body=[node], type_ignores=[])))
+            read |= _referenced_names(node) - own
+    unread = [name for name in invring.__all__ if name not in read]
+    assert not unread, f"exported names nothing reads: {unread}"
 
 
 def _unread_parameters(path: pathlib.Path) -> list[str]:

@@ -12,7 +12,6 @@ from invring.groups import enumerate_group, sylow_subgroup, trivial_group
 from invring.invariants import (
     IndexNotInvertible,
     NotHInvariant,
-    NotInvertible,
     StandardGradedReport,
     _constraint_blocks,
     _integerize_rows,
@@ -21,7 +20,6 @@ from invring.invariants import (
     invariant_basis,
     is_standard_graded_up_to,
     minimal_generators_up_to,
-    reynolds,
     span_complement,
     span_equal,
     span_member,
@@ -36,7 +34,6 @@ from invring.poly import (
     act,
     action_matrix,
     graded_piece_basis,
-    parse_polynomial,
     polynomial_from_vector,
 )
 
@@ -81,26 +78,41 @@ def test_invariant_basis_saturated():
 
 
 def test_reynolds_swap_over_q():
+    # the Reynolds operator is the transfer from the trivial group
     ring = GradedRing(2, QQ)
     G = enumerate_group([[[0, 1], [1, 0]]], QQ)
+    one = trivial_group(2, QQ)
     X = ring.variable(0)
     Y = ring.variable(1)
-    r = reynolds(X, G)
+    r = transfer(X, G, one)
     assert r == (X + Y).scale(Fraction(1, 2))
-    assert reynolds(r, G) == r  # idempotent projector
+    assert transfer(r, G, one) == r  # idempotent projector
     for g in G.elements:
         assert act(g, r) == r
 
 
 def test_reynolds_not_invertible_over_z():
-    with pytest.raises(NotInvertible):
-        reynolds(R2.variable(0), SWAP)
+    with pytest.raises(IndexNotInvertible):
+        transfer(R2.variable(0), SWAP, trivial_group(2, ZZ))
+
+
+@pytest.mark.parametrize("dom", [QQ, Z_local(5), GF(5), GF(7)], ids=str)
+@pytest.mark.parametrize("name", ["s3", "rot3", "swap", "a3"])
+def test_reynolds_is_the_group_average(name, dom):
+    G = fixture_group(name, dom)
+    ring = GradedRing(G.n, dom)
+    X = ring.variable(0)
+    f = X * X * ring.variable(G.n - 1) + X
+    average = ring.zero_poly
+    for g in G.elements:
+        average = average + act(g, f)
+    assert transfer(f, G, trivial_group(G.n, dom)) == average.scale(dom.inv(G.order))
 
 
 def test_transfer_identity_when_h_equals_g():
     ring = GradedRing(2, Z_local(3))
     G = enumerate_group([[[0, 1], [1, 0]]], Z_local(3))
-    f = parse_polynomial(ring, "X + Y")
+    f = ring.variable(0) + ring.variable(1)
     assert transfer(f, G, G) == f
 
 
@@ -108,7 +120,8 @@ def test_transfer_s3_a3_explicit():
     ring = GradedRing(3, Z_local(3))
     G = enumerate_group(S3_GENS, Z_local(3))
     H = sylow_subgroup(G, 3)
-    f = parse_polynomial(ring, "X^2*Y + Y^2*Z + Z^2*X")
+    X, Y, Z = (ring.variable(i) for i in range(3))
+    f = X * X * Y + Y * Y * Z + Z * Z * X
     psi = transfer(f, G, H)
     tau = tuple(tuple(Fraction(x) for x in row) for row in [[0, 1, 0], [1, 0, 0], [0, 0, 1]])
     expected = (f + act(tau, f)).scale(Fraction(1, 2))
@@ -122,7 +135,7 @@ def test_transfer_splits_inclusion():
     ring = GradedRing(3, Z_local(3))
     G = enumerate_group(S3_GENS, Z_local(3))
     H = sylow_subgroup(G, 3)
-    f = parse_polynomial(ring, "X*Y*Z")
+    f = ring.variable(0) * ring.variable(1) * ring.variable(2)
     assert transfer(f, G, H) == f
 
 
@@ -138,7 +151,7 @@ def test_transfer_index_not_invertible():
     ring = GradedRing(3, Z_local(2))
     G = enumerate_group(S3_GENS, Z_local(2))
     H = sylow_subgroup(G, 3)  # index 2, not a unit in Z_(2)
-    f = parse_polynomial(ring, "X*Y*Z")
+    f = ring.variable(0) * ring.variable(1) * ring.variable(2)
     with pytest.raises(IndexNotInvertible):
         transfer(f, G, H)
 
@@ -147,8 +160,9 @@ def test_transfer_rg_linear():
     ring = GradedRing(3, Z_local(3))
     G = enumerate_group(S3_GENS, Z_local(3))
     H = sylow_subgroup(G, 3)
-    s = parse_polynomial(ring, "X + Y + Z")  # G-invariant
-    f = parse_polynomial(ring, "X^2*Y + Y^2*Z + Z^2*X")  # H-invariant only
+    X, Y, Z = (ring.variable(i) for i in range(3))
+    s = X + Y + Z  # G-invariant
+    f = X * X * Y + Y * Y * Z + Z * Z * X  # H-invariant only
     assert transfer(s * f, G, H) == s * transfer(f, G, H)
 
 

@@ -268,6 +268,22 @@ def test_rref_and_kernel_mod_p():
     assert ker == ((1, 2),)  # (-2, 1) rescaled to leading coefficient 1
     assert member_mod_p(rows, [3, 6], 5)
     assert not member_mod_p(rows, [1, 0], 5)
+    # membership in RREF rows agrees with the rank test, for members and
+    # non-members, with one- and two-byte fields
+    rng = random.Random(21)
+    seen = set()
+    for p in (2, 3, 5, 17):
+        for _ in range(40):
+            ncols = rng.randint(1, 6)
+            m = [[rng.randrange(p) for _ in range(ncols)] for _ in range(rng.randint(0, 4))]
+            rref, _ = rref_mod_p(m, ncols, p)
+            coeffs = [rng.randrange(p) for _ in rref]
+            combo = [sum(c * row[j] for c, row in zip(coeffs, rref)) for j in range(ncols)]
+            for v in ([rng.randrange(-p, 2 * p) for _ in range(ncols)], combo):
+                member = len(rref_mod_p(list(rref) + [v], ncols, p)[0]) == len(rref)
+                assert member_mod_p(rref, v, p) == member
+                seen.add((p, member))
+    assert len(seen) == 8
 
 
 def test_kernel_mod_p_matches_rank():

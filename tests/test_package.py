@@ -43,7 +43,7 @@ def _modules_after(argv) -> tuple[int, set[str]]:
     [
         (
             ["dedekind", "class-group", "--d", "-5"],
-            {"poly", "invariants", "cmcert", "cohomology", "fixtures"},
+            {"groups", "poly", "invariants", "cmcert", "cohomology", "fixtures"},
         ),
         (
             ["invariants", "--group", str(SWAP), "--max-degree", "4"],

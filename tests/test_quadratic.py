@@ -12,7 +12,6 @@ from invring.quadratic import (
     NumberRing,
     ZeroElement,
     _abelian_type_from_orders,
-    character_obstruction_report,
     class_group,
     divisor_map,
     factor_element,
@@ -362,36 +361,3 @@ def test_divisor_map_injective_on_coefficients():
         if key in seen:
             assert seen[key] == D
         seen[key] = D
-
-
-def test_character_obstruction(monkeypatch):
-    import invring.quadratic as quadratic
-    from invring.domains import ZZ
-    from invring.fixtures import fixture_group
-    from invring.groups import enumerate_group
-
-    rot3 = enumerate_group([[[0, -1], [1, -1]]], ZZ)
-    rep = character_obstruction_report(rot3, ZI)
-    # cyclic of order 3 versus roots of unity of order 4: no character
-    assert rep["abelianization_exponent"] == 3
-    assert rep["roots_of_unity_order"] == 4
-    assert rep["no_nontrivial_character"]
-    rep2 = character_obstruction_report(rot3, ZM3)
-    # mu has order 6 in the Eisenstein ring: a cube character can exist
-    assert not rep2["no_nontrivial_character"]
-    # s3 abelianizes to Z/2 and -1 lies in Z[i], so the sign character
-    # exists; each element is inverted once
-    calls = []
-    inverse = quadratic.element_inverse
-
-    def counted(dom, a):
-        calls.append(a)
-        return inverse(dom, a)
-
-    monkeypatch.setattr(quadratic, "element_inverse", counted)
-    s3 = fixture_group("s3")
-    rep3 = character_obstruction_report(s3, ZI)
-    assert rep3["abelianization_order"] == 2
-    assert rep3["abelianization_exponent"] == 2
-    assert not rep3["no_nontrivial_character"]
-    assert len(calls) == s3.order == 6
