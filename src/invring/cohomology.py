@@ -22,7 +22,7 @@ from math import lcm
 
 from .domains import GF, CoefficientDomain, Matrix, is_prime
 from .groups import MatrixGroup, _p_power_part, cyclic_generator
-from .linalg import IntegerMatrix, integer_kernel_basis, lattice_quotient, rank
+from .linalg import IntegerMatrix, integer_kernel_basis, lattice_quotient
 from .poly import GradedRing, action_matrix
 
 
@@ -106,6 +106,9 @@ def trace_matrix(M: CyclicModule) -> Matrix:
 
 
 def _localized_factors(dom: CoefficientDomain, torsion: tuple[int, ...]) -> tuple[int, ...]:
+    """The integer torsion as a module over dom: none over Q, p-parts over Z_(p)."""
+    if dom.tag == "Q":
+        return ()
     if dom.tag != "Zlocal":
         return torsion
     return tuple(f for f in (_p_power_part(t, dom.p) for t in torsion) if f > 1)
@@ -117,9 +120,6 @@ def _subquotient(
     """ker(kernel_of) / column-image(image_of) as an abelian group."""
     ker = integer_kernel_basis(kernel_of)
     image_rows = [row for row in image_of.transpose().data if any(row)]
-    if dom.tag == "Q":
-        free = ker.rows - rank(IntegerMatrix(image_rows, cols=image_of.rows)) if image_rows else ker.rows
-        return CohomologyGroup(free_rank=free, torsion=())
     torsion, free = lattice_quotient(image_rows, list(ker.data))
     return CohomologyGroup(free_rank=free, torsion=_localized_factors(dom, torsion))
 

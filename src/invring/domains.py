@@ -72,16 +72,18 @@ class CoefficientDomain:
     def coerce(self, x) -> Scalar:
         """Bring an int or Fraction into this domain, or raise ValueError.
 
-        A float is refused: its binary value is rarely the number meant.
+        Nothing else is read as a number: not a bool, a string or a Decimal,
+        and not a float, whose binary value is rarely the number meant.
         """
-        if isinstance(x, float):
-            raise ValueError(f"{x!r} is a float; give an int or a Fraction")
+        kind = type(x)
+        if kind is not int and kind is not Fraction:
+            raise ValueError(f"{x!r} is a {kind.__name__}; give an int or a Fraction")
         if self.tag == "Z":
-            if isinstance(x, Fraction):
+            if kind is Fraction:
                 if x.denominator != 1:
                     raise ValueError(f"{x} is not an integer")
-                return int(x)
-            return int(x)
+                return x.numerator
+            return x
         if self.tag == "Q":
             return Fraction(x)
         if self.tag == "Zlocal":
@@ -90,11 +92,11 @@ class CoefficientDomain:
                 raise ValueError(f"{x} has denominator divisible by {self.p}")
             return f
         # Fp
-        if isinstance(x, Fraction):
+        if kind is Fraction:
             if x.denominator % self.p == 0:
                 raise ValueError(f"{x} is not p-integral at {self.p}")
             return (x.numerator * pow(x.denominator, -1, self.p)) % self.p
-        return int(x) % self.p
+        return x % self.p
 
     @property
     def zero(self) -> Scalar:

@@ -172,7 +172,7 @@ def coset_representatives(G: MatrixGroup, H: MatrixGroup) -> list[Matrix]:
         raise NotSubgroup("H is not a subgroup of G")
     dom = G.coeff
     reps = [G.identity]
-    covered = {mat_mul(dom, G.identity, h) for h in H.elements}
+    covered = set(H.elements)
     for g in G.elements:
         if g in covered:
             continue

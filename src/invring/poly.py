@@ -3,12 +3,13 @@
 Per-degree monomial bases in a fixed deglex order (degree, then descending
 lexicographic exponent), an exact linear substitution action of square
 matrices on polynomials, and the induced matrix of that action on each
-graded piece.  Every variable has degree 1.
+graded piece.  Every variable has degree 1.  The action on polynomials and
+the action matrices read one set of monomial images, built degree by degree.
 
-Products of polynomials and the action matrices do their arithmetic in
+Products of polynomials and the monomial images do their arithmetic in
 plain ints and Fractions, reduced mod p once at the end over F_p, rather
 than through the domain's per-scalar methods.  The monomial bases
-and the index tables of the action matrices are cached per (nvars, degree).
+and the index tables of the images are cached per (nvars, degree).
 """
 
 from __future__ import annotations
@@ -278,59 +279,16 @@ def polynomial_from_vector(ring: GradedRing, piece: GradedPiece, vec) -> Polynom
     )
 
 
-def act(g: Matrix, f: Polynomial) -> Polynomial:
-    """Linear substitution X_j -> sum_i g[i][j] X_i applied to f.
-
-    This is a degree-preserving ring homomorphism; act on a composite gh
-    equals act(g) after act(h).
-    """
-    ring = f.ring
-    n = ring.nvars
-    if len(g) != n or any(len(row) != n for row in g):
-        raise ValueError("matrix size must match the number of variables")
-    images = []
-    for j in range(n):
-        images.append(
-            Polynomial(
-                ring,
-                {
-                    tuple(1 if k == i else 0 for k in range(n)): g[i][j]
-                    for i in range(n)
-                },
-            )
-        )
-    max_exp = [0] * n
-    for e in f.terms:
-        for i in range(n):
-            max_exp[i] = max(max_exp[i], e[i])
-    powers: list[list[Polynomial]] = []
-    for j in range(n):
-        pj = [ring.constant(1)]
-        for _ in range(max_exp[j]):
-            pj.append(pj[-1] * images[j])
-        powers.append(pj)
-    result = ring.zero_poly
-    for e, c in f.terms.items():
-        term = ring.constant(c)
-        for j in range(n):
-            if e[j]:
-                term = term * powers[j][e[j]]
-        result = result + term
-    return result
-
-
-def action_matrix(ring: GradedRing, g: Matrix, d: int) -> Matrix:
-    """Matrix of act(g, .) on the deglex basis of the degree-d piece.
-
-    Columns hold the images of basis monomials, so the map is functorial:
-    action_matrix(g h, d) = action_matrix(g, d) * action_matrix(h, d).
+def _action_columns(ring: GradedRing, g: Matrix, d: int) -> list[dict[int, Scalar]]:
+    """Images under g of the degree-d basis monomials, as {basis index: coefficient}.
 
     The images are built degree by degree: with X_j the first variable
     dividing x^m, the image of x^m is the image of x^(m - e_j) times the form
-    L_j = sum_i g[i][j] X_i.  The products run in plain ints and Fractions
-    (reduced mod p once per image over F_p) on monomial indices, and the
-    entries enter the domain once, at the end.  The index tables of each
-    step come from _step_table, cached per (nvars, degree) like the pieces.
+    L_j = sum_i g[i][j] X_i.  The products run in plain ints and Fractions on
+    monomial indices, reduced mod p once per image over F_p; the coefficients
+    are those plain numbers, not yet brought into the domain.  The index
+    tables of each step come from _step_table, cached per (nvars, degree)
+    like the pieces.
     """
     if d < 0:
         raise ValueError("degree must be nonnegative")
@@ -365,6 +323,42 @@ def action_matrix(ring: GradedRing, g: Matrix, d: int) -> Matrix:
             else:
                 nxt.append({t: r for t, v in img.items() if (r := v % p)})
         images = nxt
+    return images
+
+
+def act(g: Matrix, f: Polynomial) -> Polynomial:
+    """Linear substitution X_j -> sum_i g[i][j] X_i applied to f.
+
+    This is a degree-preserving ring homomorphism; act on a composite gh
+    equals act(g) after act(h).  Each degree-d term c*x^e of f contributes
+    c times the image of x^e that action_matrix reads as its column.
+    """
+    ring = f.ring
+    out: dict[Exponent, Scalar] = {}
+    # the zero polynomial reads degree 0, so g is checked for every f
+    for d in {sum(e) for e in f.terms} or {0}:
+        columns = _action_columns(ring, g, d)
+        piece = _piece_cached(ring.nvars, d)
+        for e, c in f.terms.items():
+            if sum(e) == d:
+                for t, v in columns[piece._positions[e]].items():
+                    m = piece.monomials[t]
+                    out[m] = out.get(m, 0) + c * v
+    return Polynomial(ring, out)
+
+
+def action_matrix(ring: GradedRing, g: Matrix, d: int) -> Matrix:
+    """Matrix of act(g, .) on the deglex basis of the degree-d piece.
+
+    Columns hold the images of basis monomials, so the map is functorial:
+    action_matrix(g h, d) = action_matrix(g, d) * action_matrix(h, d).
+
+    The columns come from _action_columns, which builds the images degree
+    by degree in plain ints and Fractions; the entries enter the domain
+    once, here.
+    """
+    images = _action_columns(ring, g, d)
+    dom = ring.coeff
     # ints already are Z and F_p scalars; Q and Z_(p) hold Fractions
     convert = dom.coerce if dom.tag in ("Q", "Zlocal") else None
     zero = dom.zero

@@ -2,6 +2,7 @@
 
 import math
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -173,6 +174,16 @@ def test_floats_are_refused(dom):
     assert dom.coerce(2) == dom.coerce(Fraction(2)) == 2
 
 
+@pytest.mark.parametrize("dom", [ZZ, QQ, GF(5), Z_local(5)], ids=str)
+def test_non_numbers_are_refused(dom):
+    # only ints and Fractions are scalars; bool is an int subclass, refused too
+    for x in (Decimal("2.7"), Decimal("2"), "7", "1/2", True, False):
+        with pytest.raises(ValueError, match="give an int or a Fraction"):
+            dom.coerce(x)
+        with pytest.raises(ValueError, match="give an int or a Fraction"):
+            Polynomial(GradedRing(2, dom), {(1, 0): x})
+
+
 def test_constructor_brings_coefficients_into_the_domain():
     # direct construction coerces every coefficient, as arithmetic does
     f3 = GradedRing(2, GF(3))
@@ -271,11 +282,29 @@ def test_step_table_known_answer():
     assert times_var == ((0, 1, 2),)
 
 
+def _reference_image(ring, g, m):
+    """g.x^m = prod_j (sum_i g[i][j] X_i)^(m_j), in Polynomial arithmetic."""
+    n = ring.nvars
+    image = ring.constant(1)
+    for j in range(n):
+        form = ring.zero_poly
+        for i in range(n):
+            form = form + ring.variable(i).scale(g[i][j])
+        image = image * form ** m[j]
+    return image
+
+
+def _reference_act(g, f):
+    total = f.ring.zero_poly
+    for e, c in f.terms.items():
+        total = total + _reference_image(f.ring, g, e).scale(c)
+    return total
+
+
 def _reference_action_matrix(ring, g, d):
-    """Columns are act(g, m) for each basis monomial m, read off directly."""
+    """Columns are the images of the basis monomials, read off directly."""
     piece = graded_piece_basis(ring, d)
-    dom = ring.coeff
-    cols = [act(g, Polynomial(ring, {m: dom.one})).to_vector(piece) for m in piece.monomials]
+    cols = [_reference_image(ring, g, m).to_vector(piece) for m in piece.monomials]
     return tuple(tuple(col[i] for col in cols) for i in range(piece.dim))
 
 
@@ -314,6 +343,32 @@ def test_action_matrix_matches_substitution(dom):
             want = _reference_action_matrix(ring, g, d)
             assert got == want, (n, g, d)
             assert [list(map(type, r)) for r in got] == [list(map(type, r)) for r in want]
+
+
+@pytest.mark.parametrize("dom", [ZZ, QQ, GF(2), GF(5), Z_local(3)], ids=str)
+def test_act_matches_substitution(dom):
+    # seeded exponents 0-2 per variable, so f mixes degrees, the constant among them
+    rng = random.Random(f"act-{dom}")
+    for n in range(1, 5):
+        ring = GradedRing(n, dom)
+        for _ in range(6):
+            g = _random_matrix(rng, dom, n, rng.randrange(n) if n % 2 == 0 else None)
+            f = _random_polynomial(rng, ring, rng.randint(0, 6), 2)
+            got = act(g, f)
+            assert got.terms == _reference_act(g, f).terms, (n, g, f)
+            _assert_canonical(got)
+
+
+def test_act_checks_the_matrix_for_every_polynomial():
+    for f in (R2.zero_poly, R2.constant(3), R2.variable(0) * R2.variable(1)):
+        with pytest.raises(ValueError, match="matrix size"):
+            act(((1, 0, 0), (0, 1, 0), (0, 0, 1)), f)
+        with pytest.raises(ValueError, match="matrix size"):
+            act(((1, 0), (0,)), f)
+        with pytest.raises(ValueError, match="float"):
+            act(((1, 0), (0, 0.5)), f)
+    with pytest.raises(ValueError, match="denominator"):
+        act(((1, 0), (0, Fraction(1, 3))), GradedRing(2, Z_local(3)).zero_poly)
 
 
 def test_action_matrix_size_mismatch():
