@@ -15,7 +15,9 @@ behind both minimal generators and standard-gradedness: a product of
 generators of degree d is a generator of some degree k times a product of
 degree d - k, so the walk spans degree d from those and adds generators
 where that span falls short of the basis.
-The ring is standard graded through D when none is added above 1.
+The ring is standard graded through D when none is added above 1.  Over Z,
+Q and Z localized at p it multiplies the int basis rows in Z[x] and ranks
+the products on the pivot columns of the basis.
 
 Spans are kept as reduced echelon rows over F_p and as integer lattices in
 Hermite form over Z, Q and Z localized at p, whose vectors are scaled by
@@ -29,13 +31,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import compress
 from math import lcm, prod
 
-from .domains import CoefficientDomain
+from .domains import ZZ, CoefficientDomain
 from .groups import MatrixGroup, coset_representatives
 from .linalg import (
     IntegerMatrix,
+    _lattice_coordinates,
     integer_kernel_basis,
     kernel_mod_p,
     lattice_canonical,
@@ -100,8 +104,34 @@ def _spans(domain: CoefficientDomain, a: Rows, c: Rows) -> bool:
     return len(a) == len(c) and domain.is_unit(_pivot_product(a) // _pivot_product(c))
 
 
+def _pivot_columns(rows: Rows) -> list[int]:
+    return [next(j for j, x in enumerate(row) if x) for row in rows]
+
+
 def _pivot_product(rows: Rows) -> int:
     return prod(next(x for x in row if x) for row in rows)
+
+
+def _lattice_span_on_pivots(basis: Rows, restricted) -> Rows:
+    """canonical_span over Z, Q and Z_(p) of int vectors in the saturated
+    lattice of the Hermite rows basis, given on its pivot columns P, where
+    every vector of its span leads; so their Hermite form is determined on
+    P, and each row is lifted back by back-substitution on basis|_P."""
+    pivots = _pivot_columns(basis)
+    square = [[row[j] for j in pivots] for row in basis]
+    supports = [[(t, x) for t, x in enumerate(row) if x] for row in basis]
+    out = []
+    for h in lattice_canonical(restricted, len(pivots)):
+        coords = _lattice_coordinates(square, h)
+        if coords is None:
+            raise RuntimeError("a vector lies outside the lattice of the basis")
+        v = [0] * len(basis[0])
+        for c, support in zip(coords, supports):
+            if c:
+                for t, x in support:
+                    v[t] += c * x
+        out.append(tuple(v))
+    return tuple(out)
 
 
 def span_member(domain: CoefficientDomain, rows: Rows, vector) -> bool:
@@ -202,9 +232,8 @@ def invariant_basis(G: MatrixGroup, ring: GradedRing, d: int) -> Rows:
         if domain.tag == "Fp":
             kernel = kernel_mod_p([[int(x) for x in r] for r in rows], len(cols), domain.p)
         else:
-            kernel = integer_kernel_basis(
-                IntegerMatrix(_integerize_rows(rows), cols=len(cols))
-            ).data
+            block = rows if domain.tag == "Z" else _integerize_rows(rows)
+            kernel = integer_kernel_basis(IntegerMatrix(block, cols=len(cols))).data
         for k in kernel:
             v = [0] * n
             for j, x in zip(cols, k):
@@ -262,7 +291,8 @@ class TruncatedSubalgebra:
     """An invariant or Veronese subring known through degree D.
 
     bases[d] holds the canonical basis of the degree-d piece as vectors over
-    the monomial basis of the ambient ring in degree d * regrade.
+    the monomial basis of the ambient ring in degree d * regrade.  Over Z, Q
+    and Z_(p) they are int tuples, the Hermite basis of a saturated lattice.
     """
 
     ambient: GradedRing
@@ -355,22 +385,32 @@ def _generator_walk(S: TruncatedSubalgebra):
     alg[d] spans the degree-d products of generators.  Where it falls short
     of the basis, a minimal set of new vectors extends it: Smith-form
     quotient generators over Z and Z_(p), greedy rank extension over a field.
+    Over Z, Q and Z_(p) it multiplies in Z[x] and ranks on pivot columns.
     """
     domain = S.domain
-    gens: dict[int, list[tuple]] = {}
-    alg: dict[int, Rows] = {}
+    fp = domain.tag == "Fp"
+    if not fp and any(type(x) is not int for rows in S.bases for row in rows for x in row):
+        raise ValueError("subalgebra bases over Z, Q and Z_(p) must hold int rows")
+    ring = S.ambient if fp else GradedRing(S.ambient.nvars, ZZ)
+    gens, alg = {}, {}  # degree -> polynomials in ring
     for d in range(1, S.D + 1):
-        products = []
-        for k, rows_k in gens.items():
-            products += S.piece_products(k, rows_k, d - k, alg[d - k])
-        span = canonical_span(domain, products, S.piece_dim(d))
+        basis = S.bases[d]
+        piece = graded_piece_basis(ring, S.ambient_degree(d))
+        if fp:
+            cols, span_of = range(piece.dim), partial(canonical_span, domain, ncols=piece.dim)
+        else:
+            cols, span_of = _pivot_columns(basis), partial(_lattice_span_on_pivots, basis)
+        on_cols = [piece.monomials[j] for j in cols]
+        products = [u * v for k, us in gens.items() for u in us for v in alg[d - k]]
+        span = span_of([[f.terms.get(m, 0) for m in on_cols] for f in products])
         new: list[tuple] = []
-        if not span_equal(domain, span, S.bases[d]):
-            gens[d] = new = span_complement(domain, span, S.bases[d])
-            span = canonical_span(domain, list(span) + new, S.piece_dim(d))
-            if not span_equal(domain, span, S.bases[d]):
+        if not _spans(domain, span, basis):
+            new = span_complement(domain, span, basis)
+            span = span_of([[v[j] for j in cols] for v in list(span) + new])
+            if not _spans(domain, span, basis):
                 raise RuntimeError(f"generator completion failed in degree {d}")
-        alg[d] = span
+            gens[d] = [polynomial_from_vector(ring, piece, v) for v in new]
+        alg[d] = [polynomial_from_vector(ring, piece, v) for v in span]
         yield d, new
 
 

@@ -7,9 +7,10 @@ graded piece.  Every variable has degree 1.  The action on polynomials and
 the action matrices read one set of monomial images, built degree by degree.
 
 Products of polynomials and the monomial images do their arithmetic in
-plain ints and Fractions, reduced mod p once at the end over F_p, rather
-than through the domain's per-scalar methods.  The monomial bases
-and the index tables of the images are cached per (nvars, degree).
+plain ints over a common denominator, divided out (or reduced mod p over
+F_p) once at the end, not through the domain's per-scalar methods.  The
+monomial bases and the index tables of the images are cached per (nvars,
+degree).
 """
 
 from __future__ import annotations
@@ -284,11 +285,12 @@ def _action_columns(ring: GradedRing, g: Matrix, d: int) -> list[dict[int, Scala
 
     The images are built degree by degree: with X_j the first variable
     dividing x^m, the image of x^m is the image of x^(m - e_j) times the form
-    L_j = sum_i g[i][j] X_i.  The products run in plain ints and Fractions on
-    monomial indices, reduced mod p once per image over F_p; the coefficients
-    are those plain numbers, not yet brought into the domain.  The index
-    tables of each step come from _step_table, cached per (nvars, degree)
-    like the pieces.
+    L_j = sum_i g[i][j] X_i.  The products run in plain ints on monomial
+    indices, each L_j scaled by the common denominator den of g; each entry
+    is divided by den^d once at the end, or reduced mod p once per image
+    over F_p, and is not yet brought into the domain.  The index tables of
+    each step come from _step_table, cached per (nvars, degree) like the
+    pieces.
     """
     if d < 0:
         raise ValueError("degree must be nonnegative")
@@ -297,14 +299,11 @@ def _action_columns(ring: GradedRing, g: Matrix, d: int) -> list[dict[int, Scala
         raise ValueError("matrix size must match the number of variables")
     dom = ring.coeff
     p = dom.p if dom.tag == "Fp" else None
-    forms = []  # L_j as (i, g[i][j]) over the nonzero entries of column j
-    for j in range(n):
-        form = []
-        for i in range(n):
-            c = dom.coerce(g[i][j])
-            if c:
-                form.append((i, c.numerator if c.denominator == 1 else c))
-        forms.append(form)
+    den = lcm(*(dom.coerce(x).denominator for row in g for x in row))
+    forms = [  # den * L_j as (i, den * g[i][j]) over the nonzero g[i][j]
+        [(i, c.numerator * (den // c.denominator)) for i in range(n) if (c := dom.coerce(g[i][j]))]
+        for j in range(n)
+    ]
     images = [{0: 1}]  # images of the degree-0 monomials, keyed by index
     for k in range(1, d + 1):
         steps, times_var = _step_table(n, k)
@@ -323,6 +322,8 @@ def _action_columns(ring: GradedRing, g: Matrix, d: int) -> list[dict[int, Scala
             else:
                 nxt.append({t: r for t, v in img.items() if (r := v % p)})
         images = nxt
+    if den != 1:
+        images = [{t: Fraction(v, den**d) for t, v in img.items()} for img in images]
     return images
 
 
@@ -354,8 +355,7 @@ def action_matrix(ring: GradedRing, g: Matrix, d: int) -> Matrix:
     action_matrix(g h, d) = action_matrix(g, d) * action_matrix(h, d).
 
     The columns come from _action_columns, which builds the images degree
-    by degree in plain ints and Fractions; the entries enter the domain
-    once, here.
+    by degree in plain ints; the entries enter the domain once, here.
     """
     images = _action_columns(ring, g, d)
     dom = ring.coeff

@@ -1,5 +1,6 @@
 """Invariant bases, transfer and Reynolds maps, Veronese subrings."""
 
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -15,6 +16,8 @@ from invring.invariants import (
     StandardGradedReport,
     _constraint_blocks,
     _integerize_rows,
+    _lattice_span_on_pivots,
+    _pivot_columns,
     canonical_span,
     hilbert_function,
     invariant_basis,
@@ -304,15 +307,81 @@ def _degree_one_powers_fail(S):
     return None
 
 
-@pytest.mark.parametrize("dom", [ZZ, QQ, GF(2), Z_local(3)], ids=str)
-@pytest.mark.parametrize("name", fixture_group_names())
+def _walk_ring(name, dom, D=6):
+    """The invariant ring of a fixture group through D, or of S4 through 6
+    or B3 through 8."""
+    if name in ("S4", "B3"):
+        G = enumerate_group(S4_GENS if name == "S4" else B3_GENS, dom)
+        D = 6 if name == "S4" else 8
+    else:
+        G = fixture_group(name, dom)
+    return truncated_invariant_ring(G, GradedRing(G.n, dom), D)
+
+
+@pytest.mark.parametrize(
+    "name, dom",
+    [
+        pytest.param(name, dom, id=f"{name}-{dom}")
+        for name, doms in [(n, (ZZ, QQ, GF(2), Z_local(3))) for n in fixture_group_names()]
+        + [(n, (ZZ, QQ, Z_local(2), Z_local(3))) for n in ("S4", "B3")]
+        for dom in doms
+    ],
+)
 def test_generator_walk_matches_all_splits_reference(name, dom):
-    G = fixture_group(name, dom)
-    S = truncated_invariant_ring(G, GradedRing(G.n, dom), 6)
+    S = _walk_ring(name, dom)
     for T in (S, veronese(S, 2)):
         assert [(d, str(p)) for d, p in minimal_generators_up_to(T)] == _all_splits_generators(T)
         fail = _degree_one_powers_fail(T)
         assert is_standard_graded_up_to(T) == StandardGradedReport(fail is None, fail, T.D)
+
+
+@pytest.mark.parametrize("dom", [ZZ, QQ, Z_local(2), Z_local(3)], ids=str)
+@pytest.mark.parametrize("name", fixture_group_names())
+def test_pivot_column_lift_matches_canonical_span(name, dom):
+    # the products of every pair of lower basis pieces, ranked on the pivot
+    # columns of the basis and lifted back, span exactly what the Hermite
+    # form over all columns does
+    S = _walk_ring(name, dom, D=8)
+    for T in (S, veronese(S, 2)):
+        for d in range(1, T.D + 1):
+            basis = T.bases[d]
+            cols = _pivot_columns(basis)
+            products = [
+                v
+                for e in range(1, d // 2 + 1)
+                for v in T.piece_products(e, T.bases[e], d - e, T.bases[d - e])
+            ]
+            got = _lattice_span_on_pivots(basis, [[int(v[j]) for j in cols] for v in products])
+            assert got == canonical_span(dom, products, T.piece_dim(d)), (name, T.regrade, d)
+            assert all(type(x) is int for row in got for x in row)
+
+
+def test_pivot_column_lift_refuses_a_vector_outside_the_lattice():
+    # on the lattice spanned by (2, 2), whose pivot column is 0, the entry 4
+    # lifts to (4, 4) and the entry 3 lies on no lattice vector
+    basis = ((2, 2),)
+    assert _lattice_span_on_pivots(basis, [[4]]) == ((4, 4),)
+    with pytest.raises(RuntimeError, match="outside the lattice"):
+        _lattice_span_on_pivots(basis, [[3]])
+
+
+@pytest.mark.parametrize("dom", [ZZ, QQ, Z_local(2), Z_local(3)], ids=str)
+@pytest.mark.parametrize("name", fixture_group_names())
+def test_bases_are_int_rows(name, dom):
+    G = fixture_group(name, dom)
+    S = truncated_invariant_ring(G, GradedRing(G.n, dom), 6)
+    for T in (S, veronese(S, 2), veronese(S, 3)):
+        assert all(type(row) is tuple for rows in T.bases for row in rows)
+        assert all(type(x) is int for rows in T.bases for row in rows for x in row)
+
+
+def test_walk_refuses_a_non_integral_basis_row():
+    S = truncated_invariant_ring(enumerate_group([[[0, 1], [1, 0]]], QQ), GradedRing(2, QQ), 3)
+    bad = dataclasses.replace(S, bases=(S.bases[0], ((Fraction(1, 2), Fraction(1, 2)),)) + S.bases[2:])
+    with pytest.raises(ValueError, match="int rows"):
+        minimal_generators_up_to(bad)
+    with pytest.raises(ValueError, match="int rows"):
+        is_standard_graded_up_to(bad)
 
 
 @pytest.mark.parametrize("dom", [QQ, Z_local(2), Z_local(3)], ids=str)

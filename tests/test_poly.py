@@ -345,6 +345,24 @@ def test_action_matrix_matches_substitution(dom):
             assert [list(map(type, r)) for r in got] == [list(map(type, r)) for r in want]
 
 
+@pytest.mark.parametrize("dom", [QQ, Z_local(3)], ids=str)
+def test_action_matrix_of_fractional_matrices(dom):
+    # the images come from forms scaled to integer numerators over the
+    # common denominator of g, divided out once per entry; the denominators
+    # 2, 4 and 5 are units of Z_(3), and integral columns share them too
+    F = Fraction
+    for g in (
+        ((0, 2), (F(1, 2), 0)),
+        ((F(1, 2), F(1, 4), 0), (F(-1, 5), 1, F(2, 5)), (0, F(-3, 2), F(1, 4))),
+        ((F(1, 2), 1, 0, F(5, 2)), (F(-1, 4), 1, F(2, 5), 0),
+         (0, F(1, 5), F(3, 2), -1), (F(2, 5), 0, F(1, 2), F(1, 4))),
+    ):
+        ring = GradedRing(len(g), dom)
+        for d in range(6 if len(g) < 4 else 5):
+            got = action_matrix(ring, g, d)
+            assert got == _reference_action_matrix(ring, g, d), (g, d)
+
+
 @pytest.mark.parametrize("dom", [ZZ, QQ, GF(2), GF(5), Z_local(3)], ids=str)
 def test_act_matches_substitution(dom):
     # seeded exponents 0-2 per variable, so f mixes degrees, the constant among them
