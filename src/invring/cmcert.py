@@ -16,11 +16,12 @@ Parameters come from one of two candidate sources: find_sop_mod_p takes
 degree-1 combinations of a standard graded algebra (capped by
 _EXHAUSTIVE_CAP and _SAMPLED_COMBOS), find_sop_mixed takes mixed degrees
 (capped by the _MIXED_* constants).  Both run one loop, _search, that ranks
-each combination's quotient and returns the first one its acceptance test
-passes; a failed search reports how many combinations it tried.  A
-candidate is its coefficient pattern over the basis of one degree: its zero
-mask and multiplication images are combined, by linearity over F_p, from
-per-degree tables of the basis rows' values at the points and products.
+each combination's quotient, degree D first, and returns the first one its
+acceptance test passes; a failed search reports how many combinations it
+tried.  A candidate is its coefficient pattern over the basis of one degree:
+its zero mask and multiplication images are combined, by linearity over
+F_p, from per-degree tables of the basis rows' values at the points and
+products.
 
 Before ranking, _search sieves out every combination whose members share a
 zero at one of the F_p-rational points it is given: such a combination is
@@ -55,7 +56,7 @@ from .invariants import (
     truncated_invariant_ring,
     veronese,
 )
-from .linalg import _field_layout, _insert, _pack, _reduce, member_mod_p, rref_mod_p
+from .linalg import _field_layout, _insert, _pack, member_mod_p, rref_mod_p
 from .poly import GradedRing, Polynomial, graded_piece_basis, polynomial_from_vector
 
 
@@ -104,7 +105,7 @@ class CMCertificate:
 @dataclass(frozen=True)
 class SopSearchResult:
     """tried counts the combinations the search went through, sieved or
-    not; ranked counts those whose quotient it ranked."""
+    not; ranked counts those whose degree-D piece it ranked."""
 
     found: bool
     thetas: tuple[Polynomial, ...]
@@ -183,11 +184,13 @@ def _quotient(
 ) -> tuple[tuple[int, ...], list[dict[int, int]]]:
     """Quotient Hilbert values through D and, per degree, the echelon
     {lead column: packed row} of the ideal piece spanned by the stacked
-    image rows.  Echelons passed in as spans are extended in place."""
+    image rows.  Echelons passed in as spans are extended in place; a full
+    one would absorb every row, so its degree is not ranked again."""
     if spans is None:
         spans = [{} for _ in range(Sbar.D + 1)]
     for d, span in enumerate(spans):
-        _insert(span, (row for image in images for row in image[d]), Sbar.domain.p)
+        if len(span) < len(Sbar.bases[d]):
+            _insert(span, (row for image in images for row in image[d]), Sbar.domain.p)
     return tuple(len(Sbar.bases[d]) - len(spans[d]) for d in range(Sbar.D + 1)), spans
 
 
@@ -302,7 +305,7 @@ def _pattern_images(coeffs, table, p: int) -> list[list[int]]:
     """_image_rows of sum c_i b_i, by linearity from _product_table.
 
     Each field of acc + c * row is at most (p - 1) + (p - 1)^2 = p(p - 1),
-    the bound fold, like _reduce, relies on.
+    the bound fold, like _insert, relies on.
     """
     _, fold = _field_layout(p)
     images = [[0] * len(rows) for rows in table[0]]
@@ -330,12 +333,16 @@ def _search(
     built on the first use of its degree.  A mask is built when its
     candidate first appears, images when it first appears in a ranked
     combination; both are reused by every later combination that contains
-    it.  Polynomials are built only for the system returned.  accept sees
-    _quotient's (Hilbert values, ideal spans) of the combination; tried
-    counts every combination gone through, sieved ones included, and ranked
-    those that were ranked.
+    it.  Polynomials are built only for the system returned.
+
+    Both acceptance tests need the quotient to vanish in degree D, so the
+    degree-D piece of the ideal is ranked first, and only a combination
+    whose quotient vanishes there is ranked in the lower degrees and shown
+    to accept as _quotient's (Hilbert values, ideal spans).  tried counts
+    every combination gone through, sieved ones included, and ranked those
+    whose degree-D piece was ranked.
     """
-    p = Sbar.domain.p
+    p, D = Sbar.domain.p, Sbar.D
     values: dict = {}
     tables: dict = {}
     patterns: dict = {}
@@ -362,7 +369,11 @@ def _search(
                 if k not in tables:
                     tables[k] = _product_table(Sbar, k)
                 images[key] = _pattern_images(coeffs, tables[k], p)
-        if accept(_quotient(Sbar, [images[key] for key in combo])):
+        stacked = [images[key] for key in combo]
+        top: dict[int, int] = {}
+        if _insert(top, (row for image in stacked for row in image[D]), p) < len(Sbar.bases[D]):
+            continue
+        if accept(_quotient(Sbar, stacked, [{} for _ in range(D)] + [top])):
             found = tuple(_combination(Sbar, *patterns[key]) for key in combo)
             return SopSearchResult(True, found, tried, ranked)
     return SopSearchResult(False, (), tried, ranked)
@@ -440,7 +451,7 @@ def _vanishing_window(generators, ideal_spans, p: int) -> int:
     """
     w = 1
     for d, vec in generators:
-        if _reduce(ideal_spans[d], vec, p):
+        if _insert(dict(ideal_spans[d]), [vec], p):
             w = max(w, d)
     return w
 

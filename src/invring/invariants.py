@@ -409,8 +409,9 @@ def _generator_walk(S: TruncatedSubalgebra):
             span = span_of([[v[j] for j in cols] for v in list(span) + new])
             if not _spans(domain, span, basis):
                 raise RuntimeError(f"generator completion failed in degree {d}")
+        if d < S.D:  # no later degree reads the top one
             gens[d] = [polynomial_from_vector(ring, piece, v) for v in new]
-        alg[d] = [polynomial_from_vector(ring, piece, v) for v in span]
+            alg[d] = [polynomial_from_vector(ring, piece, v) for v in span]
         yield d, new
 
 

@@ -426,32 +426,28 @@ def _unpack(v: int, ncols: int, p: int) -> tuple[int, ...]:
     )
 
 
-def _reduce(pivots: dict[int, int], v: int, p: int) -> int:
-    """Reduce a packed row against an echelon until its lead column has no
-    pivot; the result is 0 iff v lies in the span of the pivots."""
+def _insert(pivots: dict[int, int], rows, p: int) -> int:
+    """Extend an echelon by packed rows and return how many it kept.
+
+    Each row is reduced against the pivots until its lead column has none.
+    It vanishes iff it lies in the span, so a full echelon absorbs every
+    row; otherwise it is scaled to lead 1 and kept under its lead column.  A
+    membership test that must leave the echelon unchanged inserts into a copy.
+    """
     width, fold = _field_layout(p)
     bits = 8 * width
     mask = (1 << bits) - 1
-    while v:
-        col = ((v & -v).bit_length() - 1) // bits
-        piv = pivots.get(col)
-        if piv is None:
-            return v
-        v = fold(v + (p - ((v >> (col * bits)) & mask)) * piv)
-    return 0
-
-
-def _insert(pivots: dict[int, int], rows, p: int) -> None:
-    """Extend an echelon by packed rows: each row is reduced and, if it
-    does not vanish, scaled to lead 1 and kept under its lead column."""
-    width, fold = _field_layout(p)
-    bits = 8 * width
+    before = len(pivots)
     for v in rows:
-        v = _reduce(pivots, v, p)
-        if v:
+        while v:
             col = ((v & -v).bit_length() - 1) // bits
-            lead = (v >> (col * bits)) & ((1 << bits) - 1)
-            pivots[col] = v if lead == 1 else fold(v * pow(lead, -1, p))
+            piv = pivots.get(col)
+            lead = (v >> (col * bits)) & mask
+            if piv is None:
+                pivots[col] = v if lead == 1 else fold(v * pow(lead, -1, p))
+                break
+            v = fold(v + (p - lead) * piv)
+    return len(pivots) - before
 
 
 def rref_mod_p(rows, ncols: int, p: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
@@ -496,7 +492,8 @@ def member_mod_p(rref_rows, v, p: int) -> bool:
     """True iff v lies in the row space of rref_rows over F_p.
 
     The rows are already an echelon: each is packed as it stands and kept
-    under its lead column, where its entry is 1.
+    under its lead column, where its entry is 1; v is a member iff inserting
+    it into that echelon keeps nothing.
     """
     pivots = {next(j for j, x in enumerate(row) if x): _pack(row, p) for row in rref_rows}
-    return not _reduce(pivots, _pack([x % p for x in v], p), p)
+    return not _insert(pivots, [_pack([x % p for x in v], p)], p)

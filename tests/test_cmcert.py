@@ -1,5 +1,6 @@
 """Reduction mod p, parameter search, and regularity certificates."""
 
+import collections
 import itertools
 import math
 import random
@@ -20,6 +21,8 @@ from invring.cmcert import (
     _product_table,
     _projective_pattern,
     _projective_patterns,
+    _quotient,
+    _search,
     NotStandardGraded,
     NumeratorNotTerminated,
     cm_certificate,
@@ -36,6 +39,7 @@ from invring.fixtures import fixture_group
 from invring.groups import enumerate_group, sylow_subgroup, trivial_group
 from invring.invariants import (
     hilbert_function,
+    is_standard_graded_up_to,
     truncated_invariant_ring,
     veronese,
 )
@@ -542,6 +546,91 @@ def test_truncated_quotient_matches_product_span(make, request):
         cert = regular_sequence_certificate(Sbar, thetas)
         stage = cert.failed_stage or len(thetas)
         assert cert.quotient_hilbert == truncated_quotient(Sbar, thetas[:stage])
+
+
+def _degree_one_pair_images(Sbar, limit):
+    """(pair, multiplication images) of the first limit pairs of degree-1
+    candidates, in the order find_sop_mod_p tries them."""
+    p, r = Sbar.domain.p, len(Sbar.bases[1])
+    table = _product_table(Sbar, 1)
+    count = (p**r - 1) // (p - 1)
+    for pair in itertools.islice(itertools.combinations(range(count), 2), limit):
+        yield pair, [_pattern_images(_projective_pattern(p, r, i), table, p) for i in pair]
+
+
+def test_standard_graded_quotient_vanishes_iff_its_top_degree_does():
+    # the premise of ranking degree D first in find_sop_mod_p: on a standard
+    # graded algebra, I_d = S_d gives S_{d+1} = S_1 I_d inside I_{d+1}, so a
+    # zero persists;
+    # checked on the Veronese subrings with D >= 2 that veronese_cm_search
+    # takes to that search
+    outcomes = collections.Counter()
+    for name in ("minus-identity", "rot3", "rot4", "swap"):
+        G = fixture_group(name)
+        S = truncated_invariant_ring(G, R2, 12)
+        for l in range(1, 7):
+            V = veronese(S, l)
+            if not is_standard_graded_up_to(V).standard:
+                continue
+            for p in prime_divisors(G.order):
+                Sbar = reduce_mod_p(V, p)
+                for pair, images in _degree_one_pair_images(Sbar, 400):
+                    h, _ = _quotient(Sbar, images)
+                    assert (0 in h) == (h[Sbar.D] == 0), (name, l, p, pair, h)
+                    outcomes[h[Sbar.D] == 0] += 1
+    assert outcomes[True] and outcomes[False]
+    assert sum(outcomes.values()) == 1061
+
+
+class _RecordedReads(list):
+    """A list that records which indices were read."""
+
+    def __init__(self, items, reads):
+        super().__init__(items)
+        self.reads = reads
+
+    def __getitem__(self, d):
+        self.reads.add(d)
+        return super().__getitem__(d)
+
+
+def test_quotient_skips_full_echelons():
+    # a full echelon absorbs every row, so _quotient reads no image rows of
+    # its degree; the Hilbert values are those of a fresh rank
+    Sbar = quadric_cone_mod2()
+    for _, images in _degree_one_pair_images(Sbar, 40):
+        h, spans = _quotient(Sbar, images)
+        full = {d for d, span in enumerate(spans) if len(span) == len(Sbar.bases[d])}
+        prefilled = [dict(span) if d in full else {} for d, span in enumerate(spans)]
+        reads: set[int] = set()
+        again, _ = _quotient(Sbar, [_RecordedReads(im, reads) for im in images], prefilled)
+        assert again == h
+        assert reads == set(range(Sbar.D + 1)) - full
+
+
+@pytest.mark.parametrize(
+    "name, l, p", [("minus-identity", 4, 2), ("rot3", 6, 3), ("rot4", 4, 2)]
+)
+def test_search_accepts_only_where_the_top_degree_vanishes(name, l, p):
+    # accept sees exactly the combinations whose quotient vanishes in degree
+    # D, in order and with their full Hilbert values; the rest are ranked in
+    # degree D alone, and every combination counts in ranked
+    Sbar = reduce_mod_p(veronese(truncated_invariant_ring(fixture_group(name), R2, 12), l), p)
+    r, D = len(Sbar.bases[1]), Sbar.D
+    pairs = list(_degree_one_pair_images(Sbar, 400))
+    fresh = [_quotient(Sbar, images)[0] for _, images in pairs]
+    seen = []
+
+    def accept(quotient):
+        seen.append(quotient[0])
+        return False
+
+    res = _search(
+        Sbar, [pair for pair, _ in pairs], lambda i: (_projective_pattern(p, r, i), 1), accept, ()
+    )
+    assert (res.found, res.tried, res.ranked) == (False, len(pairs), len(pairs))
+    assert seen == [h for h in fresh if h[D] == 0]
+    assert 0 < len(seen) < len(pairs)
 
 
 def test_quotient_evaluators_reject_non_prime_field():

@@ -10,7 +10,6 @@ from invring.linalg import (
     _field_layout,
     _insert,
     _pack,
-    _reduce,
     _unpack,
     cokernel_invariant_factors,
     hermite_normal_form,
@@ -385,21 +384,23 @@ def test_rref_mod_p_definition_and_membership(p):
 @pytest.mark.parametrize("p", [2, 3, 13, 17])
 def test_packed_echelon_extends_in_batches(p):
     """Inserting rows in two batches into one echelon gives the span that a
-    single batch gives: same rank, same lead columns, same members."""
+    single batch gives: same rank, same lead columns, same members; each
+    insert returns its rank gain."""
     rng = random.Random(200 + p)
     for _ in range(20):
         ncols = rng.randint(1, 70)
         rows, basis = _planted_matrix(rng, p, rng.randint(0, 30), ncols, rng.randint(0, 25))
         packed = [_pack([x % p for x in row], p) for row in rows]
         cut = rng.randint(0, len(packed))
-        once: dict[int, int] = {}
-        _insert(once, packed, p)
-        twice: dict[int, int] = {}
-        _insert(twice, packed[:cut], p)
-        first = dict(twice)
-        _insert(twice, packed[cut:], p)
-        assert all(twice[col] == row for col, row in first.items())
         input_basis = _incremental_basis(rows, p)
+        once: dict[int, int] = {}
+        assert _insert(once, packed, p) == len(input_basis)
+        twice: dict[int, int] = {}
+        gain = _insert(twice, packed[:cut], p)
+        assert gain == len(_incremental_basis(rows[:cut], p))
+        first = dict(twice)
+        assert _insert(twice, packed[cut:], p) == len(input_basis) - gain
+        assert all(twice[col] == row for col, row in first.items())
         assert len(once) == len(twice) == len(input_basis)
         assert sorted(once) == sorted(twice) == sorted(col for col, _ in input_basis)
         probes = [[rng.randrange(p) for _ in range(ncols)] for _ in range(10)]
@@ -411,4 +412,4 @@ def test_packed_echelon_extends_in_batches(p):
         for v in probes:
             inside = not any(_reduced_against(input_basis, v, p))
             w = _pack([x % p for x in v], p)
-            assert (_reduce(once, w, p) == 0) == (_reduce(twice, w, p) == 0) == inside
+            assert (_insert(dict(once), [w], p) == 0) == (_insert(dict(twice), [w], p) == 0) == inside
