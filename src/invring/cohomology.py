@@ -201,8 +201,11 @@ def verify_pi_annihilates_h1(M: CyclicModule) -> bool:
 
 
 def graded_cohomology(G: MatrixGroup, ring: GradedRing, i: int, d: int) -> CohomologyGroup:
-    """H^i of a cyclic group acting on the degree-d graded piece."""
-    gen = cyclic_generator(G)
-    sigma = action_matrix(ring, gen, d)
+    """H^i of a cyclic group acting on the degree-d graded piece.
+
+    sigma is the dense matrix of the generator's action_matrix columns.
+    """
+    columns = action_matrix(ring, cyclic_generator(G), d)
+    sigma = [[col.get(i, 0) for col in columns] for i in range(len(columns))]
     M = CyclicModule(domain=ring.coeff, sigma=sigma, order=G.order)
     return cohomology(M, i)

@@ -32,7 +32,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import compress
 from math import lcm, prod
 
 from .domains import ZZ, CoefficientDomain
@@ -140,14 +139,6 @@ def span_member(domain: CoefficientDomain, rows: Rows, vector) -> bool:
     return _spans(domain, rows, canonical_span(domain, list(rows) + [vector], len(vector)))
 
 
-def span_equal(domain: CoefficientDomain, a: Rows, b: Rows) -> bool:
-    if a == b:  # exact over Z and F_p, whose forms are canonical
-        return True
-    ncols = len((a or b)[0])
-    c = canonical_span(domain, list(a) + list(b), ncols)
-    return _spans(domain, a, c) and _spans(domain, b, c)
-
-
 def span_complement(domain: CoefficientDomain, sub: Rows, sup: Rows) -> list[tuple]:
     """Vectors extending sub to generate sup, minimal in count."""
     if domain.tag in ("Z", "Zlocal"):
@@ -169,13 +160,13 @@ def span_complement(domain: CoefficientDomain, sub: Rows, sup: Rows) -> list[tup
 def _constraint_blocks(n: int, constraints) -> list[tuple[list[int], list[list]]]:
     """Connected blocks of constraint rows on n columns.
 
-    constraints holds pairs (i, row) with row the i-th row of some g - I.
-    One pass over each row's support joins index i and every column in that
-    support (union-find), so each row lies inside one block and the system
-    is block diagonal up to permuting rows and columns.  Returns per block
-    its columns in ascending order and its nonzero rows restricted to them,
-    blocks ordered by first column; a column no row touches is a block of
-    its own without rows.
+    constraints holds pairs (i, row) with row the i-th row of some g - I as
+    {column: nonzero entry}.  Index i and every column of the row are joined
+    (union-find over its keys), so each row lies inside one block and the
+    system is block diagonal up to permuting rows and columns.  Returns per
+    block its columns in ascending order and its nonzero rows densified on
+    them, blocks ordered by first column; a column no row touches is a block
+    of its own without rows.
     """
     parent = list(range(n))
 
@@ -186,18 +177,17 @@ def _constraint_blocks(n: int, constraints) -> list[tuple[list[int], list[list]]
 
     kept = []
     for i, row in constraints:
-        support = list(compress(range(n), row))  # entries are canonical
-        if support:
+        if row:
             kept.append((i, row))
             root = find(i)
-            for j in support:
+            for j in row:
                 parent[find(j)] = root
     blocks: dict[int, tuple[list[int], list[list]]] = {}
     for j in range(n):
         blocks.setdefault(find(j), ([], []))[0].append(j)
     for i, row in kept:
         cols, rows = blocks[find(i)]
-        rows.append([row[j] for j in cols])
+        rows.append([row.get(j, 0) for j in cols])
     return list(blocks.values())
 
 
@@ -207,7 +197,8 @@ def invariant_basis(G: MatrixGroup, ring: GradedRing, d: int) -> Rows:
     Returned rows are coefficient vectors over the deglex monomial basis.
     Over Z and Z_(p) the rows span the saturated invariant lattice.
 
-    The kernel is taken per connected block of the constraints g - I.  The
+    The constraints g - I stay sparse rows, transposed from the columns of
+    action_matrix, and the kernel is taken per connected block of them.  The
     kernel of a block-diagonal system is the direct sum of the block
     kernels, and a direct sum of saturated lattices is saturated.  Block
     rows in Hermite form (RREF over F_p), embedded and ordered by pivot,
@@ -215,22 +206,27 @@ def invariant_basis(G: MatrixGroup, ring: GradedRing, d: int) -> Rows:
     another block are 0.  That form is unique, so the rows are those of
     the kernel of the whole stacked system.
     """
-    piece = graded_piece_basis(ring, d)
-    n = piece.dim
+    n = graded_piece_basis(ring, d).dim
     if n == 0:
         return ()
     domain = ring.coeff
-    gens = G.generators if G.generators else G.elements
-    constraints: list[tuple[int, list]] = []
-    for g in gens:
-        for i, row in enumerate(action_matrix(ring, g, d)):
-            row = list(row)
-            row[i] = domain.sub(row[i], domain.one)
+    constraints: list[tuple[int, dict]] = []
+    for g in G.generators if G.generators else G.elements:
+        columns = action_matrix(ring, g, d)
+        transposed: list[dict] = [{} for _ in columns]
+        for c, col in enumerate(columns):
+            for t, v in col.items():
+                transposed[t][c] = v
+        for i, row in enumerate(transposed):  # row i of g - I
+            if v := domain.sub(row.get(i, 0), domain.one):
+                row[i] = v
+            else:
+                del row[i]
             constraints.append((i, row))
     pivoted: list[tuple[int, tuple]] = []
     for cols, rows in _constraint_blocks(n, constraints):
         if domain.tag == "Fp":
-            kernel = kernel_mod_p([[int(x) for x in r] for r in rows], len(cols), domain.p)
+            kernel = kernel_mod_p(rows, len(cols), domain.p)
         else:
             block = rows if domain.tag == "Z" else _integerize_rows(rows)
             kernel = integer_kernel_basis(IntegerMatrix(block, cols=len(cols))).data
@@ -253,8 +249,8 @@ def trace_average_invariant_count(G: MatrixGroup, ring: GradedRing, d: int) -> F
         raise ValueError("trace averaging needs characteristic zero")
     total = Fraction(0)
     for g in G.elements:
-        a = action_matrix(ring, g, d)
-        total += sum((Fraction(a[i][i]) for i in range(len(a))), Fraction(0))
+        columns = action_matrix(ring, g, d)
+        total += sum((Fraction(col.get(i, 0)) for i, col in enumerate(columns)), Fraction(0))
     return total / G.order
 
 

@@ -3,8 +3,9 @@
 Per-degree monomial bases in a fixed deglex order (degree, then descending
 lexicographic exponent), an exact linear substitution action of square
 matrices on polynomials, and the induced matrix of that action on each
-graded piece.  Every variable has degree 1.  The action on polynomials and
-the action matrices read one set of monomial images, built degree by degree.
+graded piece, as sparse columns: the monomial images, built degree by
+degree.  Every variable has degree 1.  The action on polynomials reads the
+same columns.
 
 Products of polynomials and the monomial images do their arithmetic in
 plain ints over a common denominator, divided out (or reduced mod p over
@@ -280,17 +281,22 @@ def polynomial_from_vector(ring: GradedRing, piece: GradedPiece, vec) -> Polynom
     )
 
 
-def _action_columns(ring: GradedRing, g: Matrix, d: int) -> list[dict[int, Scalar]]:
-    """Images under g of the degree-d basis monomials, as {basis index: coefficient}.
+def action_matrix(ring: GradedRing, g: Matrix, d: int) -> tuple[dict[int, Scalar], ...]:
+    """Matrix of act(g, .) on the deglex basis of the degree-d piece, by columns.
+
+    Column c is the image of the c-th basis monomial as {row index: nonzero
+    entry}, so the map is functorial: column c of action_matrix(g h, d) is
+    the sum over t of the (t, c) entry of action_matrix(h, d) times column t
+    of action_matrix(g, d).  Entries are ints over Z and F_p (reduced mod p
+    over F_p) and Fractions over Q and Z_(p); a zero entry is absent.
 
     The images are built degree by degree: with X_j the first variable
     dividing x^m, the image of x^m is the image of x^(m - e_j) times the form
     L_j = sum_i g[i][j] X_i.  The products run in plain ints on monomial
     indices, each L_j scaled by the common denominator den of g; each entry
-    is divided by den^d once at the end, or reduced mod p once per image
-    over F_p, and is not yet brought into the domain.  The index tables of
-    each step come from _step_table, cached per (nvars, degree) like the
-    pieces.
+    is divided by den^d once at the end over Q and Z_(p), or reduced mod p
+    once per image over F_p.  The index tables of each step come from
+    _step_table, cached per (nvars, degree) like the pieces.
     """
     if d < 0:
         raise ValueError("degree must be nonnegative")
@@ -322,9 +328,11 @@ def _action_columns(ring: GradedRing, g: Matrix, d: int) -> list[dict[int, Scala
             else:
                 nxt.append({t: r for t, v in img.items() if (r := v % p)})
         images = nxt
-    if den != 1:
-        images = [{t: Fraction(v, den**d) for t, v in img.items()} for img in images]
-    return images
+    if dom.tag in ("Q", "Zlocal"):  # the entries enter the domain once, here
+        scale = den**d
+        entry = Fraction if scale == 1 else lambda v: Fraction(v, scale)
+        images = [{t: entry(v) for t, v in img.items()} for img in images]
+    return tuple(images)
 
 
 def act(g: Matrix, f: Polynomial) -> Polynomial:
@@ -332,13 +340,13 @@ def act(g: Matrix, f: Polynomial) -> Polynomial:
 
     This is a degree-preserving ring homomorphism; act on a composite gh
     equals act(g) after act(h).  Each degree-d term c*x^e of f contributes
-    c times the image of x^e that action_matrix reads as its column.
+    c times the column of x^e in action_matrix.
     """
     ring = f.ring
     out: dict[Exponent, Scalar] = {}
     # the zero polynomial reads degree 0, so g is checked for every f
     for d in {sum(e) for e in f.terms} or {0}:
-        columns = _action_columns(ring, g, d)
+        columns = action_matrix(ring, g, d)
         piece = _piece_cached(ring.nvars, d)
         for e, c in f.terms.items():
             if sum(e) == d:
@@ -346,28 +354,6 @@ def act(g: Matrix, f: Polynomial) -> Polynomial:
                     m = piece.monomials[t]
                     out[m] = out.get(m, 0) + c * v
     return Polynomial(ring, out)
-
-
-def action_matrix(ring: GradedRing, g: Matrix, d: int) -> Matrix:
-    """Matrix of act(g, .) on the deglex basis of the degree-d piece.
-
-    Columns hold the images of basis monomials, so the map is functorial:
-    action_matrix(g h, d) = action_matrix(g, d) * action_matrix(h, d).
-
-    The columns come from _action_columns, which builds the images degree
-    by degree in plain ints; the entries enter the domain once, here.
-    """
-    images = _action_columns(ring, g, d)
-    dom = ring.coeff
-    # ints already are Z and F_p scalars; Q and Z_(p) hold Fractions
-    convert = dom.coerce if dom.tag in ("Q", "Zlocal") else None
-    zero = dom.zero
-    dim = len(images)
-    rows = [[zero] * dim for _ in range(dim)]
-    for col, img in enumerate(images):
-        for t, v in img.items():
-            rows[t][col] = convert(v) if convert else v
-    return tuple(map(tuple, rows))
 
 
 # ---------------------------------------------------------------------------

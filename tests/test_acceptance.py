@@ -109,7 +109,8 @@ def test_criterion_03_h1_degree_zero_and_annihilation():
     G2 = fixture_group("minus-identity", Z_local(2))
     gen = G2.generators[0]
     for d in range(0, 7):
-        sigma = action_matrix(ring2, gen, d)
+        columns = action_matrix(ring2, gen, d)
+        sigma = [[col.get(i, 0) for col in columns] for i in range(len(columns))]
         M = CyclicModule(domain=Z_local(2), sigma=sigma, order=2)
         ok = ok and verify_pi_annihilates_h1(M)
     rng = random.Random(1)

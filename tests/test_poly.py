@@ -89,13 +89,23 @@ def test_act_ring_homomorphism():
     assert act(m, f + g) == act(m, f) + act(m, g)
 
 
+def _dense(columns, zero=0):
+    """The n x n tuple matrix of sparse action columns, zero where absent."""
+    return tuple(tuple(col.get(i, zero) for col in columns) for i in range(len(columns)))
+
+
+def _sparse(matrix):
+    """The columns of a dense matrix as {row index: nonzero entry}."""
+    return tuple({i: row[c] for i, row in enumerate(matrix) if row[c]} for c in range(len(matrix)))
+
+
 def test_action_matrix_examples():
     a = action_matrix(R2, SWAP, 2)
-    assert a == ((0, 0, 1), (0, 1, 0), (1, 0, 0))
-    assert action_matrix(R2, ((1, 0), (0, 1)), 3) == tuple(
+    assert _dense(a) == ((0, 0, 1), (0, 1, 0), (1, 0, 0))
+    assert _dense(action_matrix(R2, ((1, 0), (0, 1)), 3)) == tuple(
         tuple(int(i == j) for j in range(4)) for i in range(4)
     )
-    assert action_matrix(R2, MINUS_I, 1) == ((-1, 0), (0, -1))
+    assert _dense(action_matrix(R2, MINUS_I, 1)) == ((-1, 0), (0, -1))
 
 
 def test_action_matrix_functorial():
@@ -117,7 +127,7 @@ def test_action_matrix_functorial():
         lhs = action_matrix(R3, mat_mul(ZZ, g, h), d)
         rhs_g = action_matrix(R3, g, d)
         rhs_h = action_matrix(R3, h, d)
-        assert lhs == mat_mul(ZZ, rhs_g, rhs_h)
+        assert _dense(lhs) == mat_mul(ZZ, _dense(rhs_g), _dense(rhs_h))
 
 
 def test_act_preserves_degree():
@@ -308,6 +318,24 @@ def _reference_action_matrix(ring, g, d):
     return tuple(tuple(col[i] for col in cols) for i in range(piece.dim))
 
 
+SPARSE_DOMAINS = [ZZ, QQ, GF(2), GF(3), GF(5), Z_local(2), Z_local(3)]
+HALF_SWAP = ((0, 2), (Fraction(1, 2), 0))
+
+
+def _assert_canonical_columns(dom, columns, n):
+    """n columns keyed by row indices below n, each entry nonzero and
+    already in the domain: an int in [1, p) over F_p, an int over Z, and
+    a Fraction over Q and Z_(p)."""
+    kind = Fraction if dom.tag in ("Q", "Zlocal") else int
+    assert len(columns) == n
+    for col in columns:
+        for t, v in col.items():
+            assert 0 <= t < n
+            assert type(v) is kind and v != 0 and dom.coerce(v) == v, (t, v)
+            if dom.tag == "Fp":
+                assert 0 < v < dom.p, v
+
+
 def _random_entry(rng, dom):
     """A scalar that coerce() accepts, chosen to exercise the domain's edges."""
     if dom.tag == "Z":
@@ -339,7 +367,9 @@ def test_action_matrix_matches_substitution(dom):
         ring = GradedRing(n, dom)
         g = _random_matrix(rng, dom, n, rng.randrange(n) if n % 2 == 0 else None)
         for d in range(7):
-            got = action_matrix(ring, g, d)
+            columns = action_matrix(ring, g, d)
+            _assert_canonical_columns(dom, columns, len(columns))
+            got = _dense(columns, dom.zero)
             want = _reference_action_matrix(ring, g, d)
             assert got == want, (n, g, d)
             assert [list(map(type, r)) for r in got] == [list(map(type, r)) for r in want]
@@ -359,8 +389,51 @@ def test_action_matrix_of_fractional_matrices(dom):
     ):
         ring = GradedRing(len(g), dom)
         for d in range(6 if len(g) < 4 else 5):
-            got = action_matrix(ring, g, d)
-            assert got == _reference_action_matrix(ring, g, d), (g, d)
+            columns = action_matrix(ring, g, d)
+            _assert_canonical_columns(dom, columns, len(columns))
+            assert _dense(columns, dom.zero) == _reference_action_matrix(ring, g, d), (g, d)
+
+
+@pytest.mark.parametrize("dom", SPARSE_DOMAINS, ids=str)
+def test_action_columns_hold_nonzero_domain_entries(dom):
+    from invring.fixtures import fixture_group, fixture_group_names
+
+    cases = [
+        (GradedRing(G.n, dom), g)
+        for G in (fixture_group(name, dom) for name in fixture_group_names())
+        for g in G.elements
+    ]
+    if dom.tag in ("Q", "Zlocal") and dom.p != 2:
+        cases.append((GradedRing(2, dom), HALF_SWAP))
+    for ring, g in cases:
+        for d in range(7):
+            _assert_canonical_columns(dom, action_matrix(ring, g, d), graded_piece_basis(ring, d).dim)
+
+
+@pytest.mark.parametrize("dom", SPARSE_DOMAINS, ids=str)
+def test_action_columns_functorial(dom):
+    # column c of gh is the sum over t of h's entry (t, c) times column t of
+    # g, summed on the sparse columns with the domain's own arithmetic
+    from invring.domains import mat_mul
+    from invring.fixtures import fixture_group, fixture_group_names
+
+    rng = random.Random(f"columns-{dom}")
+    pairs = []
+    for name in fixture_group_names():
+        G = fixture_group(name, dom)
+        pairs += [(G.n, rng.choice(G.elements), rng.choice(G.elements)) for _ in range(4)]
+    if dom.tag in ("Q", "Zlocal") and dom.p != 2:
+        pairs += [(2, HALF_SWAP, HALF_SWAP), (2, HALF_SWAP, ((1, 1), (0, 1)))]
+    for n, g, h in pairs:
+        ring = GradedRing(n, dom)
+        for d in range(6):
+            cols_g, cols_h = action_matrix(ring, g, d), action_matrix(ring, h, d)
+            for c, col in enumerate(action_matrix(ring, mat_mul(dom, g, h), d)):
+                want = {}
+                for t, x in cols_h[c].items():
+                    for i, y in cols_g[t].items():
+                        want[i] = dom.add(want.get(i, dom.zero), dom.mul(x, y))
+                assert col == {i: v for i, v in want.items() if v}, (g, h, d, c)
 
 
 @pytest.mark.parametrize("dom", [ZZ, QQ, GF(2), GF(5), Z_local(3)], ids=str)
@@ -413,6 +486,9 @@ def test_invariant_bases_match_reference_action(monkeypatch):
             ring = GradedRing(spec["n"], dom)
             got = truncated_invariant_ring(G, ring, 6).bases
             with monkeypatch.context() as mp:
-                mp.setattr("invring.invariants.action_matrix", _reference_action_matrix)
+                mp.setattr(
+                    "invring.invariants.action_matrix",
+                    lambda ring, g, d: _sparse(_reference_action_matrix(ring, g, d)),
+                )
                 want = truncated_invariant_ring(G, ring, 6).bases
             assert got == want, (name, dom)
