@@ -15,9 +15,9 @@ behind both minimal generators and standard-gradedness: a product of
 generators of degree d is a generator of some degree k times a product of
 degree d - k, so the walk spans degree d from those and adds generators
 where that span falls short of the basis.
-The ring is standard graded through D when none is added above 1.  Over Z,
-Q and Z localized at p it multiplies the int basis rows in Z[x] and ranks
-the products on the pivot columns of the basis.
+The ring is standard graded through D when none is added above 1.  Over
+every domain it multiplies the int basis rows in Z[x] and ranks the products
+on the pivot columns of the basis.
 
 Spans are kept as reduced echelon rows over F_p and as integer lattices in
 Hermite form over Z, Q and Z localized at p, whose vectors are scaled by
@@ -31,19 +31,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from math import lcm, prod
 
 from .domains import ZZ, CoefficientDomain
 from .groups import MatrixGroup, coset_representatives
 from .linalg import (
     IntegerMatrix,
-    _lattice_coordinates,
     integer_kernel_basis,
     kernel_mod_p,
     lattice_canonical,
     lattice_complement_generators,
-    member_mod_p,
     rref_mod_p,
 )
 from .poly import (
@@ -80,18 +77,13 @@ def _integerize_rows(vectors) -> list[list[int]]:
 
 
 def canonical_span(domain: CoefficientDomain, vectors, ncols: int) -> Rows:
-    """Canonical row set spanning the given vectors over the domain.
-
-    Over F_p the rows are the RREF.  Over Z, Q and Z_(p) they are the
-    Hermite basis of the integer lattice the vectors span once each is
-    scaled by a unit clearing its denominators; that basis is canonical over
-    Z only.  Over every domain an echelon a inside c spans all of c exactly
-    when len(a) == len(c) and the index of a in c, the quotient of their
-    pivot products, is a unit of the domain.
+    """Canonical rows, none zero, spanning the given vectors over the domain:
+    the RREF over F_p, and over Z, Q and Z_(p) the Hermite basis of the
+    integer lattice they span once each is scaled by a unit clearing its
+    denominators, canonical over Z only.  Over every domain an echelon a
+    inside c spans all of c exactly when len(a) == len(c) and the index of a
+    in c, the quotient of their pivot products, is a unit of the domain.
     """
-    vectors = [v for v in vectors if any(not domain.is_zero(x) for x in v)]
-    if not vectors:
-        return ()
     if domain.tag == "Fp":
         rows, _ = rref_mod_p([[int(x) for x in v] for v in vectors], ncols, domain.p)
         return rows
@@ -111,45 +103,42 @@ def _pivot_product(rows: Rows) -> int:
     return prod(next(x for x in row if x) for row in rows)
 
 
-def _lattice_span_on_pivots(basis: Rows, restricted) -> Rows:
-    """canonical_span over Z, Q and Z_(p) of int vectors in the saturated
-    lattice of the Hermite rows basis, given on its pivot columns P, where
-    every vector of its span leads; so their Hermite form is determined on
-    P, and each row is lifted back by back-substitution on basis|_P."""
-    pivots = _pivot_columns(basis)
-    square = [[row[j] for j in pivots] for row in basis]
+def _span_on_pivots(domain: CoefficientDomain, basis: Rows, restricted) -> Rows:
+    """canonical_span of int vectors in the span of the canonical rows basis,
+    given on its pivot columns P, where every vector of that span leads; so
+    the span is determined on P.  Each row h is lifted back to the sum of
+    c_i * b_i by back-substitution on basis|_P: c_i is what h still lacks on
+    the pivot column of b_i, which no later row touches.  Over F_p basis|_P
+    is the identity, so c = h, and the lift is reduced mod p."""
     supports = [[(t, x) for t, x in enumerate(row) if x] for row in basis]
+    p = domain.p if domain.tag == "Fp" else 0
     out = []
-    for h in lattice_canonical(restricted, len(pivots)):
-        coords = _lattice_coordinates(square, h)
-        if coords is None:
-            raise RuntimeError("a vector lies outside the lattice of the basis")
+    for h in canonical_span(domain, restricted, len(basis)):
         v = [0] * len(basis[0])
-        for c, support in zip(coords, supports):
+        for target, support in zip(h, supports):
+            j, lead = support[0]
+            c, rem = divmod(target - v[j], lead)
+            if rem:
+                raise RuntimeError("a vector lies outside the lattice of the basis")
             if c:
                 for t, x in support:
                     v[t] += c * x
-        out.append(tuple(v))
+        out.append(tuple(x % p for x in v) if p else tuple(v))
     return tuple(out)
 
 
-def span_member(domain: CoefficientDomain, rows: Rows, vector) -> bool:
-    if domain.tag == "Fp":
-        return member_mod_p(rows, [int(x) for x in vector], domain.p)
-    return _spans(domain, rows, canonical_span(domain, list(rows) + [vector], len(vector)))
-
-
 def span_complement(domain: CoefficientDomain, sub: Rows, sup: Rows) -> list[tuple]:
-    """Vectors extending sub to generate sup, minimal in count."""
+    """Vectors extending sub to generate sup, minimal in count; over a field,
+    the rows of sup that grow the span by _spans, the one membership rule."""
     if domain.tag in ("Z", "Zlocal"):
         return lattice_complement_generators(list(sub), list(sup), domain.is_unit)
     picked: list[tuple] = []
     current = sub
-    ncols = len(sup[0]) if sup else 0
     for v in sup:
-        if not span_member(domain, current, v):
+        grown = canonical_span(domain, [*current, v], len(v))
+        if not _spans(domain, current, grown):
             picked.append(tuple(v))
-            current = canonical_span(domain, list(current) + [list(v)], ncols)
+            current = grown
     return picked
 
 
@@ -375,34 +364,44 @@ class StandardGradedReport:
     checked_to: int
 
 
+def _is_reduced_echelon(rows: Rows, p: int) -> bool:
+    """True iff the rows are an RREF over F_p with entries in [0, p)."""
+    leads = [next((j for j, x in enumerate(row) if x), None) for row in rows]
+    row_of = {j: k for k, j in enumerate(leads)}
+    return None not in leads and leads == sorted(set(leads)) and all(
+        0 <= x < p and (j not in row_of or x == (row_of[j] == i))
+        for i, row in enumerate(rows) for j, x in enumerate(row)
+    )
+
+
 def _generator_walk(S: TruncatedSubalgebra):
     """Yield (d, new generator rows) for d = 1..D.
 
     alg[d] spans the degree-d products of generators.  Where it falls short
     of the basis, a minimal set of new vectors extends it: Smith-form
     quotient generators over Z and Z_(p), greedy rank extension over a field.
-    Over Z, Q and Z_(p) it multiplies in Z[x] and ranks on pivot columns.
+    Over every domain it multiplies in Z[x] and ranks on pivot columns.
     """
     domain = S.domain
-    fp = domain.tag == "Fp"
-    if not fp and any(type(x) is not int for rows in S.bases for row in rows for x in row):
-        raise ValueError("subalgebra bases over Z, Q and Z_(p) must hold int rows")
-    ring = S.ambient if fp else GradedRing(S.ambient.nvars, ZZ)
-    gens, alg = {}, {}  # degree -> polynomials in ring
+    if any(type(x) is not int for rows in S.bases for row in rows for x in row):
+        raise ValueError("subalgebra bases must hold int rows")
+    if domain.tag == "Fp" and not all(_is_reduced_echelon(rows, domain.p) for rows in S.bases):
+        raise ValueError("subalgebra bases over F_p must be reduced echelon rows in [0, p)")
+    ring = GradedRing(S.ambient.nvars, ZZ)
+    gens, alg = {}, {}  # degree -> polynomials in Z[x]
     for d in range(1, S.D + 1):
         basis = S.bases[d]
         piece = graded_piece_basis(ring, S.ambient_degree(d))
-        if fp:
-            cols, span_of = range(piece.dim), partial(canonical_span, domain, ncols=piece.dim)
-        else:
-            cols, span_of = _pivot_columns(basis), partial(_lattice_span_on_pivots, basis)
+        cols = _pivot_columns(basis)
         on_cols = [piece.monomials[j] for j in cols]
         products = [u * v for k, us in gens.items() for u in us for v in alg[d - k]]
-        span = span_of([[f.terms.get(m, 0) for m in on_cols] for f in products])
+        span = _span_on_pivots(
+            domain, basis, [[f.terms.get(m, 0) for m in on_cols] for f in products]
+        )
         new: list[tuple] = []
         if not _spans(domain, span, basis):
             new = span_complement(domain, span, basis)
-            span = span_of([[v[j] for j in cols] for v in list(span) + new])
+            span = _span_on_pivots(domain, basis, [[v[j] for j in cols] for v in list(span) + new])
             if not _spans(domain, span, basis):
                 raise RuntimeError(f"generator completion failed in degree {d}")
         if d < S.D:  # no later degree reads the top one

@@ -16,8 +16,8 @@ from invring.invariants import (
     StandardGradedReport,
     _constraint_blocks,
     _integerize_rows,
-    _lattice_span_on_pivots,
     _pivot_columns,
+    _span_on_pivots,
     _spans,
     canonical_span,
     hilbert_function,
@@ -25,13 +25,18 @@ from invring.invariants import (
     is_standard_graded_up_to,
     minimal_generators_up_to,
     span_complement,
-    span_member,
     trace_average_invariant_count,
     transfer,
     truncated_invariant_ring,
     veronese,
 )
-from invring.linalg import IntegerMatrix, integer_kernel_basis, kernel_mod_p, lattice_solve
+from invring.linalg import (
+    IntegerMatrix,
+    integer_kernel_basis,
+    kernel_mod_p,
+    lattice_solve,
+    member_mod_p,
+)
 from invring.poly import (
     GradedRing,
     act,
@@ -323,8 +328,8 @@ def _walk_ring(name, dom, D=6):
     "name, dom",
     [
         pytest.param(name, dom, id=f"{name}-{dom}")
-        for name, doms in [(n, (ZZ, QQ, GF(2), Z_local(3))) for n in fixture_group_names()]
-        + [(n, (ZZ, QQ, Z_local(2), Z_local(3))) for n in ("S4", "B3")]
+        for name, doms in [(n, (ZZ, QQ, GF(2), GF(3), Z_local(3))) for n in fixture_group_names()]
+        + [(n, (ZZ, QQ, GF(2), GF(3), Z_local(2), Z_local(3))) for n in ("S4", "B3")]
         for dom in doms
     ],
 )
@@ -336,12 +341,12 @@ def test_generator_walk_matches_all_splits_reference(name, dom):
         assert is_standard_graded_up_to(T) == StandardGradedReport(fail is None, fail, T.D)
 
 
-@pytest.mark.parametrize("dom", [ZZ, QQ, Z_local(2), Z_local(3)], ids=str)
+@pytest.mark.parametrize("dom", [ZZ, QQ, GF(2), GF(3), GF(5), Z_local(2), Z_local(3)], ids=str)
 @pytest.mark.parametrize("name", fixture_group_names())
 def test_pivot_column_lift_matches_canonical_span(name, dom):
     # the products of every pair of lower basis pieces, ranked on the pivot
     # columns of the basis and lifted back, span exactly what the Hermite
-    # form over all columns does
+    # form (the RREF over F_p) over all columns does
     S = _walk_ring(name, dom, D=8)
     for T in (S, veronese(S, 2)):
         for d in range(1, T.D + 1):
@@ -352,7 +357,7 @@ def test_pivot_column_lift_matches_canonical_span(name, dom):
                 for e in range(1, d // 2 + 1)
                 for v in T.piece_products(e, T.bases[e], d - e, T.bases[d - e])
             ]
-            got = _lattice_span_on_pivots(basis, [[int(v[j]) for j in cols] for v in products])
+            got = _span_on_pivots(dom, basis, [[int(v[j]) for j in cols] for v in products])
             assert got == canonical_span(dom, products, T.piece_dim(d)), (name, T.regrade, d)
             assert all(type(x) is int for row in got for x in row)
 
@@ -361,9 +366,9 @@ def test_pivot_column_lift_refuses_a_vector_outside_the_lattice():
     # on the lattice spanned by (2, 2), whose pivot column is 0, the entry 4
     # lifts to (4, 4) and the entry 3 lies on no lattice vector
     basis = ((2, 2),)
-    assert _lattice_span_on_pivots(basis, [[4]]) == ((4, 4),)
+    assert _span_on_pivots(ZZ, basis, [[4]]) == ((4, 4),)
     with pytest.raises(RuntimeError, match="outside the lattice"):
-        _lattice_span_on_pivots(basis, [[3]])
+        _span_on_pivots(ZZ, basis, [[3]])
 
 
 @pytest.mark.parametrize("dom", [ZZ, QQ, Z_local(2), Z_local(3)], ids=str)
@@ -382,6 +387,31 @@ def test_walk_refuses_a_non_integral_basis_row():
     with pytest.raises(ValueError, match="int rows"):
         minimal_generators_up_to(bad)
     with pytest.raises(ValueError, match="int rows"):
+        is_standard_graded_up_to(bad)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        ((2, 0), (0, 1)),
+        ((1, 3), (0, 1)),
+        ((1, -1), (0, 1)),
+        ((1, 2), (0, 1)),
+        ((0, 1), (1, 0)),
+        ((1, 0), (0, 0)),
+    ],
+    ids=["lead-2", "entry-p", "entry-negative", "above-pivot", "unordered", "zero-row"],
+)
+def test_walk_refuses_a_basis_over_fp_that_is_not_reduced_echelon(rows):
+    # the lift reads coordinates straight off the pivot columns, so over F_3
+    # the degree-1 rows must be reduced echelon rows with entries in [0, 3)
+    dom = GF(3)
+    S = truncated_invariant_ring(trivial_group(2, dom), GradedRing(2, dom), 2)
+    assert [d for d, _ in minimal_generators_up_to(S)] == [1, 1]
+    bad = dataclasses.replace(S, bases=(S.bases[0], rows, S.bases[2]))
+    with pytest.raises(ValueError, match="reduced echelon"):
+        minimal_generators_up_to(bad)
+    with pytest.raises(ValueError, match="reduced echelon"):
         is_standard_graded_up_to(bad)
 
 
@@ -405,13 +435,26 @@ def test_span_membership_is_p_local():
     # the span of (2, 0) over Q and Z_(3) only
     rows, v = ((2, 0),), (1, 0)
     for dom, inside in ((QQ, True), (Z_local(3), True), (ZZ, False), (Z_local(2), False)):
-        assert span_member(dom, rows, v) == inside, dom
+        assert _spans(dom, rows, canonical_span(dom, [*rows, v], 2)) == inside, dom
         c = canonical_span(dom, [*rows, (1, 0)], 2)
         assert (_spans(dom, rows, c) and _spans(dom, ((1, 0),), c)) == inside, dom
 
 
+@pytest.mark.parametrize("dom", [ZZ, QQ, GF(2), Z_local(3)], ids=str)
+def test_canonical_span_of_no_rows_or_zero_rows_is_empty(dom):
+    # zero rows are dropped by the RREF and the Hermite form themselves;
+    # over F_2 the row (2, 4, 0) is zero as well
+    zeros = [(0, 0, 0), [dom.zero] * 3] + ([(2, 4, 0)] if dom.tag == "Fp" else [])
+    assert canonical_span(dom, [], 3) == ()
+    assert canonical_span(dom, zeros, 3) == ()
+    assert canonical_span(dom, [*zeros, (0, 1, 0)], 3) == ((0, 1, 0),)
+
+
 def _reference_member(dom, rows, v):
-    """Membership read off the rational coordinates of v in the rows."""
+    """Membership read off the rational coordinates of v in the rows, or
+    over F_p by reduction against the RREF rows."""
+    if dom.tag == "Fp":
+        return member_mod_p(rows, v, dom.p)
     coords = lattice_solve(rows, v)
     if coords is None:
         return False
@@ -422,10 +465,11 @@ def _reference_member(dom, rows, v):
     return all(c.denominator % dom.p for c in coords)
 
 
-@pytest.mark.parametrize("dom", [ZZ, QQ, Z_local(2), Z_local(3)], ids=str)
+@pytest.mark.parametrize("dom", [ZZ, QQ, GF(2), GF(3), Z_local(2), Z_local(3)], ids=str)
 def test_span_rule_matches_rational_coordinates(dom):
     # Hermite row sets of lattices that are not saturated: each row of a
     # random integer set is scaled by 1, 2, 3 or 6 before the Hermite form
+    # (before the RREF over F_p, where a scale divisible by p drops the row)
     rng = random.Random(7)
     scales = (1, 1, 2, 3, 6)
     member_counts = [0, 0]
@@ -441,7 +485,7 @@ def test_span_rule_matches_rational_coordinates(dom):
             probes.append([sum(ci * r[k] for ci, r in zip(c, raw)) for k in range(ncols)])
         for v in probes:
             want = _reference_member(dom, a, v)
-            assert span_member(dom, a, v) == want, (a, v)
+            assert _spans(dom, a, canonical_span(dom, [*a, v], ncols)) == want, (a, v)
             member_counts[want] += 1
         want = all(_reference_member(dom, b, v) for v in a) and all(
             _reference_member(dom, a, v) for v in b
@@ -450,7 +494,7 @@ def test_span_rule_matches_rational_coordinates(dom):
         assert (_spans(dom, a, c) and _spans(dom, b, c)) == want, (a, b)
         equal_counts[want] += a != b
     assert min(member_counts) > 50
-    assert equal_counts[True] > 10 or dom == ZZ
+    assert equal_counts[True] > 10 or dom.tag in ("Z", "Fp")  # canonical forms
     assert equal_counts[False] > 10 or dom == QQ
 
 
