@@ -31,7 +31,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import lcm, prod
+from operator import indexOf
 
 from .domains import ZZ, CoefficientDomain
 from .groups import MatrixGroup, coset_representatives
@@ -365,12 +367,21 @@ class StandardGradedReport:
 
 
 def _is_reduced_echelon(rows: Rows, p: int) -> bool:
-    """True iff the rows are an RREF over F_p with entries in [0, p)."""
-    leads = [next((j for j, x in enumerate(row) if x), None) for row in rows]
-    row_of = {j: k for k, j in enumerate(leads)}
-    return None not in leads and leads == sorted(set(leads)) and all(
-        0 <= x < p and (j not in row_of or x == (row_of[j] == i))
-        for i, row in enumerate(rows) for j, x in enumerate(row)
+    """True iff the int rows are an RREF over F_p with entries in [0, p).
+
+    A row's lead is the position of its first nonzero value.  With the leads
+    strictly increasing and no entry negative, a row's entries on the lead
+    columns sum to 1 exactly when its own lead is 1 and the others are 0.
+    """
+    firsts = [next(filter(None, row), 0) for row in rows]
+    if not all(firsts):
+        return False
+    leads = list(map(indexOf, rows, firsts))
+    return not rows or (
+        leads == sorted(set(leads))
+        and min(map(min, rows)) >= 0
+        and max(map(max, rows)) < p
+        and all(sum(map(row.__getitem__, leads)) == 1 for row in rows)
     )
 
 
@@ -383,7 +394,7 @@ def _generator_walk(S: TruncatedSubalgebra):
     Over every domain it multiplies in Z[x] and ranks on pivot columns.
     """
     domain = S.domain
-    if any(type(x) is not int for rows in S.bases for row in rows for x in row):
+    if set(map(type, chain.from_iterable(chain.from_iterable(S.bases)))) - {int}:
         raise ValueError("subalgebra bases must hold int rows")
     if domain.tag == "Fp" and not all(_is_reduced_echelon(rows, domain.p) for rows in S.bases):
         raise ValueError("subalgebra bases over F_p must be reduced echelon rows in [0, p)")

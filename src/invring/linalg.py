@@ -5,7 +5,9 @@ and complements, and row reduction mod p.  All integer work uses Python's
 arbitrary-precision ints; nothing here rounds.  Each elimination runs on one
 matrix, and its unimodular transform rides along in an identity border
 (Cohen, GTM 138, section 2.4; see _hnf_rows and smith_normal_form); callers
-that read no transform pass bare rows.
+that read no transform pass bare rows.  The Hermite pass is a forward
+echelon followed by the reduction above the pivots; the kernel's first pass
+reads only zero rows, which the echelon already leaves final, and stops there.
 
 Lattices are represented by their rows.  Canonical form throughout is the
 row-style Hermite normal form (pivots positive, entries above each pivot
@@ -93,17 +95,19 @@ def _identity_border(rows) -> list[list[int]]:
     return [list(r) + [int(i == j) for j in range(len(rows))] for i, r in enumerate(rows)]
 
 
-def _hnf_rows(rows, ncols: int) -> list[list[int]]:
-    """Row HNF with pivots taken in the first ncols columns only.
+def _echelon_rows(rows, ncols: int) -> tuple[list[list[int]], list[int]]:
+    """Forward stage of _hnf_rows: (rows, pivot columns), with row k leading
+    in its k-th pivot column on a positive entry and every row past the
+    pivot rows zero on the first ncols columns.
 
-    Every row operation acts on the whole row, so columns past ncols ride
-    along: rows given as M | I come out as H | U with U*M = H, and U is read
-    from the border.  Callers that need no transform pass bare rows.
+    Each step touches only the rows from the current pivot down, so the zero
+    rows, and their border, come out as _hnf_rows leaves them.
     """
     m = [list(r) for r in rows]
     n = len(m)
-    piv = 0
+    pivots: list[int] = []
     for col in range(ncols):
+        piv = len(pivots)
         if piv >= n:
             break
         while True:
@@ -126,14 +130,32 @@ def _hnf_rows(rows, ncols: int) -> list[list[int]]:
                         clean = False
             if clean:
                 break
-        if piv < n and m[piv][col]:
-            p = m[piv][col]
-            for i in range(piv):
-                q = m[i][col] // p
-                if q:
-                    m[i] = [a - q * b for a, b in zip(m[i], m[piv])]
-            piv += 1
+        if m[piv][col]:
+            pivots.append(col)
+    return m, pivots
+
+
+def _reduce_above_pivots(m: list[list[int]], pivots: list[int]) -> list[list[int]]:
+    """Second stage of _hnf_rows: in pivot order, reduce the entries above
+    each pivot into [0, pivot) by subtracting multiples of its row."""
+    for k, col in enumerate(pivots):
+        row = m[k]
+        p = row[col]
+        for i in range(k):
+            q = m[i][col] // p
+            if q:
+                m[i] = [a - q * b for a, b in zip(m[i], row)]
     return m
+
+
+def _hnf_rows(rows, ncols: int) -> list[list[int]]:
+    """Row HNF with pivots taken in the first ncols columns only.
+
+    Every row operation acts on the whole row, so columns past ncols ride
+    along: rows given as M | I come out as H | U with U*M = H, and U is read
+    from the border.  Callers that need no transform pass bare rows.
+    """
+    return _reduce_above_pivots(*_echelon_rows(rows, ncols))
 
 
 def hermite_normal_form(M: IntegerMatrix) -> tuple[IntegerMatrix, IntegerMatrix]:
@@ -238,10 +260,13 @@ def integer_kernel_basis(M: IntegerMatrix) -> IntegerMatrix:
 
     The kernel of an integer matrix is automatically saturated; the basis
     comes from the unimodular transform rows matching zero HNF rows of M^T,
-    so it generates the full kernel, not a finite-index sublattice.
+    so it generates the full kernel, not a finite-index sublattice.  That
+    first pass needs only the echelon stage, which leaves the zero rows as
+    the full Hermite pass does; the second pass puts them in HNF.
     """
-    hu = _hnf_rows(_identity_border(M.transpose().data), M.rows)
-    k = _hnf_rows([r[M.rows :] for r in hu if not any(r[: M.rows])], M.cols)
+    columns = list(zip(*M.data)) if M.rows else [()] * M.cols
+    hu, pivots = _echelon_rows(_identity_border(columns), M.rows)
+    k = _hnf_rows([r[M.rows :] for r in hu[len(pivots) :]], M.cols)
     return IntegerMatrix([row for row in k if any(row)], cols=M.cols)
 
 

@@ -11,7 +11,8 @@ Products of polynomials and the monomial images do their arithmetic in
 plain ints over a common denominator, divided out (or reduced mod p over
 F_p) once at the end, not through the domain's per-scalar methods.  The
 monomial bases and the index tables of the images are cached per (nvars,
-degree).
+degree).  The integer images of the last degree built are retained for a
+few matrices, so calls at rising degrees extend them one degree at a time.
 """
 
 from __future__ import annotations
@@ -104,7 +105,7 @@ def _piece_cached(nvars: int, d: int) -> GradedPiece:
 
 @lru_cache(maxsize=None)
 def _step_table(nvars: int, k: int):
-    """Index tables for one degree-k step of action_matrix, k >= 1.
+    """Index tables for one degree-k step of _integer_images, k >= 1.
 
     steps[t] = (j, s): X_j is the first variable dividing the t-th monomial
     x^m of degree k, and s is the index of x^m / X_j in degree k - 1.
@@ -281,43 +282,35 @@ def polynomial_from_vector(ring: GradedRing, piece: GradedPiece, vec) -> Polynom
     )
 
 
-def action_matrix(ring: GradedRing, g: Matrix, d: int) -> tuple[dict[int, Scalar], ...]:
-    """Matrix of act(g, .) on the deglex basis of the degree-d piece, by columns.
+# Integer images retained per key (nvars, modulus, scaled forms): the last
+# degree built, as (degree, images).  At most _RETAINED_KEYS keys are kept,
+# the least recently used dropped first.
+_RETAINED_KEYS = 8
+_retained: dict[tuple, tuple[int, tuple[dict[int, int], ...]]] = {}
 
-    Column c is the image of the c-th basis monomial as {row index: nonzero
-    entry}, so the map is functorial: column c of action_matrix(g h, d) is
-    the sum over t of the (t, c) entry of action_matrix(h, d) times column t
-    of action_matrix(g, d).  Entries are ints over Z and F_p (reduced mod p
-    over F_p) and Fractions over Q and Z_(p); a zero entry is absent.
 
-    The images are built degree by degree: with X_j the first variable
-    dividing x^m, the image of x^m is the image of x^(m - e_j) times the form
-    L_j = sum_i g[i][j] X_i.  The products run in plain ints on monomial
-    indices, each L_j scaled by the common denominator den of g; each entry
-    is divided by den^d once at the end over Q and Z_(p), or reduced mod p
-    once per image over F_p.  The index tables of each step come from
-    _step_table, cached per (nvars, degree) like the pieces.
+def _integer_images(n: int, p: int | None, forms: tuple, d: int) -> tuple[dict[int, int], ...]:
+    """Images of the degree-d monomials under the integer forms, by index.
+
+    With X_j the first variable dividing x^m, the image of x^m is the image
+    of x^(m - e_j) times forms[j], a tuple of pairs (i, coefficient of X_i);
+    the products run in plain ints on monomial indices, each image reduced
+    mod p when p is given.  The index tables of each step come from
+    _step_table.  Degree d extends the retained degree of the same key when
+    that is at most d, and starts again from degree 0 otherwise.  The
+    returned dicts are the retained ones: callers copy them.
     """
-    if d < 0:
-        raise ValueError("degree must be nonnegative")
-    n = ring.nvars
-    if len(g) != n or any(len(row) != n for row in g):
-        raise ValueError("matrix size must match the number of variables")
-    dom = ring.coeff
-    p = dom.p if dom.tag == "Fp" else None
-    den = lcm(*(dom.coerce(x).denominator for row in g for x in row))
-    forms = [  # den * L_j as (i, den * g[i][j]) over the nonzero g[i][j]
-        [(i, c.numerator * (den // c.denominator)) for i in range(n) if (c := dom.coerce(g[i][j]))]
-        for j in range(n)
-    ]
-    images = [{0: 1}]  # images of the degree-0 monomials, keyed by index
-    for k in range(1, d + 1):
+    key = (n, p, forms)
+    have, images = _retained.pop(key, (0, ({0: 1},)))
+    if have > d:
+        have, images = 0, ({0: 1},)
+    for k in range(have + 1, d + 1):
         steps, times_var = _step_table(n, k)
         nxt = []
         for j, s in steps:
             src = images[s]
             form = forms[j]
-            img: dict[int, Scalar] = {}
+            img: dict[int, int] = {}
             for a, c in src.items():
                 up = times_var[a]
                 for i, gij in form:
@@ -327,12 +320,49 @@ def action_matrix(ring: GradedRing, g: Matrix, d: int) -> tuple[dict[int, Scalar
                 nxt.append({t: v for t, v in img.items() if v})
             else:
                 nxt.append({t: r for t, v in img.items() if (r := v % p)})
-        images = nxt
+        images = tuple(nxt)
+    _retained[key] = (d, images)
+    if len(_retained) > _RETAINED_KEYS:
+        del _retained[next(iter(_retained))]
+    return images
+
+
+def action_matrix(ring: GradedRing, g: Matrix, d: int) -> tuple[dict[int, Scalar], ...]:
+    """Matrix of act(g, .) on the deglex basis of the degree-d piece, by columns.
+
+    Column c is the image of the c-th basis monomial as {row index: nonzero
+    entry}, so the map is functorial: column c of action_matrix(g h, d) is
+    the sum over t of the (t, c) entry of action_matrix(h, d) times column t
+    of action_matrix(g, d).  Entries are ints over Z and F_p (reduced mod p
+    over F_p) and Fractions over Q and Z_(p); a zero entry is absent.  Every
+    call returns fresh dicts.
+
+    The images are those of _integer_images under the forms L_j = sum_i
+    g[i][j] X_i, each scaled by the common denominator den of g, so a run of
+    calls at rising degrees builds each degree once.  Over Q and Z_(p) each
+    entry is divided by den^d once, here.
+    """
+    if d < 0:
+        raise ValueError("degree must be nonnegative")
+    n = ring.nvars
+    if len(g) != n or any(len(row) != n for row in g):
+        raise ValueError("matrix size must match the number of variables")
+    dom = ring.coeff
+    den = lcm(*(dom.coerce(x).denominator for row in g for x in row))
+    forms = tuple(  # den * L_j as (i, den * g[i][j]) over the nonzero g[i][j]
+        tuple(
+            (i, c.numerator * (den // c.denominator))
+            for i in range(n)
+            if (c := dom.coerce(g[i][j]))
+        )
+        for j in range(n)
+    )
+    images = _integer_images(n, dom.p if dom.tag == "Fp" else None, forms, d)
     if dom.tag in ("Q", "Zlocal"):  # the entries enter the domain once, here
         scale = den**d
         entry = Fraction if scale == 1 else lambda v: Fraction(v, scale)
-        images = [{t: entry(v) for t, v in img.items()} for img in images]
-    return tuple(images)
+        return tuple({t: entry(v) for t, v in img.items()} for img in images)
+    return tuple(img.copy() for img in images)
 
 
 def act(g: Matrix, f: Polynomial) -> Polynomial:

@@ -16,6 +16,7 @@ from invring.invariants import (
     StandardGradedReport,
     _constraint_blocks,
     _integerize_rows,
+    _is_reduced_echelon,
     _pivot_columns,
     _span_on_pivots,
     _spans,
@@ -415,6 +416,34 @@ def test_walk_refuses_a_basis_over_fp_that_is_not_reduced_echelon(rows):
         is_standard_graded_up_to(bad)
 
 
+def _entrywise_reduced_echelon(rows, p):
+    """The RREF rule checked entry by entry: no zero row, strictly
+    increasing leads, entries in [0, p), and on each lead column a 1 in its
+    own row and 0 in the others."""
+    leads = [next((j for j, x in enumerate(row) if x), None) for row in rows]
+    row_of = {j: k for k, j in enumerate(leads)}
+    return None not in leads and leads == sorted(set(leads)) and all(
+        0 <= x < p and (j not in row_of or x == (row_of[j] == i))
+        for i, row in enumerate(rows) for j, x in enumerate(row)
+    )
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_reduced_echelon_check_matches_entrywise_rule(p):
+    rng = random.Random(p)
+    seen = set()
+    for _ in range(3000):
+        ncols = rng.randint(1, 4)
+        rows = tuple(
+            tuple(rng.choice([0, 0, 0, 1, 1, 2, p, -1]) for _ in range(ncols))
+            for _ in range(rng.randint(0, 3))
+        )
+        want = _entrywise_reduced_echelon(rows, p)
+        assert _is_reduced_echelon(rows, p) == want, rows
+        seen.add(want)
+    assert seen == {True, False}
+
+
 @pytest.mark.parametrize("dom", [QQ, Z_local(2), Z_local(3)], ids=str)
 def test_span_bookkeeping_over_q_and_zlocal(dom):
     # s3 is generated by the elementary symmetric polynomials e1, e2, e3, so
@@ -436,8 +465,6 @@ def test_span_membership_is_p_local():
     rows, v = ((2, 0),), (1, 0)
     for dom, inside in ((QQ, True), (Z_local(3), True), (ZZ, False), (Z_local(2), False)):
         assert _spans(dom, rows, canonical_span(dom, [*rows, v], 2)) == inside, dom
-        c = canonical_span(dom, [*rows, (1, 0)], 2)
-        assert (_spans(dom, rows, c) and _spans(dom, ((1, 0),), c)) == inside, dom
 
 
 @pytest.mark.parametrize("dom", [ZZ, QQ, GF(2), Z_local(3)], ids=str)
@@ -678,6 +705,36 @@ def test_block_rows_merge_in_pivot_order():
             [c] for c in range(d + 1)
         ]
         assert invariant_basis(G, ring, d) == _stacked_kernel(G, ring, d), d
+
+
+# B3 conjugated into GL_3(Z) by a basis of the face-centred lattice F and of
+# the body-centred lattice I: not monomial, so a block spans many monomials
+B3_ON_F_GENS = [
+    [[1, 0, 0], [0, 0, 1], [0, 1, 0]],
+    [[0, 0, 1], [1, 0, 0], [0, 1, 0]],
+    [[0, -1, 0], [-1, 0, 0], [1, 1, 1]],
+]
+B3_ON_I_GENS = [
+    [[0, 1, 0], [1, 0, 0], [0, 0, 1]],
+    [[-1, 1, 0], [-1, 0, 0], [2, 0, 1]],
+    [[-1, 0, -1], [0, 1, 0], [0, 0, 1]],
+]
+
+
+@pytest.mark.parametrize("gens", [B3_ON_F_GENS, B3_ON_I_GENS], ids=["F", "I"])
+def test_b3_on_centred_lattices_matches_molien_and_stacked_kernel(gens):
+    # every form of B3 has the Molien series 1/((1 - t^2)(1 - t^4)(1 - t^6))
+    G = enumerate_group(gens, ZZ)
+    assert G.order == 48
+    ring = GradedRing(3, ZZ)
+    S = truncated_invariant_ring(G, ring, 12)
+    series = [0] * 13  # series[d] counts the monomials of degree d in e2, e4, e6
+    for a, b, c in itertools.product(range(7), range(4), range(3)):
+        if 2 * a + 4 * b + 6 * c <= 12:
+            series[2 * a + 4 * b + 6 * c] += 1
+    assert list(hilbert_function(S).values) == series == _molien_coefficients(G, 12)
+    for d in range(13):
+        assert S.bases[d] == _stacked_kernel(G, ring, d), d
 
 
 def _partitions_into_at_most(d, parts):

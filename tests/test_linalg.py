@@ -1,6 +1,7 @@
 """Normal forms, saturated kernels, and lattice arithmetic."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -8,6 +9,7 @@ from invring.domains import ZZ
 from invring.linalg import (
     IntegerMatrix,
     _field_layout,
+    _hnf_rows,
     _insert,
     _pack,
     _unpack,
@@ -110,6 +112,108 @@ def test_kernel_saturation_invariant():
             s = smith_normal_form(k)
             assert all(x == 1 for x in s.d[: k.rows])
         assert rank(M) + k.rows == cols
+
+
+def _one_loop_hnf_rows(rows, ncols):
+    """The row Hermite pass as one loop: each pivot's upper entries are
+    reduced as soon as its column is cleared below."""
+    m = [list(r) for r in rows]
+    n = len(m)
+    piv = 0
+    for col in range(ncols):
+        if piv >= n:
+            break
+        while True:
+            nz = [i for i in range(piv, n) if m[i][col]]
+            if not nz:
+                break
+            i0 = min(nz, key=lambda i: (abs(m[i][col]), i))
+            m[piv], m[i0] = m[i0], m[piv]
+            if m[piv][col] < 0:
+                m[piv] = [-x for x in m[piv]]
+            p = m[piv][col]
+            clean = True
+            for i in range(piv + 1, n):
+                if m[i][col]:
+                    q = m[i][col] // p
+                    if q:
+                        m[i] = [a - q * b for a, b in zip(m[i], m[piv])]
+                    if m[i][col]:
+                        clean = False
+            if clean:
+                break
+        if m[piv][col]:
+            p = m[piv][col]
+            for i in range(piv):
+                q = m[i][col] // p
+                if q:
+                    m[i] = [a - q * b for a, b in zip(m[i], m[piv])]
+            piv += 1
+    return m
+
+
+def _two_full_pass_kernel(M):
+    """Kernel rows from a full Hermite pass on (M^T | I), then a second
+    Hermite pass on the transform rows of the zero rows."""
+    bordered = [
+        list(col) + [int(i == j) for j in range(M.cols)]
+        for i, col in enumerate(M.transpose().data)
+    ]
+    hu = _one_loop_hnf_rows(bordered, M.rows)
+    k = _one_loop_hnf_rows([r[M.rows :] for r in hu if not any(r[: M.rows])], M.cols)
+    return IntegerMatrix([row for row in k if any(row)], cols=M.cols)
+
+
+def _kernel_cases(rng):
+    """Seeded matrices of every shape the kernel meets: empty, zero rows,
+    tall, wide, rank-deficient, and the maps s - 1 and Tr of cyclic modules."""
+    from invring.cohomology import CyclicModule, _sigma_minus_1
+    from invring.domains import QQ
+
+    cases = [IntegerMatrix([], cols=4), IntegerMatrix([[], []], cols=0)]
+    for rows, cols in [(1, 1), (3, 3), (6, 3), (3, 6), (5, 8), (8, 5), (7, 7)]:
+        for _ in range(12):
+            data = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
+            if rows > 2 and rng.random() < 0.5:  # rank-deficient
+                data[-1] = [a * rng.randint(-3, 3) + b for a, b in zip(data[0], data[1])]
+            if rng.random() < 0.3:
+                data[rng.randrange(rows)] = [0] * cols
+            cases.append(IntegerMatrix(data, cols=cols))
+    cyclic = [((0, -1), (1, -1)), ((0, -1), (1, 0)), ((1, -1), (1, 0)), ((-1, 0), (0, -1))]
+    for n in (3, 4, 5):  # cyclic shifts of a basis
+        cyclic.append(tuple(tuple(int(j == (i + 1) % n) for j in range(n)) for i in range(n)))
+    for sigma in cyclic:
+        order = next(k for k in range(1, 7) if _order_divides(sigma, k))
+        for dom in (ZZ, QQ):
+            M = CyclicModule(dom, sigma, order)
+            cases += [_sigma_minus_1(M), M._trace]
+    # over Q, a conjugate with denominators scales s - 1 and Tr by delta
+    half = CyclicModule(QQ, ((0, Fraction(1, 2)), (2, 0)), 2)
+    return cases + [_sigma_minus_1(half), half._trace]
+
+
+def _order_divides(sigma, k):
+    n = len(sigma)
+    power = IntegerMatrix.identity(n)
+    for _ in range(k):
+        power = power * IntegerMatrix(sigma)
+    return power.is_identity()
+
+
+def test_kernel_matches_two_full_hermite_passes():
+    # the first pass stops at an echelon; the kernel rows are the same
+    rng = random.Random(27)
+    for M in _kernel_cases(rng):
+        assert integer_kernel_basis(M) == _two_full_pass_kernel(M), M
+
+
+def test_hermite_stages_match_one_loop():
+    # the echelon and the reduction above the pivots, run as two stages,
+    # leave every row, border included, where the one-loop pass leaves it
+    rng = random.Random(28)
+    for M in _kernel_cases(rng):
+        bordered = [list(r) + [int(i == j) for j in range(M.rows)] for i, r in enumerate(M.data)]
+        assert _hnf_rows(bordered, M.cols) == _one_loop_hnf_rows(bordered, M.cols), M
 
 
 @pytest.mark.parametrize(

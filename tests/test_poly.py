@@ -436,6 +436,57 @@ def test_action_columns_functorial(dom):
                 assert col == {i: v for i, v in want.items() if v}, (g, h, d, c)
 
 
+# the retained images: each key keeps its last degree, which the next call extends
+
+SHEAR3 = ((1, 1, 0), (0, 1, 1), (1, 0, 1))  # entries 0 and 1: one set of forms over Z, F_2, F_3
+MEMO_CASES = [(dom, SHEAR3) for dom in (ZZ, QQ, GF(2), GF(3), Z_local(3))]
+MEMO_CASES += [(dom, HALF_SWAP) for dom in (QQ, GF(3), Z_local(3))]
+MEMO_ORDERS = {
+    "ascending": list(range(7)),
+    "descending": list(range(6, -1, -1)),
+    "cold-high-first": [6, 0, 1, 2, 3, 4, 5, 6, 2],
+}
+
+
+@pytest.mark.parametrize("order", MEMO_ORDERS.values(), ids=MEMO_ORDERS.keys())
+def test_action_columns_do_not_depend_on_call_order(order, monkeypatch):
+    # Z, Q and Z_(3) share the integer images of SHEAR3, and F_2 and F_3
+    # differ from them only by the modulus; the cases run interleaved
+    monkeypatch.setattr("invring.poly._retained", {})
+    want = {
+        (dom, g, d): _reference_action_matrix(GradedRing(len(g), dom), g, d)
+        for dom, g in MEMO_CASES
+        for d in range(7)
+    }
+    for d in order:
+        for dom, g in MEMO_CASES:
+            columns = action_matrix(GradedRing(len(g), dom), g, d)
+            _assert_canonical_columns(dom, columns, len(columns))
+            assert _dense(columns, dom.zero) == want[dom, g, d], (dom, g, d)
+
+
+@pytest.mark.parametrize("dom", [ZZ, GF(2), QQ], ids=str)
+def test_mutating_returned_columns_leaves_later_calls_alone(dom, monkeypatch):
+    monkeypatch.setattr("invring.poly._retained", {})
+    ring = GradedRing(3, dom)
+    for d in range(6):
+        for _ in range(2):  # the same degree again, then the next one
+            columns = action_matrix(ring, SHEAR3, d)
+            assert _dense(columns, dom.zero) == _reference_action_matrix(ring, SHEAR3, d), d
+            columns[0].clear()
+            columns[-1][0] = dom.one
+
+
+def test_retained_images_stay_bounded(monkeypatch):
+    from invring import poly
+
+    monkeypatch.setattr("invring.poly._retained", {})
+    for k in range(3 * poly._RETAINED_KEYS):
+        action_matrix(R2, ((1, k), (0, 1)), 3)
+        assert len(poly._retained) <= poly._RETAINED_KEYS
+    assert [degree for degree, _ in poly._retained.values()] == [3] * poly._RETAINED_KEYS
+
+
 @pytest.mark.parametrize("dom", [ZZ, QQ, GF(2), GF(5), Z_local(3)], ids=str)
 def test_act_matches_substitution(dom):
     # seeded exponents 0-2 per variable, so f mixes degrees, the constant among them
