@@ -118,16 +118,19 @@ def reduce_mod_p(S: TruncatedSubalgebra, p: int) -> TruncatedSubalgebra:
 
     Saturation over Z guarantees the rank of every piece is preserved; that
     is asserted, since a rank drop would mean the input was not saturated.
+    Over Z_(q) only p = q is a fibre: any other prime is a unit, so S/pS = 0.
     """
     if S.domain.tag not in ("Z", "Zlocal"):
         raise ValueError("reduction mod p expects integer coefficients")
     fp = GF(p)
+    if S.domain.is_unit(p):
+        raise ValueError(f"{p} is a unit in {S.domain}, so S/{p}S = 0")
     ring_p = GradedRing(S.ambient.nvars, fp)
     new_bases = []
     for d in range(S.D + 1):
         dim_d = S.piece_dim(d)
         reduced = [[fp.coerce(x) for x in row] for row in S.bases[d]]
-        rows, _ = rref_mod_p(reduced, dim_d, p) if reduced else ((), ())
+        rows, _ = rref_mod_p(reduced, dim_d, p)
         if len(rows) != len(S.bases[d]):
             raise RuntimeError(
                 f"rank dropped mod {p} in degree {d}: basis was not saturated"
@@ -534,9 +537,7 @@ def find_sop_mixed(Sbar: TruncatedSubalgebra, seed: int = 0) -> SopSearchResult:
 
     def accept(quotient) -> bool:
         h, spans = quotient
-        d0 = next((d for d in range(D + 1) if all(v == 0 for v in h[d:])), None)
-        if d0 is None:
-            return False
+        d0 = next(d for d in range(D + 1) if all(v == 0 for v in h[d:]))
         return D - d0 + 1 >= _vanishing_window(generators(), spans, Sbar.domain.p)
 
     return _search(
@@ -554,14 +555,15 @@ def cm_certificate(
     seed: int = 0,
     mixed: bool = False,
 ) -> dict[int, CMCertificate]:
-    """Per-prime certificates for a truncated algebra over Z.
+    """Per-prime certificates for a truncated algebra over Z or Z_(q).
 
     Without mixed the algebra must be standard graded through D
     (NotStandardGraded otherwise) and the parameters have degree 1; with
     mixed=True that gate is dropped and the parameters may carry mixed
-    homogeneous degrees.  Only primes dividing the group order are checked;
-    any other prime is certified vacuously, since the group order is
-    invertible there.
+    homogeneous degrees.  Only primes dividing the group order are checked,
+    and over Z_(q) only q: any other prime is certified vacuously, since the
+    group order is invertible there, or since p is a unit of Z_(q) and S/pS
+    is 0.
     """
     primes = list(primes)
     if not all(is_prime(p) for p in primes):
@@ -571,7 +573,7 @@ def cm_certificate(
     out: dict[int, CMCertificate] = {}
     for p in primes:
         status = "vacuous"
-        if S.group.order % p == 0:
+        if S.group.order % p == 0 and (S.domain.tag != "Zlocal" or p == S.domain.p):
             Sbar = reduce_mod_p(S, p)
             if mixed:
                 search = find_sop_mixed(Sbar, seed=seed)

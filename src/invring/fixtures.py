@@ -116,8 +116,6 @@ def random_order_p_matrix(rng: random.Random, p: int) -> list[list[int]]:
     size = len(blocks[0])
     while size < _ORDER_P_MAX_RANK and rng.random() < 0.6:
         choices = [b for b in _ORDER_BLOCKS[p] if size + len(b) <= _ORDER_P_MAX_RANK]
-        if not choices:
-            break
         b = rng.choice(choices)
         blocks.append(b)
         size += len(b)

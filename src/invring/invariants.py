@@ -33,7 +33,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from math import lcm, prod
-from operator import indexOf
 
 from .domains import ZZ, CoefficientDomain
 from .groups import MatrixGroup, coset_representatives
@@ -85,11 +84,12 @@ def canonical_span(domain: CoefficientDomain, vectors, ncols: int) -> Rows:
     denominators, canonical over Z only.  Over every domain an echelon a
     inside c spans all of c exactly when len(a) == len(c) and the index of a
     in c, the quotient of their pivot products, is a unit of the domain.
+    A row with an entry other than an int enters through domain.coerce.
     """
+    rows = [v if set(map(type, v)) <= {int} else list(map(domain.coerce, v)) for v in vectors]
     if domain.tag == "Fp":
-        rows, _ = rref_mod_p([[int(x) for x in v] for v in vectors], ncols, domain.p)
-        return rows
-    return lattice_canonical(_integerize_rows(vectors), ncols)
+        return rref_mod_p(rows, ncols, domain.p)[0]
+    return lattice_canonical(_integerize_rows(rows), ncols)
 
 
 def _spans(domain: CoefficientDomain, a: Rows, c: Rows) -> bool:
@@ -198,8 +198,6 @@ def invariant_basis(G: MatrixGroup, ring: GradedRing, d: int) -> Rows:
     the kernel of the whole stacked system.
     """
     n = graded_piece_basis(ring, d).dim
-    if n == 0:
-        return ()
     domain = ring.coeff
     constraints: list[tuple[int, dict]] = []
     for g in G.generators if G.generators else G.elements:
@@ -367,22 +365,10 @@ class StandardGradedReport:
 
 
 def _is_reduced_echelon(rows: Rows, p: int) -> bool:
-    """True iff the int rows are an RREF over F_p with entries in [0, p).
-
-    A row's lead is the position of its first nonzero value.  With the leads
-    strictly increasing and no entry negative, a row's entries on the lead
-    columns sum to 1 exactly when its own lead is 1 and the others are 0.
-    """
-    firsts = [next(filter(None, row), 0) for row in rows]
-    if not all(firsts):
-        return False
-    leads = list(map(indexOf, rows, firsts))
-    return not rows or (
-        leads == sorted(set(leads))
-        and min(map(min, rows)) >= 0
-        and max(map(max, rows)) < p
-        and all(sum(map(row.__getitem__, leads)) == 1 for row in rows)
-    )
+    """True iff the int rows are an RREF over F_p with entries in [0, p):
+    that form is canonical, so exactly then rref_mod_p returns them as given."""
+    ncols = max(map(len, rows), default=0)
+    return rref_mod_p(rows, ncols, p)[0] == tuple(map(tuple, rows))
 
 
 def _generator_walk(S: TruncatedSubalgebra):

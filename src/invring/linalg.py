@@ -353,13 +353,7 @@ def lattice_quotient(sub_rows, sup_basis) -> tuple[tuple[int, ...], int]:
     Every sub row must lie in the sup lattice with integer coordinates.
     """
     m = len(sup_basis)
-    if m == 0:
-        if sub_rows:
-            raise ValueError("sub lattice not contained in zero lattice")
-        return (), 0
     coord_rows = _coordinate_rows(sub_rows, sup_basis)
-    if not coord_rows:
-        return (), m
     # quotient of Z^m by the row span = cokernel of the transposed map
     return cokernel_invariant_factors(IntegerMatrix(coord_rows, cols=m).transpose())
 
@@ -374,10 +368,6 @@ def lattice_complement_generators(sub_rows, sup_basis, is_unit) -> list[tuple[in
     generators of the quotient over that ring.
     """
     m = len(sup_basis)
-    if m == 0:
-        return []
-    if not sub_rows:
-        return [tuple(r) for r in sup_basis]
     coord_rows = _coordinate_rows(sub_rows, sup_basis)
     snf = smith_normal_form(IntegerMatrix(coord_rows, cols=m))
     vinv = unimodular_inverse(snf.right)

@@ -1,5 +1,6 @@
 """CLI dispatch, exit codes, and report determinism."""
 
+import argparse
 import importlib
 import json
 import pathlib
@@ -8,7 +9,14 @@ import pkgutil
 import pytest
 
 import invring
-from invring.cli import EXIT_CLAIM_FAILED, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, run
+from invring.cli import (
+    EXIT_CLAIM_FAILED,
+    EXIT_INTERNAL,
+    EXIT_OK,
+    EXIT_USAGE,
+    build_parser,
+    run,
+)
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures" / "groups"
 
@@ -189,7 +197,8 @@ def test_invalid_json_exits_2(tmp_path, capsys):
 
 
 ARRAY_GROUP = "<array-group>"
-# group files that are not a list of n x n integer or string matrices
+# group files that are not a list of n x n integer or string matrices, and
+# one over Q, which has no fibre mod p to certify
 MALFORMED_GROUPS = {
     "<fractional-entry>": '{"n": 2, "coefficients": "Z", "generators": [[[0, 1], [1.9, 0]]]}',
     "<bool-entry>": '{"n": 2, "coefficients": "Z", "generators": [[[0, true], [1, 0]]]}',
@@ -197,6 +206,7 @@ MALFORMED_GROUPS = {
     "<flat-generators>": '{"n": 2, "coefficients": "Z", "generators": [[0, 1], [1, 0]]}',
     "<null-n>": '{"n": null, "coefficients": "Z", "generators": []}',
     "<zero-denominator>": '{"n": 2, "coefficients": "Q", "generators": [[["1/0", 1], [1, 0]]]}',
+    "<rot3-over-Q>": '{"n": 2, "coefficients": "Q", "generators": [[[0, -1], [1, -1]]]}',
 }
 
 
@@ -298,6 +308,11 @@ MALFORMED_GROUPS = {
             ["dedekind", "div-check", "--d", "-5", "--element", ""],
             "'dedekind div-check' takes a rational integer, not ''",
         ),
+        (["cohomology", "compute"], "--group is required for 'cohomology compute'"),
+        (
+            ["cm-search", "--group", "<rot3-over-Q>", "--l-max", "3", "--max-degree", "6"],
+            "reduction mod p expects integer coefficients",
+        ),
     ],
     ids=[
         "real-d-class-group",
@@ -325,6 +340,8 @@ MALFORMED_GROUPS = {
         "gorenstein-truncation-too-short",
         "div-check-element-not-integer",
         "div-check-empty-element",
+        "compute-without-group",
+        "cm-search-over-q",
     ],
 )
 def test_bad_input_exits_2_without_output(argv, message, tmp_path, capsys):
@@ -420,3 +437,64 @@ def test_gorenstein_command(capsys):
     assert code == EXIT_OK
     payload = _capture(capsys)
     assert payload["symmetric"] is True
+
+
+def test_cm_search_over_zlocal_calls_unit_primes_vacuous(tmp_path, capsys):
+    # over Z_(5) the prime 3 dividing |rot3| is a unit, so S/3S = 0
+    group = tmp_path / "rot3-z5.json"
+    group.write_text('{"n": 2, "coefficients": "Z_(5)", "generators": [[[0, -1], [1, -1]]]}')
+    argv = ["cm-search", "--group", str(group), "--l-max", "3", "--max-degree", "6"]
+    assert run(argv) == EXIT_OK
+    attempts = _capture(capsys)["attempts"]
+    assert attempts[2]["l"] == 3
+    assert attempts[2]["primes"] == {
+        "3": {"status": "vacuous", "D": 2, "sop_degrees": [], "parameters": []}
+    }
+
+
+# small arguments for every subcommand and verb of the parser
+SMALL_RUNS = {
+    ("invariants",): ["--group", str(FIXTURES / "swap.json"), "--max-degree", "4"],
+    ("veronese",): [
+        "--group", str(FIXTURES / "minus-identity.json"), "--m", "2", "--max-degree", "4"
+    ],
+    ("transfer-check",): [
+        "--group", str(FIXTURES / "s3.json"), "--subgroup", str(FIXTURES / "a3.json"),
+        "--p", "3", "--max-degree", "2",
+    ],
+    ("cohomology", "compute"): ["--group", str(FIXTURES / "rot3.json"), "--max-degree", "2"],
+    ("cohomology", "verify-lemma-g2"): ["--rank", "2", "--trials", "3"],
+    ("cohomology", "verify-h1-zero"): [],
+    ("cohomology", "periodicity"): ["--p", "3", "--trials", "3"],
+    ("cm-search",): [
+        "--group", str(FIXTURES / "minus-identity.json"), "--l-max", "2", "--max-degree", "4"
+    ],
+    ("gorenstein",): [
+        "--group", str(FIXTURES / "minus-identity.json"), "--l", "2", "--max-degree", "8"
+    ],
+    ("dedekind", "factor"): ["--d", "-1", "--element", "5"],
+    ("dedekind", "class-group"): ["--d", "-5"],
+    ("dedekind", "div-check"): ["--d", "-5", "--count", "3"],
+    ("lemma-suite",): ["--trials", "2"],
+}
+
+
+def _parser_commands():
+    """(subcommand,) or (subcommand, verb) for everything build_parser offers."""
+    subs = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    for name, sub in subs.choices.items():
+        verbs = next((a.choices for a in sub._actions if a.dest == "verb"), None)
+        yield from ((name, verb) for verb in verbs) if verbs else [(name,)]
+
+
+@pytest.mark.parametrize("command", list(_parser_commands()), ids="-".join)
+def test_every_command_runs(command, capsys):
+    # a subcommand or verb the parser offers must run, so none goes unexercised
+    if command not in SMALL_RUNS:
+        pytest.fail(f"no small run for {' '.join(command)}: add one to SMALL_RUNS")
+    assert run([*command, *SMALL_RUNS[command]]) == EXIT_OK
+    assert _capture(capsys)["seed"] == 0
+
+
+def test_small_runs_name_only_parser_commands():
+    assert set(SMALL_RUNS) == set(_parser_commands())

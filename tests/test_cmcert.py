@@ -34,7 +34,7 @@ from invring.cmcert import (
     regular_sequence_certificate,
     veronese_cm_search,
 )
-from invring.domains import GF, QQ, ZZ, prime_divisors
+from invring.domains import GF, QQ, ZZ, Z_local, prime_divisors
 from invring.fixtures import fixture_group
 from invring.groups import enumerate_group, sylow_subgroup, trivial_group
 from invring.invariants import (
@@ -651,8 +651,10 @@ def test_quotient_evaluators_reject_non_prime_field():
         (({(1, 0): 1}, {(0, 1): 1}), "not in the algebra"),
         (({(7, 0): 1}, {(0, 7): 1}), "outside 1..6"),
         (({(1, 0): 1, (0, 1): 1}, {(0, 0): 1}), "outside 1..6"),
+        (({(1, 1): 1, (1, 0): 1, (0, 1): 1},), "nonzero and homogeneous"),
+        (({},), "nonzero and homogeneous"),
     ],
-    ids=["not-invariant", "above-D", "constant"],
+    ids=["not-invariant", "above-D", "constant", "not-homogeneous", "zero"],
 )
 def test_quotient_evaluators_reject_parameters_outside_the_algebra(evaluator, terms, message):
     # over F_2 the swap invariants are spanned by the symmetric polynomials;
@@ -664,6 +666,39 @@ def test_quotient_evaluators_reject_parameters_outside_the_algebra(evaluator, te
     thetas = [Polynomial(Sbar.ambient, t) for t in terms]
     with pytest.raises(ValueError, match=message):
         getattr(cmcert, evaluator)(Sbar, thetas)
+
+
+def test_parameter_degree_must_be_a_multiple_of_the_regrading():
+    # in the second Veronese of the swap invariants, X^3 + Y^3 has ambient
+    # degree 3, which is no regraded degree
+    from invring.cmcert import truncated_quotient
+
+    Sbar = reduce_mod_p(veronese(truncated_invariant_ring(SWAP, R2, 8), 2), 2)
+    theta = Polynomial(Sbar.ambient, {(3, 0): 1, (0, 3): 1})
+    with pytest.raises(ValueError, match="multiple of the regrading"):
+        truncated_quotient(Sbar, [theta])
+
+
+def test_reduce_mod_p_needs_integer_coefficients():
+    S = truncated_invariant_ring(enumerate_group([[[-1, 0], [0, -1]]], QQ), GradedRing(2, QQ), 4)
+    with pytest.raises(ValueError, match="expects integer coefficients"):
+        reduce_mod_p(S, 2)
+
+
+def test_primes_that_are_units_over_zlocal_are_no_fibre():
+    # rot3 has order 3; over Z_(5) the prime 3 is a unit, so S/3S = 0 and
+    # there is nothing to certify, while over Z_(3) the fibre at 3 is real
+    def rot3_veronese(q):
+        dom = Z_local(q)
+        G = enumerate_group([[[0, -1], [1, -1]]], dom)
+        return veronese(truncated_invariant_ring(G, GradedRing(2, dom), 6), 3)
+
+    V5, V3 = rot3_veronese(5), rot3_veronese(3)
+    cert = cm_certificate(V5, [3])[3]
+    assert cert.status == "vacuous" and cert.parameters == ()
+    assert cm_certificate(V3, [3])[3].status == "certified"
+    with pytest.raises(ValueError, match=r"3 is a unit in Z_\(5\), so S/3S = 0"):
+        reduce_mod_p(V5, 3)
 
 
 @pytest.mark.parametrize("primes", [[9], [0], [2, 4], [1]], ids=["9", "0", "2-4", "1"])
@@ -752,6 +787,11 @@ def test_gorenstein_asymmetric_artificial_data():
     rep = gorenstein_symmetry_check(values, [1])
     assert not rep.symmetric
     assert rep.numerator == (1, 1, 0, 1)
+
+
+def test_gorenstein_needs_a_parameter_degree():
+    with pytest.raises(ValueError, match="at least one parameter degree"):
+        gorenstein_symmetry_check([1, 2, 3, 4], [])
 
 
 def test_gorenstein_not_terminated():

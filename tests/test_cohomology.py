@@ -180,6 +180,21 @@ def test_lemma_h2_precondition():
         verify_h2_trivial_mod_pi(CyclicModule(Z_local(2), ((0, 1), (1, 0)), 2))
     with pytest.raises(PreconditionViolated):
         verify_h2_trivial_mod_pi(CyclicModule(ZZ, ((1,),), 3))
+    with pytest.raises(PreconditionViolated, match="Z or Z localized at p"):
+        verify_h2_trivial_mod_pi(CyclicModule(QQ, ((-1,),), 2))
+    with pytest.raises(PreconditionViolated, match="order must equal p = 3"):
+        verify_h2_trivial_mod_pi(CyclicModule(Z_local(3), ((-1,),), 2))
+
+
+def test_verifier_preconditions_and_index_are_checked():
+    rot4 = enumerate_group([[[0, -1], [1, 0]]], ZZ)
+    with pytest.raises(PreconditionViolated, match="prime order"):
+        verify_h1_degree0(rot4, GradedRing(2, ZZ))
+    swap = CyclicModule(Z_local(2), ((0, 1), (1, 0)), 2)
+    with pytest.raises(PreconditionViolated, match="not trivial mod p"):
+        verify_pi_annihilates_h1(swap)
+    with pytest.raises(ValueError, match="nonnegative"):
+        cohomology(swap, -1)
 
 
 def test_lemma_h2_fuzz():

@@ -196,6 +196,17 @@ def test_veronese_identity_and_composition():
     assert v6.regrade == v23.regrade == 6
 
 
+def test_truncation_and_veronese_indices_are_checked():
+    with pytest.raises(ValueError, match="at least 1"):
+        truncated_invariant_ring(MINUS_I, R2, 0)
+    S = truncated_invariant_ring(MINUS_I, R2, 4)
+    with pytest.raises(ValueError, match="must be positive"):
+        veronese(S, 0)
+    with pytest.raises(ValueError, match="exceeds the truncation degree"):
+        veronese(S, 5)
+    assert veronese(S, 4).D == 1
+
+
 def test_veronese_trivial_group():
     S = truncated_invariant_ring(trivial_group(2, ZZ), R2, 7)
     v = veronese(S, 2)
@@ -457,6 +468,29 @@ def test_span_bookkeeping_over_q_and_zlocal(dom):
     V = veronese(truncated_invariant_ring(fixture_group("minus-identity", dom), ring, 8), 2)
     assert is_standard_graded_up_to(V).standard
     assert [d for d, _ in minimal_generators_up_to(V)] == [1, 1, 1]
+
+
+@pytest.mark.parametrize(
+    "dom, row, expected",
+    [
+        (ZZ, (Fraction(1, 2), 0), ValueError),
+        (Z_local(3), (Fraction(1, 3), 1), ValueError),
+        (QQ, (0.5, 1), ValueError),
+        (GF(3), (Fraction(1, 2), 1), ((1, 2),)),
+        (Z_local(3), (Fraction(1, 2), 1), ((1, 2),)),
+        (QQ, (Fraction(1, 2), Fraction(-1, 3)), ((3, -2),)),
+    ],
+    ids=["Z-half", "Z3-third", "Q-float", "F3-half", "Z3-half", "Q-fractions"],
+)
+def test_canonical_span_brings_other_entries_into_the_domain(dom, row, expected):
+    # a denominator must be a unit of the domain: 2 is none over Z and 3 none
+    # over Z_(3), so those rows are refused; over F_3 1/2 is 2, and a float
+    # is no scalar
+    if expected is ValueError:
+        with pytest.raises(ValueError):
+            canonical_span(dom, [row], 2)
+    else:
+        assert canonical_span(dom, [row, (0, 0)], 2) == expected
 
 
 def test_span_membership_is_p_local():

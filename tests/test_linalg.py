@@ -342,6 +342,18 @@ def test_complement_generators_empty_sub():
     assert gens == [(1, 0, 1), (0, 1, 0)]
 
 
+def test_lattice_quotient_and_complement_of_empty_lattices():
+    # the Smith path needs no shortcut for no sub rows or a zero sup lattice
+    assert lattice_quotient([], []) == ((), 0)
+    assert lattice_quotient([], [(1, 0), (0, 2)]) == ((), 2)
+    assert lattice_quotient([[0, 0]], []) == ((), 0)
+    assert lattice_complement_generators([], [], ZZ.is_unit) == []
+    with pytest.raises(ValueError, match="not contained in sup lattice"):
+        lattice_quotient([[1, 0]], [])
+    with pytest.raises(ValueError, match="not contained in sup lattice"):
+        lattice_complement_generators([[1, 0]], [], ZZ.is_unit)
+
+
 PRIMES = [2, 3, 5, 7, 11, 13, 17, 31]
 
 

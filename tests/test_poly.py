@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from invring.domains import GF, QQ, ZZ, Z_local
+from invring.domains import GF, QQ, ZZ, Z_local, parse_domain
 from invring.poly import (
     GradedRing,
     Polynomial,
@@ -192,6 +192,27 @@ def test_non_numbers_are_refused(dom):
             dom.coerce(x)
         with pytest.raises(ValueError, match="give an int or a Fraction"):
             Polynomial(GradedRing(2, dom), {(1, 0): x})
+
+
+@pytest.mark.parametrize(
+    "text, dom",
+    [
+        ("Z", ZZ),
+        (" Q ", QQ),
+        ("Fp:5", GF(5)),
+        ("F5", GF(5)),
+        ("Zlocal:5", Z_local(5)),
+        ("Z_(5)", Z_local(5)),
+    ],
+)
+def test_parse_domain_reads_every_spelling(text, dom):
+    assert parse_domain(text) == dom
+
+
+@pytest.mark.parametrize("text", ["", "Z5", "F", "Fp5", "Zlocal5", "Z_(5", "GF(5)", "R"])
+def test_parse_domain_refuses_unknown_text(text):
+    with pytest.raises(ValueError, match="unrecognized coefficient domain"):
+        parse_domain(text)
 
 
 def test_constructor_brings_coefficients_into_the_domain():
