@@ -18,10 +18,14 @@ _EXHAUSTIVE_CAP and _SAMPLED_COMBOS), find_sop_mixed takes mixed degrees
 (capped by the _MIXED_* constants).  Both run one loop, _search, that ranks
 each combination's quotient, degree D first, and returns the first one its
 acceptance test passes; a failed search reports how many combinations it
-tried.  A candidate is its coefficient pattern over the basis of one degree:
-its zero mask and multiplication images are combined, by linearity over
-F_p, from per-degree tables of the basis rows' values at the points and
-products.
+tried.  A combination is ranked in degree D from the kept echelon of its
+members but the last, ranked once per search, and in the degrees below D
+only when its quotient vanishes in degree D.  A candidate is its
+coefficient pattern over the basis of one degree: its zero mask and
+multiplication images are combined, by linearity over F_p, from per-degree
+tables of the basis rows' values at the points and products; its images
+below degree D are combined only once a combination containing it passes
+the degree-D test.
 
 Before ranking, _search sieves out every combination whose members share a
 zero at one of the F_p-rational points it is given: such a combination is
@@ -304,19 +308,22 @@ def _product_table(Sbar: TruncatedSubalgebra, k: int) -> list[list[list[int]]]:
     return [_image_rows(Sbar, row, k) for row in Sbar.bases[k]]
 
 
-def _pattern_images(coeffs, table, p: int) -> list[list[int]]:
-    """_image_rows of sum c_i b_i, by linearity from _product_table.
+def _pattern_images(coeffs, table, p: int, degrees=None) -> list[list[int]]:
+    """_image_rows of sum c_i b_i, by linearity from _product_table, in the
+    given degrees (all through D by default).
 
     Each field of acc + c * row is at most (p - 1) + (p - 1)^2 = p(p - 1),
     the bound fold, like _insert, relies on.
     """
     _, fold = _field_layout(p)
-    images = [[0] * len(rows) for rows in table[0]]
+    if degrees is None:
+        degrees = range(len(table[0]))
+    images = [[0] * len(table[0][d]) for d in degrees]
     for c, image in zip(coeffs, table):
         if c:
             images = [
-                [fold(a + c * row) for a, row in zip(acc, rows)]
-                for acc, rows in zip(images, image)
+                [fold(a + c * row) for a, row in zip(acc, image[d])]
+                for acc, d in zip(images, degrees)
             ]
     return images
 
@@ -334,23 +341,31 @@ def _search(
     multiplication images are combined from per-degree tables of the basis
     (values at the points, packed products with every lower basis), each
     built on the first use of its degree.  A mask is built when its
-    candidate first appears, images when it first appears in a ranked
-    combination; both are reused by every later combination that contains
-    it.  Polynomials are built only for the system returned.
+    candidate first appears, its degree-D images when it first appears in
+    a ranked combination, and its images below D when it first appears in
+    one whose quotient vanishes in degree D; each is reused by every later
+    combination that contains it.  Polynomials are built only for the
+    system returned.
 
     Both acceptance tests need the quotient to vanish in degree D, so the
     degree-D piece of the ideal is ranked first, and only a combination
     whose quotient vanishes there is ranked in the lower degrees and shown
-    to accept as _quotient's (Hilbert values, ideal spans).  tried counts
-    every combination gone through, sieved ones included, and ranked those
-    whose degree-D piece was ranked.
+    to accept as _quotient's (Hilbert values, ideal spans).  The degree-D
+    echelon of a combination's members but the last is kept, keyed by
+    their keys, for the rest of the search; a combination is ranked by
+    copying it and inserting its last member's degree-D rows, so the rows
+    go in in the same order as into a fresh echelon.  tried counts every
+    combination gone through, sieved ones included, and ranked those whose
+    degree-D piece was ranked.
     """
     p, D = Sbar.domain.p, Sbar.D
     values: dict = {}
     tables: dict = {}
     patterns: dict = {}
     masks: dict = {}
+    tops: dict = {}
     images: dict = {}
+    prefixes: dict = {}
     tried = ranked = 0
     every_point = (1 << len(points)) - 1
     for tried, combo in enumerate(combos, start=1):
@@ -367,15 +382,24 @@ def _search(
             continue
         ranked += 1
         for key in combo:
-            if key not in images:
+            if key not in tops:
                 coeffs, k = patterns[key]
                 if k not in tables:
                     tables[k] = _product_table(Sbar, k)
-                images[key] = _pattern_images(coeffs, tables[k], p)
-        stacked = [images[key] for key in combo]
-        top: dict[int, int] = {}
-        if _insert(top, (row for image in stacked for row in image[D]), p) < len(Sbar.bases[D]):
+                [tops[key]] = _pattern_images(coeffs, tables[k], p, [D])
+        prefix = combo[:-1]
+        if prefix not in prefixes:
+            prefixes[prefix] = {}
+            _insert(prefixes[prefix], (row for key in prefix for row in tops[key]), p)
+        top = dict(prefixes[prefix])
+        _insert(top, tops[combo[-1]], p)
+        if len(top) < len(Sbar.bases[D]):
             continue
+        for key in combo:
+            if key not in images:
+                coeffs, k = patterns[key]
+                images[key] = _pattern_images(coeffs, tables[k], p, range(D)) + [tops[key]]
+        stacked = [images[key] for key in combo]
         if accept(_quotient(Sbar, stacked, [{} for _ in range(D)] + [top])):
             found = tuple(_combination(Sbar, *patterns[key]) for key in combo)
             return SopSearchResult(True, found, tried, ranked)
@@ -475,8 +499,9 @@ def _nth_combination(n: int, r: int, i: int) -> tuple[int, ...]:
     rank = math.comb(n, r) - 1 - i
     out = []
     for k in range(r, 0, -1):
-        a = bisect.bisect_right(_binomials(n, k), rank) - 1
-        rank -= math.comb(a, k)
+        table = _binomials(n, k)
+        a = bisect.bisect_right(table, rank) - 1
+        rank -= table[a]
         out.append(n - 1 - a)
     return tuple(out)
 
@@ -517,19 +542,17 @@ def find_sop_mixed(Sbar: TruncatedSubalgebra, seed: int = 0) -> SopSearchResult:
             shapes = [(len(per_degree[k]), ms.count(k)) for k in degrees]
             sizes = [math.comb(n, r) for n, r in shapes]
             if math.prod(sizes) <= _MIXED_COMBO_CAP:
-                picks = itertools.product(
+                for pick in itertools.product(
                     *(itertools.combinations(range(n), r) for n, r in shapes)
-                )
+                ):
+                    yield tuple((k, idx) for k, group in zip(degrees, pick) for idx in group)
             else:
-                picks = (
-                    tuple(
-                        _nth_combination(n, r, rng.randrange(size))
-                        for (n, r), size in zip(shapes, sizes)
-                    )
-                    for _ in range(_MIXED_COMBO_CAP)
-                )
-            for pick in picks:
-                yield tuple((k, idx) for k, group in zip(degrees, pick) for idx in group)
+                for _ in range(_MIXED_COMBO_CAP):
+                    keys = []
+                    for k, (n, r), size in zip(degrees, shapes, sizes):
+                        for idx in _nth_combination(n, r, rng.randrange(size)):
+                            keys.append((k, idx))
+                    yield tuple(keys)
 
     @functools.cache
     def generators():
@@ -622,8 +645,11 @@ def veronese_cm_search(
     """Try Veronese indices 1..l_max and certify the first CM candidate.
 
     Certificates are evidence at truncation D//l; a failure is reported as
-    unverified at that degree, never as a negative.
+    unverified at that degree, never as a negative.  l_max must be at least
+    1 (ValueError), so that no search is vacuous.
     """
+    if l_max < 1:
+        raise ValueError(f"l_max must be at least 1, not {l_max}")
     S = truncated_invariant_ring(G, ring, D)
     primes = prime_divisors(G.order) or [2]
 
@@ -669,15 +695,18 @@ def h_numerator(hilbert_values, sop_degrees) -> list[int]:
 def gorenstein_symmetry_check(S, sop_degrees) -> GorensteinReport:
     """Necessary Gorenstein symptom: palindromic h-numerator.
 
-    Accepts a truncated subalgebra or a plain Hilbert value sequence.  The
-    numerator must stabilize to zero safely inside the truncation window or
-    NumeratorNotTerminated is raised; a symmetric result is only ever
-    "consistent with Gorenstein" because of the truncation.
+    Accepts a truncated subalgebra or a plain Hilbert value sequence, which
+    must not be empty (ValueError).  The numerator must stabilize to zero
+    safely inside the truncation window or NumeratorNotTerminated is raised;
+    a symmetric result is only ever "consistent with Gorenstein" because of
+    the truncation.
     """
     if isinstance(S, TruncatedSubalgebra):
         values = list(hilbert_function(S).values)
     else:
         values = list(S)
+    if not values:
+        raise ValueError("need at least one Hilbert value")
     sop_degrees = list(sop_degrees)
     if not sop_degrees:
         raise ValueError("need at least one parameter degree")

@@ -25,6 +25,7 @@ from invring.cmcert import (
     _search,
     NotStandardGraded,
     NumeratorNotTerminated,
+    SopSearchResult,
     cm_certificate,
     find_sop_mixed,
     find_sop_mod_p,
@@ -43,6 +44,7 @@ from invring.invariants import (
     truncated_invariant_ring,
     veronese,
 )
+from invring.linalg import _insert
 from invring.poly import GradedRing, Polynomial, act, graded_piece_basis
 
 R2 = GradedRing(2, ZZ)
@@ -186,6 +188,14 @@ def test_veronese_search_reports_nonstandard_attempts():
     assert not by_l[1].standard_graded
     assert by_l[1].first_failing_degree == 2
     assert by_l[2].certified
+
+
+@pytest.mark.parametrize("l_max", [0, -1])
+def test_veronese_search_refuses_l_max_below_one(l_max):
+    # no Veronese index would be tried, so the report would read as a
+    # search that certified nothing
+    with pytest.raises(ValueError, match="must be at least 1"):
+        veronese_cm_search(fixture_group("rot3"), R2, l_max=l_max, D=4)
 
 
 def test_find_sop_mixed_weighted_polynomial_ring():
@@ -633,6 +643,116 @@ def test_search_accepts_only_where_the_top_degree_vanishes(name, l, p):
     assert 0 < len(seen) < len(pairs)
 
 
+def _s3_sylow2_cells():
+    SH = truncated_invariant_ring(sylow_subgroup(fixture_group("s3"), 2), GradedRing(3, ZZ), 8)
+    for l in range(1, 5):
+        yield f"s3-sylow2-l{l}", reduce_mod_p(veronese(SH, l), 2)
+
+
+def _exhaustive_combos(Sbar, limit):
+    """(candidate, combinations): the first limit combinations in the
+    exhaustive order of find_sop_mixed, degree multisets by total degree and
+    each the product of per-degree index combinations, and the map from a
+    key to its (coefficient pattern, degree)."""
+    max_deg = max(1, Sbar.D - 1)
+    per_degree = {k: _candidates_of_degree(Sbar, k) for k in range(1, max_deg + 1)}
+    multisets = sorted(
+        itertools.combinations_with_replacement(range(1, max_deg + 1), Sbar.ambient.nvars),
+        key=lambda ms: (sum(ms), ms),
+    )
+    combos = []
+    for ms in multisets:
+        degrees = sorted(set(ms))
+        picks = itertools.product(
+            *(itertools.combinations(range(len(per_degree[k])), ms.count(k)) for k in degrees)
+        )
+        for pick in itertools.islice(picks, limit - len(combos)):
+            combos.append(tuple((k, i) for k, group in zip(degrees, pick) for i in group))
+    return (lambda key: (per_degree[key[0]][key[1]], key[0])), combos
+
+
+def _fresh_search(Sbar, combos, candidate, accept, points):
+    """(result, combinations shown to accept) of the search loop that ranks
+    every combination in a fresh echelon of all its stacked degree-D rows,
+    with each member's images built in every degree at once."""
+    p, D = Sbar.domain.p, Sbar.D
+    values, tables, shown = {}, {}, []
+    tried = ranked = 0
+    for tried, combo in enumerate(combos, start=1):
+        members = [candidate(key) for key in combo]
+        common = (1 << len(points)) - 1
+        for coeffs, k in members:
+            if k not in values:
+                piece = graded_piece_basis(Sbar.ambient, Sbar.ambient_degree(k))
+                values[k] = _point_values(Sbar.bases[k], piece, points, p)
+            common &= _pattern_mask(coeffs, values[k], p)
+        if common:
+            continue
+        ranked += 1
+        for _, k in members:
+            if k not in tables:
+                tables[k] = _product_table(Sbar, k)
+        stacked = [_pattern_images(coeffs, tables[k], p) for coeffs, k in members]
+        top = {}
+        if _insert(top, (row for image in stacked for row in image[D]), p) < len(Sbar.bases[D]):
+            continue
+        shown.append(combo)
+        if accept(_quotient(Sbar, stacked, [{} for _ in range(D)] + [top])):
+            found = tuple(_combination(Sbar, *member) for member in members)
+            return SopSearchResult(True, found, tried, ranked), shown
+    return SopSearchResult(False, (), tried, ranked), shown
+
+
+def _accept_call(n):
+    """An acceptance rule that passes its n-th call only."""
+    calls = itertools.count(1)
+    return lambda quotient: next(calls) == n
+
+
+@pytest.mark.parametrize("order", ["product", "shuffled"])
+def test_search_ranks_each_prefix_echelon_once(order):
+    # combinations that share all members but the last are ranked from one
+    # kept degree-D echelon; what accept sees, and the search's outcome,
+    # match a loop that ranks every combination afresh
+    cells = [*_s3_sylow2_cells(), ("quadric-cone", quadric_cone_mod2())]
+    repeats = shown_total = 0
+    for label, Sbar in cells:
+        p = Sbar.domain.p
+        points = tuple(_projective_patterns(p, Sbar.ambient.nvars))
+        candidate, combos = _exhaustive_combos(Sbar, 150)
+        if order == "shuffled":
+            random.Random(label).shuffle(combos)
+        repeats += len(combos) - len({combo[:-1] for combo in combos})
+        seen = []
+
+        def accept(quotient):
+            h, spans = quotient
+            seen.append((h, [dict(span) for span in spans]))
+            return False
+
+        res = _search(Sbar, combos, candidate, accept, points)
+        ref, shown = _fresh_search(Sbar, combos, candidate, lambda quotient: False, points)
+        assert (res.found, res.tried, res.ranked) == (ref.found, ref.tried, ref.ranked), label
+        assert len(seen) == len(shown), label
+        tables = {}
+        for combo, got in zip(shown, seen):
+            stacked = []
+            for coeffs, k in map(candidate, combo):
+                if k not in tables:
+                    tables[k] = _product_table(Sbar, k)
+                stacked.append(_pattern_images(coeffs, tables[k], p))
+            assert got == _quotient(Sbar, stacked), (label, combo)
+        shown_total += len(shown)
+        if len(shown) > 1:
+            n = len(shown) // 2 + 1
+            res = _search(Sbar, combos, candidate, _accept_call(n), points)
+            ref, _ = _fresh_search(Sbar, combos, candidate, _accept_call(n), points)
+            assert res.found and ref.found, label
+            assert (res.tried, res.ranked) == (ref.tried, ref.ranked), label
+            assert list(map(str, res.thetas)) == list(map(str, ref.thetas)), label
+    assert repeats > 0 and shown_total > 0
+
+
 def test_quotient_evaluators_reject_non_prime_field():
     from invring.cmcert import truncated_quotient
 
@@ -792,6 +912,13 @@ def test_gorenstein_asymmetric_artificial_data():
 def test_gorenstein_needs_a_parameter_degree():
     with pytest.raises(ValueError, match="at least one parameter degree"):
         gorenstein_symmetry_check([1, 2, 3, 4], [])
+
+
+def test_gorenstein_needs_a_hilbert_value():
+    # an empty sequence has no numerator, so it cannot fail to terminate
+    with pytest.raises(ValueError, match="need at least one Hilbert value") as exc:
+        gorenstein_symmetry_check([], [1])
+    assert not isinstance(exc.value, NumeratorNotTerminated)
 
 
 def test_gorenstein_not_terminated():
