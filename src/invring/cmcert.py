@@ -228,12 +228,10 @@ def regular_sequence_certificate(Sbar: TruncatedSubalgebra, thetas) -> CMCertifi
     spans = None
     for stage, (row, k) in enumerate(params, start=1):
         h_cur, spans = _quotient(Sbar, [_image_rows(Sbar, row, k)], spans)
-        for d in range(Sbar.D + 1):
-            expected = h_prev[d] - (h_prev[d - k] if d >= k else 0)
-            if h_cur[d] != expected:
-                failed_stage, failed_degree = stage, d
-                break
-        if failed_stage is not None:
+        expected = h_numerator(h_prev, [k])
+        failed_degree = next((d for d, h in enumerate(h_cur) if h != expected[d]), None)
+        if failed_degree is not None:
+            failed_stage = stage
             break
         h_prev = h_cur
     status = "failed" if failed_stage is not None else "certified"

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .domains import GF, CoefficientDomain, Matrix, is_prime
-from .groups import MatrixGroup, _p_power_part, cyclic_generator
+from .domains import GF, CoefficientDomain, Matrix, is_prime, multiplicity
+from .groups import MatrixGroup, cyclic_generator
 from .linalg import IntegerMatrix, integer_kernel_basis, lattice_quotient
 from .poly import GradedRing, action_matrix
 
@@ -111,7 +111,7 @@ def _localized_factors(dom: CoefficientDomain, torsion: tuple[int, ...]) -> tupl
         return ()
     if dom.tag != "Zlocal":
         return torsion
-    return tuple(f for f in (_p_power_part(t, dom.p) for t in torsion) if f > 1)
+    return tuple(dom.p**k for t in torsion if (k := multiplicity(t, dom.p)))
 
 
 def _subquotient(

@@ -15,19 +15,19 @@ Scalar = int | Fraction
 Matrix = tuple[tuple[Scalar, ...], ...]
 
 
+def multiplicity(n: int, p: int) -> int:
+    """The exponent of p in n != 0: the largest k with p^k dividing n."""
+    if n == 0 or p < 2:
+        raise ValueError(f"multiplicity needs n != 0 and p >= 2, got n={n}, p={p}")
+    k = 0
+    while n % p == 0:
+        n //= p
+        k += 1
+    return k
+
+
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+    return n >= 2 and prime_divisors(n) == [n]
 
 
 def prime_divisors(n: int) -> list[int]:

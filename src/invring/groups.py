@@ -13,11 +13,13 @@ from dataclasses import dataclass
 from .domains import (
     CoefficientDomain,
     Matrix,
+    is_prime,
     mat_det,
     mat_from_rows,
     mat_identity,
     mat_is_identity,
     mat_mul,
+    multiplicity,
     parse_domain,
 )
 
@@ -114,23 +116,18 @@ def element_order(domain: CoefficientDomain, m: Matrix, cap: int = DEFAULT_BOUND
     return k
 
 
-def _p_power_part(order: int, p: int) -> int:
-    k = 1
-    while order % p == 0:
-        order //= p
-        k *= p
-    return k
-
-
 def sylow_subgroup(G: MatrixGroup, p: int) -> MatrixGroup:
     """A Sylow p-subgroup, chosen deterministically.
 
     Greedy closure over the p-power-order elements in canonical order: the
     first candidate whose closure with the current subgroup is still a
     p-group is absorbed.  Any p-subgroup sits inside some Sylow subgroup,
-    so the greedy run always reaches full p-power order.
+    so the greedy run always reaches full p-power order.  p must be prime
+    (ValueError).
     """
-    target = _p_power_part(G.order, p)
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    target = p ** multiplicity(G.order, p)
     dom = G.coeff
     if target == 1:
         return MatrixGroup(
@@ -160,9 +157,7 @@ def sylow_subgroup(G: MatrixGroup, p: int) -> MatrixGroup:
 
 
 def _is_p_power(k: int, p: int) -> bool:
-    while k % p == 0:
-        k //= p
-    return k == 1
+    return k == p ** multiplicity(k, p)
 
 
 def coset_representatives(G: MatrixGroup, H: MatrixGroup) -> list[Matrix]:

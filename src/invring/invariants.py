@@ -1,13 +1,15 @@
 """Degree-truncated invariant rings and Veronese subrings.
 
 Per-degree bases of the fixed subspace (R_d)^G are computed as the kernel of
-the generator constraints g - I, taken per connected block: the system is
-block diagonal up to permuting rows and columns, its kernel is the direct
-sum of the block kernels, and the block rows in Hermite form (RREF over F_p)
-merged by pivot are the unique Hermite form (RREF) of the whole kernel.
-Over Z that kernel is automatically a saturated lattice, so the basis
-generates the invariants exactly rather than a finite-index sublattice.  For
-a monomial group the blocks are the monomial orbits.
+the generator constraints g - I, taken per connected block: two monomials
+are joined when one's column of action_matrix has an entry in the other's
+row, and each block's rows of g - I are read straight from those columns.
+The system is block diagonal up to permuting rows and columns, its kernel
+is the direct sum of the block kernels, and the block rows in Hermite form
+(RREF over F_p) merged by pivot are the unique Hermite form (RREF) of the
+whole kernel.  Over Z that kernel is automatically a saturated lattice, so
+the basis generates the invariants exactly rather than a finite-index
+sublattice.  For a monomial group the blocks are the monomial orbits.
 
 On top of the bases live the transfer map (the Reynolds operator is the
 transfer from the trivial group), Hilbert functions, and one generator walk
@@ -148,16 +150,16 @@ def span_complement(domain: CoefficientDomain, sub: Rows, sup: Rows) -> list[tup
 # invariant bases
 
 
-def _constraint_blocks(n: int, constraints) -> list[tuple[list[int], list[list]]]:
-    """Connected blocks of constraint rows on n columns.
+def _blocks(n: int, action) -> list[list[int]]:
+    """Connected blocks of the constraints g - I on n columns.
 
-    constraints holds pairs (i, row) with row the i-th row of some g - I as
-    {column: nonzero entry}.  Index i and every column of the row are joined
-    (union-find over its keys), so each row lies inside one block and the
-    system is block diagonal up to permuting rows and columns.  Returns per
-    block its columns in ascending order and its nonzero rows densified on
-    them, blocks ordered by first column; a column no row touches is a block
-    of its own without rows.
+    action holds the action_matrix columns of every generator g.  Columns j
+    and t are joined (union-find) when column j of some g has an entry in
+    row t; for t != j that is exactly (g - I)[t][j] != 0, so each row of
+    every g - I lies inside one block and the system is block diagonal up
+    to permuting rows and columns.  Returns each block's columns in
+    ascending order, blocks ordered by first column; a monomial no
+    generator moves is a block of its own, and its rows are zero.
     """
     parent = list(range(n))
 
@@ -166,19 +168,14 @@ def _constraint_blocks(n: int, constraints) -> list[tuple[list[int], list[list]]
             parent[j] = j = parent[parent[j]]
         return j
 
-    kept = []
-    for i, row in constraints:
-        if row:
-            kept.append((i, row))
-            root = find(i)
-            for j in row:
-                parent[find(j)] = root
-    blocks: dict[int, tuple[list[int], list[list]]] = {}
+    for columns in action:
+        for j, col in enumerate(columns):
+            root = find(j)
+            for t in col:
+                parent[find(t)] = root
+    blocks: dict[int, list[int]] = {}
     for j in range(n):
-        blocks.setdefault(find(j), ([], []))[0].append(j)
-    for i, row in kept:
-        cols, rows = blocks[find(i)]
-        rows.append([row.get(j, 0) for j in cols])
+        blocks.setdefault(find(j), []).append(j)
     return list(blocks.values())
 
 
@@ -188,32 +185,27 @@ def invariant_basis(G: MatrixGroup, ring: GradedRing, d: int) -> Rows:
     Returned rows are coefficient vectors over the deglex monomial basis.
     Over Z and Z_(p) the rows span the saturated invariant lattice.
 
-    The constraints g - I stay sparse rows, transposed from the columns of
-    action_matrix, and the kernel is taken per connected block of them.  The
-    kernel of a block-diagonal system is the direct sum of the block
-    kernels, and a direct sum of saturated lattices is saturated.  Block
-    rows in Hermite form (RREF over F_p), embedded and ordered by pivot,
-    are in Hermite form (RREF) as a whole: entries above a pivot from
-    another block are 0.  That form is unique, so the rows are those of
-    the kernel of the whole stacked system.
+    The kernel is taken per connected block of the constraints g - I, whose
+    nonzero rows are read off the columns of action_matrix on the block's
+    columns.  The kernel of a block-diagonal system is the direct sum of
+    the block kernels, and a direct sum of saturated lattices is saturated.
+    Block rows in Hermite form (RREF over F_p), embedded and ordered by
+    pivot, are in Hermite form (RREF) as a whole: entries above a pivot
+    from another block are 0.  That form is unique, so the rows are those
+    of the kernel of the whole stacked system.
     """
     n = graded_piece_basis(ring, d).dim
     domain = ring.coeff
-    constraints: list[tuple[int, dict]] = []
-    for g in G.generators if G.generators else G.elements:
-        columns = action_matrix(ring, g, d)
-        transposed: list[dict] = [{} for _ in columns]
-        for c, col in enumerate(columns):
-            for t, v in col.items():
-                transposed[t][c] = v
-        for i, row in enumerate(transposed):  # row i of g - I
-            if v := domain.sub(row.get(i, 0), domain.one):
-                row[i] = v
-            else:
-                del row[i]
-            constraints.append((i, row))
+    action = [action_matrix(ring, g, d) for g in G.generators or G.elements]
     pivoted: list[tuple[int, tuple]] = []
-    for cols, rows in _constraint_blocks(n, constraints):
+    for cols in _blocks(n, action):
+        rows = []
+        for columns in action:
+            for at, i in enumerate(cols):  # row i of g - I on the block's columns
+                row = [columns[c].get(i, 0) for c in cols]
+                row[at] = domain.sub(row[at], domain.one)
+                if any(row):
+                    rows.append(row)
         if domain.tag == "Fp":
             kernel = kernel_mod_p(rows, len(cols), domain.p)
         else:

@@ -189,11 +189,7 @@ class Polynomial:
         return Polynomial._from_nonzero(self.ring, {e: c for e, c in out.items() if c})
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
-        dom = self.ring.coeff
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = dom.sub(out.get(e, dom.zero), c)
-        return Polynomial._from_nonzero(self.ring, {e: c for e, c in out.items() if c})
+        return self + -other
 
     def __neg__(self) -> "Polynomial":
         dom = self.ring.coeff

@@ -7,9 +7,10 @@ the roots of the minimal polynomial of w mod q: two roots split, one root
 ramifies, none stays inert.  For odd q the discriminant decides: zero mod q
 ramifies, a non-residue by Euler's criterion stays inert, and a residue
 splits with roots (trace_w +- s)/2 for a Tonelli-Shanks square root s, in
-O(log^2 q) operations; q = 2 tests its two residues.  Valuations at split
-primes use a Hensel lift of the root to precision beyond the norm
-valuation, so everything stays exact.
+O(log^2 q) operations; q = 2 tests its two residues.  Valuations are read
+from the exponent of q in the coordinates and in the norm: at a split
+prime, an element with coprime-to-q content lies in at most one of the two
+conjugate primes, which then carries the whole q-part of its norm.
 
 Class groups enumerate ideals up to the Minkowski bound and test
 principality against the least norm of a nonzero element of the ideal:
@@ -24,7 +25,7 @@ import math
 import re
 from dataclasses import dataclass
 
-from .domains import is_prime, prime_divisors
+from .domains import is_prime, multiplicity, prime_divisors
 from .linalg import lattice_canonical, lattice_member
 
 
@@ -47,16 +48,6 @@ _REAL_UNIT_FIXTURES: dict[int, tuple[int, int]] = {
 _DESK_D_LIMIT = 200
 
 
-def _squarefree(n: int) -> bool:
-    n = abs(n)
-    f = 2
-    while f * f <= n:
-        if n % (f * f) == 0:
-            return False
-        f += 1
-    return True
-
-
 @dataclass(frozen=True)
 class NumberRing:
     """Ring of integers of Q(sqrt(d)) for squarefree d."""
@@ -64,7 +55,8 @@ class NumberRing:
     d: int
 
     def __post_init__(self):
-        if self.d in (0, 1) or not _squarefree(self.d):
+        d = self.d
+        if d in (0, 1) or any(multiplicity(d, q) > 1 for q in prime_divisors(abs(d))):
             raise ValueError("d must be squarefree and different from 0, 1")
 
     @property
@@ -216,46 +208,27 @@ def primes_above(ring: NumberRing, q: int) -> list[PrimeIdealQ]:
     return [PrimeIdealQ(q=q, kind="inert", root=None, e=1, f=2)]
 
 
-def _v_int(n: int, q: int) -> int:
-    if n == 0:
-        raise ValueError("valuation of zero")
-    v = 0
-    while n % q == 0:
-        n //= q
-        v += 1
-    return v
-
-
-def _hensel_lift_root(ring: NumberRing, q: int, root: int, precision: int) -> int:
-    """Lift a simple root of the minimal polynomial of w to mod q^precision."""
-    r = root
-    mod = q
-    while mod < q**precision:
-        mod = min(mod * mod, q**precision)
-        deriv = (2 * r - ring.trace_w) % mod
-        val = (r * r - ring.trace_w * r + ring.norm_w) % mod
-        r = (r - val * pow(deriv, -1, mod)) % mod
-    return r
-
-
 def valuation(ring: NumberRing, el: tuple[int, int], P: PrimeIdealQ) -> int:
-    """Exact valuation of a nonzero element at the prime P."""
+    """Exact valuation of a nonzero element at the prime P.
+
+    Write el = q^k * y with q^k the largest power of q dividing both
+    coordinates.  An inert P is qO, so v = k; a ramified P has P^2 = qO
+    and norm q, so v = v_q(N(el)).  A split P and its conjugate meet in qO,
+    which does not contain y, so y lies in at most one of them: v = k plus
+    v_q(N(y)) when y is in P, that is y_0 + y_1 * root = 0 mod q, else k.
+    """
     if el == (0, 0):
         raise ZeroElement("valuation of zero")
-    a, b = el
     q = P.q
-    n = abs(ring.norm(el))
-    if P.kind == "inert":
-        return min(_v_int(a, q) if a else 10**9, _v_int(b, q) if b else 10**9)
     if P.kind == "ramified":
-        return _v_int(n, q)
-    # split: valuation through the q-adic embedding w -> lifted root
-    prec = _v_int(n, q) + 1
-    r = _hensel_lift_root(ring, q, P.root, prec)
-    x = (a + b * r) % (q**prec)
-    if x == 0:
-        raise RuntimeError("split valuation exceeded its precision bound")
-    return _v_int(x, q)
+        return multiplicity(ring.norm(el), q)
+    k = min(multiplicity(x, q) for x in el if x)
+    if P.kind == "inert":
+        return k
+    y = (el[0] // q**k, el[1] // q**k)
+    if (y[0] + y[1] * P.root) % q:
+        return k
+    return k + multiplicity(ring.norm(y), q)
 
 
 class Divisor:
@@ -325,7 +298,7 @@ def integer_divisor(a: int) -> Divisor:
     """Divisor of a nonzero rational integer over Z: primes are ints q."""
     if a == 0:
         raise ZeroElement("cannot factor zero")
-    return Divisor({q: _v_int(abs(a), q) for q in prime_divisors(abs(a))})
+    return Divisor({q: multiplicity(a, q) for q in prime_divisors(abs(a))})
 
 
 def ramification_length(ring: NumberRing, P: PrimeIdealQ) -> int:
@@ -515,11 +488,7 @@ def _abelian_type_from_orders(h: int, orders: list[int]) -> list[int]:
         r = []
         total = 0
         while True:
-            killed = sum(1 for o in orders if ell ** (len(r) + 1) % o == 0)
-            s = 0
-            while killed % ell == 0:
-                killed //= ell
-                s += 1
+            s = multiplicity(sum(1 for o in orders if ell ** (len(r) + 1) % o == 0), ell)
             if s == total:
                 break
             r.append(s - total)

@@ -71,6 +71,13 @@ def test_sylow_s3(p, order):
     assert g.order % h.order == 0
 
 
+@pytest.mark.parametrize("p", [0, 1, 4, -2])
+def test_sylow_refuses_a_p_that_is_not_prime(p):
+    g = enumerate_group(S3_GENS, ZZ)
+    with pytest.raises(ValueError, match="not prime"):
+        sylow_subgroup(g, p)
+
+
 def test_sylow_3_is_alternating():
     g = enumerate_group(S3_GENS, ZZ)
     h = sylow_subgroup(g, 3)

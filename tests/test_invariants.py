@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from invring import invariants
 from invring.domains import GF, QQ, ZZ, Z_local
 from invring.fixtures import fixture_group, fixture_group_names
 from invring.groups import enumerate_group, sylow_subgroup, trivial_group
@@ -14,7 +15,7 @@ from invring.invariants import (
     IndexNotInvertible,
     NotHInvariant,
     StandardGradedReport,
-    _constraint_blocks,
+    _blocks,
     _integerize_rows,
     _is_reduced_echelon,
     _pivot_columns,
@@ -674,9 +675,34 @@ def _constraints(G, ring, d):
     return out
 
 
-def _sparse_constraints(G, ring, d):
-    """The pairs of _constraints with each row as {column: nonzero entry}."""
-    return [(i, {j: x for j, x in enumerate(row) if x}) for i, row in _constraints(G, ring, d)]
+def _action(G, ring, d):
+    """The action_matrix columns of every generator, as invariant_basis reads them."""
+    return [action_matrix(ring, g, d) for g in G.generators or G.elements]
+
+
+def _components(n, constraints):
+    """Connected components of the graph on n columns with an edge from i to
+    every column j where row i of _constraints is nonzero: each component's
+    columns ascending, components ordered by first column."""
+    adjacent = [set() for _ in range(n)]
+    for i, row in constraints:
+        for j, x in enumerate(row):
+            if x:
+                adjacent[i].add(j)
+                adjacent[j].add(i)
+    seen, out = set(), []
+    for start in range(n):
+        if start not in seen:
+            seen.add(start)
+            stack, component = [start], []
+            while stack:
+                j = stack.pop()
+                component.append(j)
+                for t in adjacent[j] - seen:
+                    seen.add(t)
+                    stack.append(t)
+            out.append(sorted(component))
+    return out
 
 
 def _stacked_kernel(G, ring, d):
@@ -734,8 +760,8 @@ def test_block_rows_merge_in_pivot_order():
     ring = GradedRing(3, ZZ)
     for d in range(9):
         piece = graded_piece_basis(ring, d)
-        blocks = _constraint_blocks(piece.dim, _sparse_constraints(G, ring, d))
-        assert sorted(sorted({piece.monomials[j][2] for j in cols}) for cols, _ in blocks) == [
+        blocks = _blocks(piece.dim, _action(G, ring, d))
+        assert sorted(sorted({piece.monomials[j][2] for j in cols}) for cols in blocks) == [
             [c] for c in range(d + 1)
         ]
         assert invariant_basis(G, ring, d) == _stacked_kernel(G, ring, d), d
@@ -786,9 +812,9 @@ def test_s4_blocks_are_monomial_orbits():
     ring = GradedRing(4, ZZ)
     for d in range(8):
         n = graded_piece_basis(ring, d).dim
-        blocks = _constraint_blocks(n, _sparse_constraints(G, ring, d))
+        blocks = _blocks(n, _action(G, ring, d))
         assert len(blocks) == _partitions_into_at_most(d, 4), d
-        assert sorted(j for cols, _ in blocks for j in cols) == list(range(n))
+        assert sorted(j for cols in blocks for j in cols) == list(range(n))
 
 
 def test_block_without_rows_contributes_its_unit_vector():
@@ -796,18 +822,68 @@ def test_block_without_rows_contributes_its_unit_vector():
     ring = GradedRing(3, ZZ)
     piece = graded_piece_basis(ring, 3)
     xyz = piece.index((1, 1, 1))
-    blocks = _constraint_blocks(piece.dim, _sparse_constraints(G, ring, 3))
-    assert ([xyz], []) in blocks
+    action = _action(G, ring, 3)
+    assert [xyz] in _blocks(piece.dim, action)
+    # its row of every g - I is zero: each g fixes the monomial xyz
+    assert all(
+        col.get(xyz, 0) == (c == xyz) for columns in action for c, col in enumerate(columns)
+    )
     unit = tuple(int(j == xyz) for j in range(piece.dim))
     assert unit in invariant_basis(G, ring, 3)
 
 
-def test_constraint_blocks_join_index_and_support():
-    # rows over 5 columns: 0 - 2 joined by row 0, 3 by its own row, 1 and 4 untouched
-    constraints = [(0, {0: 1, 2: -1}), (3, {3: 2}), (4, {})]
-    assert _constraint_blocks(5, constraints) == [
-        ([0, 2], [[1, -1]]),
-        ([1], []),
-        ([3], [[2]]),
-        ([4], []),
-    ]
+def test_blocks_join_columns_through_their_entries():
+    # g - I has rows 0: {0: 1, 2: -1} and 3: {3: 2}, so 0 - 2 are joined by
+    # column 2's entry in row 0, 3 is scaled alone, 1 and 4 are fixed
+    columns = ({0: 2}, {1: 1}, {0: -1, 2: 1}, {3: 3}, {4: 1})
+    assert _blocks(5, [columns]) == [[0, 2], [1], [3], [4]]
+    # a second generator joins what the first leaves apart
+    assert _blocks(5, [columns, ({0: 1}, {4: 1}, {2: 1}, {3: 1}, {1: 1})]) == [[0, 2], [1, 4], [3]]
+
+
+BLOCK_GROUPS = [
+    *((name, dom) for name in fixture_group_names() for dom in (ZZ, GF(3), QQ)),
+    ("S4", ZZ), ("B3", ZZ), ("B3-on-I", ZZ),
+]
+BLOCK_GENS = {"S4": S4_GENS, "B3": B3_GENS, "B3-on-I": B3_ON_I_GENS}
+
+
+@pytest.mark.parametrize("name, dom", BLOCK_GROUPS, ids=str)
+def test_blocks_are_the_components_of_the_constraint_rows(name, dom):
+    G = enumerate_group(BLOCK_GENS[name], dom) if name in BLOCK_GENS else fixture_group(name, dom)
+    ring = GradedRing(G.n, dom)
+    for d in range(9):
+        n = graded_piece_basis(ring, d).dim
+        assert _blocks(n, _action(G, ring, d)) == _components(n, _constraints(G, ring, d)), d
+
+
+@pytest.mark.parametrize("dom", [ZZ, GF(3), QQ], ids=str)
+def test_block_kernels_see_the_nonzero_constraint_rows(dom, monkeypatch):
+    """Each block kernel is handed exactly the nonzero rows of the stacked
+    g - I on the block's columns, generator-major and then by row index."""
+    seen = []
+    kernel_mod_p_ = invariants.kernel_mod_p
+    integer_kernel_basis_ = invariants.integer_kernel_basis
+
+    def record_mod_p(rows, ncols, p):
+        seen.append([list(r) for r in rows])
+        return kernel_mod_p_(rows, ncols, p)
+
+    def record(matrix):
+        seen.append([list(r) for r in matrix.data])
+        return integer_kernel_basis_(matrix)
+
+    monkeypatch.setattr(invariants, "kernel_mod_p", record_mod_p)
+    monkeypatch.setattr(invariants, "integer_kernel_basis", record)
+    for gens in (S4_GENS, B3_ON_I_GENS, W_A3_GENS):
+        G = enumerate_group(gens, dom)
+        ring = GradedRing(G.n, dom)
+        for d in range(6):
+            constraints = _constraints(G, ring, d)
+            expected = []
+            for cols in _components(graded_piece_basis(ring, d).dim, constraints):
+                rows = [[row[c] for c in cols] for i, row in constraints if i in cols and any(row)]
+                expected.append(rows if dom.tag in ("Z", "Fp") else _integerize_rows(rows))
+            seen.clear()
+            invariant_basis(G, ring, d)
+            assert seen == expected, (gens, d)

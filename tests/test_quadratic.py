@@ -218,6 +218,45 @@ def test_valuation_split_prime_separates():
     assert vals == [0, 1]
 
 
+def _lattice_valuation(ring, el, P):
+    """The largest k with el in P^k, by lattice membership in powers of P."""
+    prime = Ideal.from_prime(ring, P)
+    power, k = prime, 0
+    while power.contains(el):
+        power, k = power.multiply(prime), k + 1
+    return k
+
+
+def test_valuation_matches_lattice_membership():
+    """Every squarefree |d| <= 60, q <= 13 and P above q, on seeded elements
+    q^i * (w - root)^j * x, so that split primes see high valuations at P
+    and at its conjugate."""
+    rng = random.Random(7)
+    for d in _squarefree_ds(-60, 60):
+        ring = NumberRing(d)
+        for q in (2, 3, 5, 7, 11, 13):
+            for P in primes_above(ring, q):
+                for _ in range(6):
+                    el = (0, 0)
+                    while el == (0, 0):
+                        el = (rng.randint(-30, 30), rng.randint(-30, 30))
+                    el = (el[0] * q ** rng.randint(0, 2), el[1] * q ** rng.randint(0, 2))
+                    for _ in range(rng.randint(0, 3)):
+                        el = ring.mul(el, (-(P.root or 0), 1))
+                    assert valuation(ring, el, P) == _lattice_valuation(ring, el, P), (d, P, el)
+
+
+def test_number_ring_accepts_exactly_the_squarefree_d():
+    accepted = []
+    for d in range(-2000, 2001):
+        try:
+            NumberRing(d)
+        except ValueError:
+            continue
+        accepted.append(d)
+    assert accepted == _squarefree_ds(-2000, 2000)
+
+
 @pytest.mark.parametrize(
     "d, factors",
     [(-1, []), (-3, []), (-5, [2]), (-6, [2]), (-14, [4]), (-23, [3]), (-21, [2, 2])],
