@@ -2,10 +2,10 @@
 complex that alternates the trace map Tr = I + s + ... + s^(n-1) with s - 1.
 
 H^0 is the fixed lattice; for i >= 1 the groups are two-periodic:
-odd i gives ker(Tr)/im(s - 1), even i gives ker(s - 1)/im(Tr).  Presentations
-come out as invariant factors through Smith reduction of the coordinate
-matrix of the image inside the kernel.  Over Z localized at p the reported
-torsion is the p-part, which is the module structure over that ring.
+odd i gives ker(Tr)/im(s - 1), even i gives ker(s - 1)/im(Tr).  Each is
+read from one Smith diagonal, as the torsion of the cokernel of its image
+map (see cohomology).  Over Z localized at p the reported torsion is the
+p-part, which is the module structure over that ring.
 
 Each module keeps one integer form of its action, built at construction:
 with delta the lcm of the denominators of s, the matrices N = delta*s and
@@ -22,7 +22,7 @@ from math import lcm
 
 from .domains import GF, CoefficientDomain, Matrix, is_prime, multiplicity
 from .groups import MatrixGroup, cyclic_generator
-from .linalg import IntegerMatrix, integer_kernel_basis, lattice_quotient
+from .linalg import IntegerMatrix, cokernel_invariant_factors
 from .poly import GradedRing, action_matrix
 
 
@@ -114,26 +114,23 @@ def _localized_factors(dom: CoefficientDomain, torsion: tuple[int, ...]) -> tupl
     return tuple(dom.p**k for t in torsion if (k := multiplicity(t, dom.p)))
 
 
-def _subquotient(
-    dom: CoefficientDomain, kernel_of: IntegerMatrix, image_of: IntegerMatrix
-) -> CohomologyGroup:
-    """ker(kernel_of) / column-image(image_of) as an abelian group."""
-    ker = integer_kernel_basis(kernel_of)
-    image_rows = [row for row in image_of.transpose().data if any(row)]
-    torsion, free = lattice_quotient(image_rows, list(ker.data))
-    return CohomologyGroup(free_rank=free, torsion=_localized_factors(dom, torsion))
-
-
 def cohomology(M: CyclicModule, i: int) -> CohomologyGroup:
-    """H^i of the cyclic module; two-periodic in i for i >= 1."""
+    """H^i of the cyclic module; two-periodic in i for i >= 1.
+
+    For i >= 1, H^i = ker A / im B with A B = 0: B = N - delta*I and A = T
+    for odd i, the other way round for even i.  ker A is saturated, so
+    every torsion class of Z^n / im B lies in ker A; and ker A / im B is
+    torsion, since over Q it is H^i, which the order kills (s^n = 1 is
+    checked at construction).  So H^i is the torsion of Z^n / im B, with
+    free rank 0.
+    """
     if i < 0:
         raise ValueError("cohomology index must be nonnegative")
     sigma_minus_1 = _sigma_minus_1(M)
     if i == 0:
-        return CohomologyGroup(free_rank=integer_kernel_basis(sigma_minus_1).rows, torsion=())
-    if i % 2 == 1:
-        return _subquotient(M.domain, M._trace, sigma_minus_1)
-    return _subquotient(M.domain, sigma_minus_1, M._trace)
+        return CohomologyGroup(free_rank=cokernel_invariant_factors(sigma_minus_1)[1], torsion=())
+    torsion, _ = cokernel_invariant_factors(sigma_minus_1 if i % 2 else M._trace)
+    return CohomologyGroup(free_rank=0, torsion=_localized_factors(M.domain, torsion))
 
 
 def sigma_trivial_mod_p(M: CyclicModule, p: int) -> bool:

@@ -15,7 +15,7 @@ import random
 
 from .cohomology import CyclicModule
 from .domains import CoefficientDomain, ZZ, Z_local
-from .groups import MatrixGroup, enumerate_group, trivial_group
+from .groups import MatrixGroup, enumerate_group
 from .linalg import IntegerMatrix, unimodular_inverse
 
 GROUP_GENERATORS: dict[str, dict] = {
@@ -54,8 +54,6 @@ DEDEKIND_FIXTURES: dict[str, int] = {
 
 def fixture_group(name: str, coeff: CoefficientDomain = ZZ) -> MatrixGroup:
     spec = GROUP_GENERATORS[name]
-    if not spec["generators"]:
-        return trivial_group(spec["n"], coeff)
     return enumerate_group(spec["generators"], coeff, n=spec["n"])
 
 

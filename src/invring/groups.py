@@ -130,9 +130,7 @@ def sylow_subgroup(G: MatrixGroup, p: int) -> MatrixGroup:
     target = p ** multiplicity(G.order, p)
     dom = G.coeff
     if target == 1:
-        return MatrixGroup(
-            n=G.n, coeff=dom, elements=(G.identity,), generators=()
-        )
+        return trivial_group(G.n, dom)
     candidates = [
         g
         for g in G.elements

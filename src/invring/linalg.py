@@ -1,7 +1,7 @@
 """Exact linear algebra over the integers and prime fields.
 
-Hermite and Smith normal forms, saturated kernel lattices, lattice quotients
-and complements, and row reduction mod p.  All integer work uses Python's
+Hermite and Smith normal forms, saturated kernel lattices, lattice
+complements, and row reduction mod p.  All integer work uses Python's
 arbitrary-precision ints; nothing here rounds.  Each elimination runs on one
 matrix, and its unimodular transform rides along in an identity border
 (Cohen, GTM 138, section 2.4; see _hnf_rows and smith_normal_form); callers
@@ -336,28 +336,6 @@ def lattice_member(basis, v) -> bool:
     return _lattice_coordinates(basis, v) is not None
 
 
-def _coordinate_rows(sub_rows, sup_basis) -> list[list[int]]:
-    """Integer coordinates of each sub row in the HNF basis of the sup lattice."""
-    out = []
-    for s in sub_rows:
-        coords = _lattice_coordinates(sup_basis, s)
-        if coords is None:
-            raise ValueError("sub lattice is not contained in sup lattice")
-        out.append(coords)
-    return out
-
-
-def lattice_quotient(sub_rows, sup_basis) -> tuple[tuple[int, ...], int]:
-    """Invariant factors (>1) and free rank of lattice(sup)/lattice(sub).
-
-    Every sub row must lie in the sup lattice with integer coordinates.
-    """
-    m = len(sup_basis)
-    coord_rows = _coordinate_rows(sub_rows, sup_basis)
-    # quotient of Z^m by the row span = cokernel of the transposed map
-    return cokernel_invariant_factors(IntegerMatrix(coord_rows, cols=m).transpose())
-
-
 def lattice_complement_generators(sub_rows, sup_basis, is_unit) -> list[tuple[int, ...]]:
     """A minimal set of sup-lattice vectors generating lattice(sup)/lattice(sub).
 
@@ -368,7 +346,9 @@ def lattice_complement_generators(sub_rows, sup_basis, is_unit) -> list[tuple[in
     generators of the quotient over that ring.
     """
     m = len(sup_basis)
-    coord_rows = _coordinate_rows(sub_rows, sup_basis)
+    coord_rows = [_lattice_coordinates(sup_basis, s) for s in sub_rows]
+    if None in coord_rows:
+        raise ValueError("sub lattice is not contained in sup lattice")
     snf = smith_normal_form(IntegerMatrix(coord_rows, cols=m))
     vinv = unimodular_inverse(snf.right)
     picks = [i for i in range(m) if i >= len(snf.d) or not is_unit(snf.d[i])]

@@ -301,9 +301,10 @@ def integer_divisor(a: int) -> Divisor:
     return Divisor({q: multiplicity(a, q) for q in prime_divisors(abs(a))})
 
 
-def ramification_length(ring: NumberRing, P: PrimeIdealQ) -> int:
-    """Length of O_P / q O_P for q = P cap Z, computed as v_P(q)."""
-    return valuation(ring, (P.q, 0), P)
+def ramification_length(P: PrimeIdealQ) -> int:
+    """Length of O_P / q O_P for q = P cap Z: the index e that primes_above
+    assigns from the splitting type, which equals v_P(q)."""
+    return P.e
 
 
 def divisor_map(ring: NumberRing, D: Divisor) -> Divisor:
@@ -312,7 +313,7 @@ def divisor_map(ring: NumberRing, D: Divisor) -> Divisor:
     out = Divisor()
     for q, c in D.coeffs.items():
         for P in primes_above(ring, q):
-            out = out + Divisor({P: c * ramification_length(ring, P)})
+            out = out + Divisor({P: c * ramification_length(P)})
     return out
 
 

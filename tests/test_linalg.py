@@ -20,7 +20,6 @@ from invring.linalg import (
     lattice_canonical,
     lattice_complement_generators,
     lattice_member,
-    lattice_quotient,
     lattice_solve,
     member_mod_p,
     rank,
@@ -314,21 +313,6 @@ def test_lattice_member_matches_rational_solve():
     assert 300 < members < 2000
 
 
-def test_lattice_quotient_orientation():
-    # Z^2 / <(-2,0),(0,2),(-4,0)> has no free part and torsion (2, 2)
-    torsion, free = lattice_quotient(
-        [[-2, 0], [0, 2], [-4, 0]], [(1, 0), (0, 1)]
-    )
-    assert torsion == (2, 2)
-    assert free == 0
-
-
-def test_lattice_quotient_free_part():
-    torsion, free = lattice_quotient([[1, 2]], [(1, 0), (0, 1)])
-    assert torsion == ()
-    assert free == 1
-
-
 def test_complement_generators_minimal():
     # <(1,2)> inside Z^2 needs exactly one generator to complete
     gens = lattice_complement_generators([[1, 2]], [(1, 0), (0, 1)], ZZ.is_unit)
@@ -344,12 +328,7 @@ def test_complement_generators_empty_sub():
 
 def test_lattice_quotient_and_complement_of_empty_lattices():
     # the Smith path needs no shortcut for no sub rows or a zero sup lattice
-    assert lattice_quotient([], []) == ((), 0)
-    assert lattice_quotient([], [(1, 0), (0, 2)]) == ((), 2)
-    assert lattice_quotient([[0, 0]], []) == ((), 0)
     assert lattice_complement_generators([], [], ZZ.is_unit) == []
-    with pytest.raises(ValueError, match="not contained in sup lattice"):
-        lattice_quotient([[1, 0]], [])
     with pytest.raises(ValueError, match="not contained in sup lattice"):
         lattice_complement_generators([[1, 0]], [], ZZ.is_unit)
 

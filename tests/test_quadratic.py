@@ -176,7 +176,7 @@ def test_norm_multiplicativity_random():
     [(2, [2]), (5, [1, 1]), (3, [1])],
 )
 def test_ramification_length(q, expected_e):
-    assert [ramification_length(ZI, P) for P in primes_above(ZI, q)] == expected_e
+    assert [ramification_length(P) for P in primes_above(ZI, q)] == expected_e
 
 
 def test_divisor_map_examples():
@@ -244,6 +244,16 @@ def test_valuation_matches_lattice_membership():
                     for _ in range(rng.randint(0, 3)):
                         el = ring.mul(el, (-(P.root or 0), 1))
                     assert valuation(ring, el, P) == _lattice_valuation(ring, el, P), (d, P, el)
+
+
+def test_ramification_index_is_the_valuation_of_q():
+    """ramification_length reads P.e from the splitting type; factor_element
+    reaches v_P(q) through valuation.  The two routes agree."""
+    for d in _squarefree_ds(-60, 60):
+        ring = NumberRing(d)
+        for q in (2, 3, 5, 7, 11, 13):
+            for P in primes_above(ring, q):
+                assert valuation(ring, (q, 0), P) == P.e == ramification_length(P), (d, P)
 
 
 def test_number_ring_accepts_exactly_the_squarefree_d():
