@@ -5,7 +5,8 @@ H^0 is the fixed lattice; for i >= 1 the groups are two-periodic:
 odd i gives ker(Tr)/im(s - 1), even i gives ker(s - 1)/im(Tr).  Each is
 read from one Smith diagonal, as the torsion of the cokernel of its image
 map (see cohomology).  Over Z localized at p the reported torsion is the
-p-part, which is the module structure over that ring.
+p-part, which is the module structure over that ring; over Q every H^i
+with i >= 1 is zero.
 
 Each module keeps one integer form of its action, built at construction:
 with delta the lcm of the denominators of s, the matrices N = delta*s and
@@ -106,9 +107,7 @@ def trace_matrix(M: CyclicModule) -> Matrix:
 
 
 def _localized_factors(dom: CoefficientDomain, torsion: tuple[int, ...]) -> tuple[int, ...]:
-    """The integer torsion as a module over dom: none over Q, p-parts over Z_(p)."""
-    if dom.tag == "Q":
-        return ()
+    """The integer torsion as a module over dom: p-parts over Z_(p)."""
     if dom.tag != "Zlocal":
         return torsion
     return tuple(dom.p**k for t in torsion if (k := multiplicity(t, dom.p)))
@@ -122,14 +121,17 @@ def cohomology(M: CyclicModule, i: int) -> CohomologyGroup:
     every torsion class of Z^n / im B lies in ker A; and ker A / im B is
     torsion, since over Q it is H^i, which the order kills (s^n = 1 is
     checked at construction).  So H^i is the torsion of Z^n / im B, with
-    free rank 0.
+    free rank 0.  Over Q that is all: H^i is killed by the order n, which
+    is invertible there, so H^i = 0 with no Smith diagonal.
     """
     if i < 0:
         raise ValueError("cohomology index must be nonnegative")
-    sigma_minus_1 = _sigma_minus_1(M)
     if i == 0:
-        return CohomologyGroup(free_rank=cokernel_invariant_factors(sigma_minus_1)[1], torsion=())
-    torsion, _ = cokernel_invariant_factors(sigma_minus_1 if i % 2 else M._trace)
+        _, free_rank = cokernel_invariant_factors(_sigma_minus_1(M))
+        return CohomologyGroup(free_rank=free_rank, torsion=())
+    if M.domain.tag == "Q":
+        return CohomologyGroup(free_rank=0, torsion=())
+    torsion, _ = cokernel_invariant_factors(_sigma_minus_1(M) if i % 2 else M._trace)
     return CohomologyGroup(free_rank=0, torsion=_localized_factors(M.domain, torsion))
 
 

@@ -12,11 +12,15 @@ from the exponent of q in the coordinates and in the norm: at a split
 prime, an element with coprime-to-q content lies in at most one of the two
 conjugate primes, which then carries the whole q-part of its norm.
 
-Class groups enumerate ideals up to the Minkowski bound and test
-principality against the least norm of a nonzero element of the ideal:
-for imaginary d that minimum comes from Lagrange-Gauss reduction of the
-ideal's lattice basis; for real d a norm-form search relies on a
-fundamental-unit fixture to bound the search box.
+Class groups of imaginary d come from the reduced binary quadratic forms
+of discriminant D, one per class, with Gauss/Dirichlet composition
+followed by reduction as the group law.  Real d enumerates the ideals up
+to the Minkowski bound and separates them by principality, which a
+norm-form search decides inside a box bounded through a fundamental-unit
+fixture.  Principality of an imaginary ideal compares its norm with the
+least norm of a nonzero element, from Lagrange-Gauss reduction of its
+lattice basis; the ideal enumeration also serves as an independent
+reference for the forms in the tests.
 """
 
 from __future__ import annotations
@@ -504,16 +508,20 @@ def _abelian_type_from_orders(h: int, orders: list[int]) -> list[int]:
     return largest_first[::-1]
 
 
-def class_group(ring: NumberRing) -> list[int]:
-    """Invariant factors of the ideal class group (empty list = trivial).
+def _order(x, mul, is_one, h: int) -> int:
+    """Order of x in a group of order h, by repeated multiplication."""
+    power, k = x, 1
+    while not is_one(power):
+        power, k = mul(power, x), k + 1
+        if k > h:
+            raise RuntimeError("element order exceeded the group order")
+    return k
 
-    Every class contains an ideal of norm at most the Minkowski bound, so
+
+def _class_group_from_ideals(ring: NumberRing) -> list[int]:
+    """Every class contains an ideal of norm at most the Minkowski bound, so
     enumerating those ideals and separating them by pairwise equivalence
-    yields the full group; the structure is read off the element orders of
-    the multiplication table.
-    """
-    if abs(ring.d) > _DESK_D_LIMIT:
-        raise BoundTooLarge(f"|d| = {abs(ring.d)} exceeds the desk-scale limit")
+    yields the full group; the structure is read off the element orders."""
     bound = minkowski_bound(ring)
     ideals = [Ideal.unit_ideal(ring)]
     for m in range(2, bound + 1):
@@ -523,14 +531,81 @@ def class_group(ring: NumberRing) -> list[int]:
         if not any(_equivalent(I, J) for J in reps):
             reps.append(I)
     h = len(reps)
-    orders = []
-    for i in range(h):
-        power = reps[i]
-        k = 1
-        while not is_principal(power):
-            power = power.multiply(reps[i])
-            k += 1
-            if k > h:
-                raise RuntimeError("element order exceeded the group order")
-        orders.append(k)
+    orders = [_order(I, Ideal.multiply, is_principal, h) for I in reps]
+    return _abelian_type_from_orders(h, orders)
+
+
+# ---------------------------------------------------------------------------
+# binary quadratic forms (a, b, c) = ax^2 + bxy + cy^2 of discriminant
+# D = b^2 - 4ac < 0; the form corresponds to the ideal aZ + (-b + sqrt(D))/2 Z
+
+
+def _xgcd(x: int, y: int) -> tuple[int, int, int]:
+    """(g, u, v) with u*x + v*y = g = gcd(x, y)."""
+    u0, v0, u1, v1 = 1, 0, 0, 1
+    while y:
+        q, r = divmod(x, y)
+        x, y, u0, v0, u1, v1 = y, r, u1, v1, u0 - q * u1, v0 - q * v1
+    return (x, u0, v0) if x >= 0 else (-x, -u0, -v0)
+
+
+def _reduce(a: int, b: int, D: int) -> tuple[int, int, int]:
+    """The reduced form properly equivalent to (a, b, .) of discriminant D,
+    from a normalised one, -a < b <= a (Cohen, GTM 138, sec. 5.4).
+
+    While a > c, (a, b, c) ~ (c, -b, a), normalised by b -> b + 2kc; a
+    falls at every step.  Reduced means |b| <= a <= c, with b >= 0 when
+    |b| = a or a = c.
+    """
+    while True:
+        c = (b * b - D) // (4 * a)
+        if a <= c:
+            return (a, -b if a == c and b < 0 else b, c)
+        a, b = c, c - (c + b) % (2 * c)
+
+
+def _compose(f: tuple[int, int, int], g: tuple[int, int, int]) -> tuple[int, int, int]:
+    """The reduced composite of two primitive forms of one discriminant
+    (Dirichlet composition; Cohen, GTM 138, sec. 5.4)."""
+    (a1, b1, c1), (a2, b2, c2) = f, g
+    s, n = (b1 + b2) // 2, (b2 - b1) // 2
+    e1, _, v = _xgcd(a1, a2)
+    e, x, w = _xgcd(e1, s)  # x*u*a1 + x*v*a2 + w*s = e = gcd(a1, a2, s)
+    a3 = a1 * a2 // (e * e)
+    b3 = b2 - 2 * (a2 // e) * (x * v * n + w * c2)
+    return _reduce(a3, a3 - (a3 - b3) % (2 * a3), b1 * b1 - 4 * a1 * c1)
+
+
+def _reduced_forms(D: int) -> list[tuple[int, int, int]]:
+    """Every reduced form of discriminant D < 0, by increasing a; a reduced
+    form has 3a^2 <= |D|, and the principal form (1, b, c) comes first."""
+    forms = []
+    a = 1
+    while 3 * a * a <= -D:
+        for b in range(1 - a, a + 1):
+            c, r = divmod(b * b - D, 4 * a)
+            if not r and c >= a and not (a == c and b < 0):
+                forms.append((a, b, c))
+        a += 1
+    return forms
+
+
+def class_group(ring: NumberRing) -> list[int]:
+    """Invariant factors of the ideal class group (empty list = trivial).
+
+    For d < 0, classes of ideals are classes of forms of discriminant
+    D = ring.discriminant.  D is fundamental, so every form is primitive
+    and each class holds exactly one reduced form: h is their number, and
+    the element orders come from composition followed by reduction.  For
+    d > 0 the classes come from the ideals up to the Minkowski bound,
+    separated by principality tests that need a fundamental-unit fixture.
+    """
+    if abs(ring.d) > _DESK_D_LIMIT:
+        raise BoundTooLarge(f"|d| = {abs(ring.d)} exceeds the desk-scale limit")
+    if ring.d > 0:
+        return _class_group_from_ideals(ring)
+    forms = _reduced_forms(ring.discriminant)
+    h = len(forms)
+    # the principal form is the only reduced form with a = 1
+    orders = [_order(f, _compose, lambda g: g[0] == 1, h) for f in forms]
     return _abelian_type_from_orders(h, orders)

@@ -208,6 +208,7 @@ MALFORMED_GROUPS = {
     "<zero-denominator>": '{"n": 2, "coefficients": "Q", "generators": [[["1/0", 1], [1, 0]]]}',
     "<rot3-over-Q>": '{"n": 2, "coefficients": "Q", "generators": [[[0, -1], [1, -1]]]}',
 }
+GROUP_FILES = {ARRAY_GROUP: "[[[0, 1], [1, 0]]]", **MALFORMED_GROUPS}
 
 
 @pytest.mark.parametrize(
@@ -345,8 +346,7 @@ MALFORMED_GROUPS = {
     ],
 )
 def test_bad_input_exits_2_without_output(argv, message, tmp_path, capsys):
-    files = {ARRAY_GROUP: "[[[0, 1], [1, 0]]]", **MALFORMED_GROUPS}
-    for i, (placeholder, text) in enumerate(files.items()):
+    for i, (placeholder, text) in enumerate(GROUP_FILES.items()):
         path = tmp_path / f"group{i}.json"
         path.write_text(text)
         argv = [str(path) if a == placeholder else a for a in argv]
@@ -354,6 +354,18 @@ def test_bad_input_exits_2_without_output(argv, message, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert message in captured.err
+
+
+@pytest.mark.parametrize("placeholder", list(GROUP_FILES), ids=lambda name: name.strip("<>"))
+def test_gorenstein_bad_group_exits_2_without_output(placeholder, tmp_path, capsys):
+    # every group file the other commands refuse is bad input to gorenstein
+    # too: exit 2, never a refuted claim (1) or an internal error (3)
+    path = tmp_path / "group.json"
+    path.write_text(GROUP_FILES[placeholder])
+    argv = ["gorenstein", "--group", str(path), "--l", "2", "--max-degree", "8"]
+    assert run(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err
 
 
 def test_internal_error_exits_3(monkeypatch, capsys):

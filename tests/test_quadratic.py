@@ -12,6 +12,11 @@ from invring.quadratic import (
     NumberRing,
     ZeroElement,
     _abelian_type_from_orders,
+    _class_group_from_ideals,
+    _compose,
+    _equivalent,
+    _reduce,
+    _reduced_forms,
     class_group,
     divisor_map,
     factor_element,
@@ -269,7 +274,19 @@ def test_number_ring_accepts_exactly_the_squarefree_d():
 
 @pytest.mark.parametrize(
     "d, factors",
-    [(-1, []), (-3, []), (-5, [2]), (-6, [2]), (-14, [4]), (-23, [3]), (-21, [2, 2])],
+    [
+        (-1, []),
+        (-3, []),
+        (-5, [2]),
+        (-6, [2]),
+        (-14, [4]),
+        (-23, [3]),
+        (-21, [2, 2]),
+        # tabulated class numbers of Q(sqrt(d)), d = -47, -71, -105
+        (-47, [5]),
+        (-71, [7]),
+        (-105, [2, 2, 2]),
+    ],
 )
 def test_class_groups(d, factors):
     assert class_group(NumberRing(d)) == factors
@@ -320,6 +337,71 @@ def test_imaginary_class_groups_match_forms_and_genus_theory():
         assert sum(1 for f in factors if f % 2 == 0) == _omega(ring.discriminant) - 1, d
         checked += 1
     assert checked == 122
+
+
+IMAGINARY_DS = _squarefree_ds(-200, -1)
+
+
+def test_class_group_matches_the_ideal_path():
+    # the reduced forms and the Minkowski enumeration of ideals are two
+    # independent routes to the class group of every imaginary ring
+    assert len(IMAGINARY_DS) == 122
+    for d in IMAGINARY_DS:
+        ring = NumberRing(d)
+        assert class_group(ring) == _class_group_from_ideals(ring), d
+
+
+def _is_reduced(form):
+    a, b, c = form
+    return abs(b) <= a <= c and (b >= 0 or (-b != a and a != c))
+
+
+def _form_ideal(ring, form):
+    """The ideal aZ + (-b + sqrt(D))/2 Z of the form (a, b, c), in the (1, w) basis."""
+    a, b, _ = form
+    ideal = Ideal(ring, [[a, 0], [(-b - ring.trace_w) // 2, 1]])
+    assert ideal.is_closed() and ideal.norm == a
+    return ideal
+
+
+def test_reduce_returns_reduced_forms_of_the_same_class():
+    # every normalised form -a < b <= a with a <= 30, on every imaginary
+    # ring; the ideal class is compared on the first few rings
+    for d in IMAGINARY_DS:
+        ring = NumberRing(d)
+        D = ring.discriminant
+        for a in range(1, 31):
+            for b in range(1 - a, a + 1):
+                if (b * b - D) % (4 * a):
+                    continue
+                form = _reduce(a, b, D)
+                assert _is_reduced(form) and form[1] ** 2 - 4 * form[0] * form[2] == D
+                assert _reduce(form[0], form[1], D) == form
+                if d >= -30:
+                    start = (a, b, (b * b - D) // (4 * a))
+                    assert _equivalent(_form_ideal(ring, start), _form_ideal(ring, form))
+
+
+@pytest.mark.parametrize("d, factors", [(-105, [2, 2, 2]), (-101, [14])])
+def test_composition_is_the_class_group_law(d, factors):
+    # D = -420 and -404: composition of reduced forms is the group law of
+    # the ideal classes, with the principal form as identity
+    ring = NumberRing(d)
+    forms = _reduced_forms(ring.discriminant)
+    assert math.prod(factors) == len(forms) and class_group(ring) == factors
+    one = forms[0]
+    assert one[0] == 1 and all(map(_is_reduced, forms))
+    for f in forms:
+        a, b, c = f
+        assert _compose(one, f) == _compose(f, one) == f
+        assert _compose(f, (a, -b, c)) == one
+        for g in forms:
+            fg = _compose(f, g)
+            assert fg in forms and fg == _compose(g, f)
+            product = _form_ideal(ring, f).multiply(_form_ideal(ring, g))
+            assert _equivalent(_form_ideal(ring, fg), product)
+            for k in forms:
+                assert _compose(fg, k) == _compose(f, _compose(g, k))
 
 
 def _abelian_types(n: int, top: int) -> list[tuple[int, ...]]:
