@@ -18,14 +18,13 @@ _EXHAUSTIVE_CAP and _SAMPLED_COMBOS), find_sop_mixed takes mixed degrees
 (capped by the _MIXED_* constants).  Both run one loop, _search, that ranks
 each combination's quotient, degree D first, and returns the first one its
 acceptance test passes; a failed search reports how many combinations it
-tried.  A combination is ranked in degree D from the kept echelon of its
-members but the last, ranked once per search, and in the degrees below D
-only when its quotient vanishes in degree D.  A candidate is its
-coefficient pattern over the basis of one degree: its zero mask and
-multiplication images are combined, by linearity over F_p, from per-degree
-tables of the basis rows' values at the points and products; its images
-below degree D are combined only once a combination containing it passes
-the degree-D test.
+tried.  A combination is ranked in degree D from the echelon of its
+members but the last, and in the degrees below D only when its quotient
+vanishes in degree D.  A candidate is its coefficient pattern over the
+basis of one degree: its zero mask and multiplication images are combined,
+by linearity over F_p, from per-degree tables of the basis rows' values at
+the points and products.  Every table the search reads is built on first
+use and kept for the rest of the search.
 
 Before ranking, _search sieves out every combination whose members share a
 zero at one of the F_p-rational points it is given: such a combination is
@@ -174,16 +173,18 @@ def _parameter_rows(Sbar: TruncatedSubalgebra, thetas) -> list[tuple[tuple[int, 
     return out
 
 
-def _image_rows(Sbar: TruncatedSubalgebra, row, k: int) -> list[list[int]]:
-    """Packed F_p rows of theta * (basis of S_{d-k}) for every degree d
-    through D; theta is the parameter (row, k) of _parameter_rows."""
+def _image_rows(Sbar: TruncatedSubalgebra, rows, k: int) -> list[list[list[int]]]:
+    """Per degree-k row theta, in order, the packed F_p rows of theta *
+    (basis of S_{d-k}) for every degree d through D; each lower basis is
+    multiplied out once per degree, for all the rows together."""
     p = Sbar.domain.p
-    return [
-        [_pack(v, p) for v in Sbar.piece_products(k, [row], d - k, Sbar.bases[d - k])]
-        if d >= k
-        else []
-        for d in range(Sbar.D + 1)
-    ]
+    images = [[[] for _ in range(Sbar.D + 1)] for _ in rows]
+    for d in range(k, Sbar.D + 1):
+        lower = Sbar.bases[d - k]
+        products = Sbar.piece_products(k, rows, d - k, lower)
+        for i, image in enumerate(images):
+            image[d] = [_pack(v, p) for v in products[i * len(lower) : (i + 1) * len(lower)]]
+    return images
 
 
 def _quotient(
@@ -207,7 +208,8 @@ def truncated_quotient(Sbar: TruncatedSubalgebra, thetas) -> tuple[int, ...]:
     parameter must lie in the algebra at regraded degree 1..D (ValueError)."""
     _require_prime_field(Sbar)
     params = _parameter_rows(Sbar, thetas)
-    return _quotient(Sbar, [_image_rows(Sbar, row, k) for row, k in params])[0]
+    images = [image for row, k in params for image in _image_rows(Sbar, [row], k)]
+    return _quotient(Sbar, images)[0]
 
 
 def regular_sequence_certificate(Sbar: TruncatedSubalgebra, thetas) -> CMCertificate:
@@ -227,7 +229,7 @@ def regular_sequence_certificate(Sbar: TruncatedSubalgebra, thetas) -> CMCertifi
     h_cur = h_prev
     spans = None
     for stage, (row, k) in enumerate(params, start=1):
-        h_cur, spans = _quotient(Sbar, [_image_rows(Sbar, row, k)], spans)
+        h_cur, spans = _quotient(Sbar, _image_rows(Sbar, [row], k), spans)
         expected = h_numerator(h_prev, [k])
         failed_degree = next((d for d, h in enumerate(h_cur) if h != expected[d]), None)
         if failed_degree is not None:
@@ -301,21 +303,14 @@ def _pattern_mask(coeffs, values, p: int) -> int:
     return mask
 
 
-def _product_table(Sbar: TruncatedSubalgebra, k: int) -> list[list[list[int]]]:
-    """_image_rows of each row of the degree-k basis, in basis order."""
-    return [_image_rows(Sbar, row, k) for row in Sbar.bases[k]]
-
-
-def _pattern_images(coeffs, table, p: int, degrees=None) -> list[list[int]]:
-    """_image_rows of sum c_i b_i, by linearity from _product_table, in the
-    given degrees (all through D by default).
+def _pattern_images(coeffs, table, p: int, degrees) -> list[list[int]]:
+    """The images of sum c_i b_i in the given degrees, by linearity from
+    table, the _image_rows of the basis rows b_i.
 
     Each field of acc + c * row is at most (p - 1) + (p - 1)^2 = p(p - 1),
     the bound fold, like _insert, relies on.
     """
     _, fold = _field_layout(p)
-    if degrees is None:
-        degrees = range(len(table[0]))
     images = [[0] * len(table[0][d]) for d in degrees]
     for c, image in zip(coeffs, table):
         if c:
@@ -336,70 +331,65 @@ def _search(
     vanish at one of the F_p-rational points is skipped unranked: it has a
     common zero, so it is no system of parameters.  Evaluation at a point
     and multiplication are linear, so a candidate's zero mask and its
-    multiplication images are combined from per-degree tables of the basis
-    (values at the points, packed products with every lower basis), each
-    built on the first use of its degree.  A mask is built when its
-    candidate first appears, its degree-D images when it first appears in
-    a ranked combination, and its images below D when it first appears in
-    one whose quotient vanishes in degree D; each is reused by every later
-    combination that contains it.  Polynomials are built only for the
-    system returned.
+    multiplication images are combined from per-degree tables of the basis.
+    Every table the search reads is a function of its key, built on first
+    use and kept for the rest of the search: a candidate's images below D
+    are built only once a combination containing it passes the degree-D
+    test.  Polynomials are built only for the system returned.
 
     Both acceptance tests need the quotient to vanish in degree D, so the
     degree-D piece of the ideal is ranked first, and only a combination
     whose quotient vanishes there is ranked in the lower degrees and shown
-    to accept as _quotient's (Hilbert values, ideal spans).  The degree-D
-    echelon of a combination's members but the last is kept, keyed by
-    their keys, for the rest of the search; a combination is ranked by
-    copying it and inserting its last member's degree-D rows, so the rows
-    go in in the same order as into a fresh echelon.  tried counts every
+    to accept as _quotient's (Hilbert values, ideal spans).  A combination
+    is ranked in degree D by copying the kept echelon of its members but
+    the last and inserting its last member's degree-D rows, so the rows go
+    in in the same order as into a fresh echelon.  tried counts every
     combination gone through, sieved ones included, and ranked those whose
     degree-D piece was ranked.
     """
     p, D = Sbar.domain.p, Sbar.D
-    values: dict = {}
-    tables: dict = {}
-    patterns: dict = {}
-    masks: dict = {}
-    tops: dict = {}
-    images: dict = {}
-    prefixes: dict = {}
+    pattern = functools.cache(candidate)
+    table = functools.cache(lambda k: _image_rows(Sbar, Sbar.bases[k], k))
+
+    @functools.cache
+    def values(k):
+        piece = graded_piece_basis(Sbar.ambient, Sbar.ambient_degree(k))
+        return _point_values(Sbar.bases[k], piece, points, p)
+
+    @functools.cache
+    def mask(key):
+        coeffs, k = pattern(key)
+        return _pattern_mask(coeffs, values(k), p)
+
+    @functools.cache
+    def top(key):
+        coeffs, k = pattern(key)
+        return _pattern_images(coeffs, table(k), p, [D])[0]
+
+    @functools.cache
+    def images(key):
+        coeffs, k = pattern(key)
+        return _pattern_images(coeffs, table(k), p, range(D)) + [top(key)]
+
+    @functools.cache
+    def prefix_echelon(prefix):
+        span = {}
+        _insert(span, (row for key in prefix for row in top(key)), p)
+        return span
+
     tried = ranked = 0
     every_point = (1 << len(points)) - 1
     for tried, combo in enumerate(combos, start=1):
-        common = every_point
-        for key in combo:
-            if key not in masks:
-                coeffs, k = patterns[key] = candidate(key)
-                if k not in values:
-                    piece = graded_piece_basis(Sbar.ambient, Sbar.ambient_degree(k))
-                    values[k] = _point_values(Sbar.bases[k], piece, points, p)
-                masks[key] = _pattern_mask(coeffs, values[k], p)
-            common &= masks[key]
-        if common:
+        if functools.reduce(operator.and_, map(mask, combo), every_point):
             continue
         ranked += 1
-        for key in combo:
-            if key not in tops:
-                coeffs, k = patterns[key]
-                if k not in tables:
-                    tables[k] = _product_table(Sbar, k)
-                [tops[key]] = _pattern_images(coeffs, tables[k], p, [D])
-        prefix = combo[:-1]
-        if prefix not in prefixes:
-            prefixes[prefix] = {}
-            _insert(prefixes[prefix], (row for key in prefix for row in tops[key]), p)
-        top = dict(prefixes[prefix])
-        _insert(top, tops[combo[-1]], p)
-        if len(top) < len(Sbar.bases[D]):
+        span = dict(prefix_echelon(combo[:-1]))
+        _insert(span, top(combo[-1]), p)
+        if len(span) < len(Sbar.bases[D]):
             continue
-        for key in combo:
-            if key not in images:
-                coeffs, k = patterns[key]
-                images[key] = _pattern_images(coeffs, tables[k], p, range(D)) + [tops[key]]
-        stacked = [images[key] for key in combo]
-        if accept(_quotient(Sbar, stacked, [{} for _ in range(D)] + [top])):
-            found = tuple(_combination(Sbar, *patterns[key]) for key in combo)
+        stacked = [images(key) for key in combo]
+        if accept(_quotient(Sbar, stacked, [{} for _ in range(D)] + [span])):
+            found = tuple(_combination(Sbar, *pattern(key)) for key in combo)
             return SopSearchResult(True, found, tried, ranked)
     return SopSearchResult(False, (), tried, ranked)
 

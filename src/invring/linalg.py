@@ -24,12 +24,14 @@ from operator import mul
 
 
 class IntegerMatrix:
-    """Immutable dense matrix with arbitrary-precision integer entries."""
+    """Immutable dense matrix whose entries are ints, bools excluded (ValueError)."""
 
     __slots__ = ("rows", "cols", "data")
 
     def __init__(self, data, cols: int | None = None):
-        self.data = tuple(tuple(map(int, row)) for row in data)
+        self.data = tuple(map(tuple, data))
+        if any(type(x) is not int for row in self.data for x in row):
+            raise ValueError("matrix entries must be ints")
         self.rows = len(self.data)
         if self.rows:
             self.cols = len(self.data[0])
@@ -351,16 +353,10 @@ def lattice_complement_generators(sub_rows, sup_basis, is_unit) -> list[tuple[in
         raise ValueError("sub lattice is not contained in sup lattice")
     snf = smith_normal_form(IntegerMatrix(coord_rows, cols=m))
     vinv = unimodular_inverse(snf.right)
-    picks = [i for i in range(m) if i >= len(snf.d) or not is_unit(snf.d[i])]
-    gens = []
-    for i in picks:
-        vec = [0] * len(sup_basis[0])
-        for j in range(m):
-            cij = vinv.data[i][j]
-            if cij:
-                vec = [x + cij * y for x, y in zip(vec, sup_basis[j])]
-        gens.append(tuple(vec))
-    return gens
+    picks = [vinv.data[i] for i in range(m) if i >= len(snf.d) or not is_unit(snf.d[i])]
+    if not picks:
+        return []
+    return list((IntegerMatrix(picks) * IntegerMatrix(sup_basis)).data)
 
 
 # ---------------------------------------------------------------------------
@@ -488,7 +484,13 @@ def member_mod_p(rref_rows, v, p: int) -> bool:
 
     The rows are already an echelon: each is packed as it stands and kept
     under its lead column, where its entry is 1; v is a member iff inserting
-    it into that echelon keeps nothing.
+    it into that echelon keeps nothing.  Other rows raise ValueError, since
+    _insert could loop forever on them.
     """
-    pivots = {next(j for j, x in enumerate(row) if x): _pack(row, p) for row in rref_rows}
+    pivots = {}
+    for row in rref_rows:
+        lead = next((j for j, x in enumerate(row) if x), None)
+        if lead is None or row[lead] != 1 or lead in pivots:
+            raise ValueError("rows must be nonzero, lead with 1 and have distinct lead columns")
+        pivots[lead] = _pack(row, p)
     return not _insert(pivots, [_pack([x % p for x in v], p)], p)

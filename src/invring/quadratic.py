@@ -46,7 +46,9 @@ _REAL_UNIT_FIXTURES: dict[int, tuple[int, int]] = {
     2: (1, 1),  # 1 + sqrt(2)
     3: (2, 1),  # 2 + sqrt(3)
     5: (0, 1),  # (1 + sqrt(5)) / 2
+    10: (3, 1),  # 3 + sqrt(10)
     13: (1, 1),  # (3 + sqrt(13)) / 2
+    15: (4, 1),  # 4 + sqrt(15)
 }
 
 _DESK_D_LIMIT = 200
@@ -392,19 +394,24 @@ class Ideal:
 
 
 def _norm_form_solutions(ring: NumberRing, target: int) -> list[tuple[int, int]]:
-    """All elements with |norm| equal to target, for real d, bounded through
-    the fundamental-unit fixture."""
+    """For real d, the elements of |norm| target in a box that holds an
+    associate of each of them.
+
+    Multiplying a by the fixture unit eps > 1 scales |a/a'| by eps^2, so an
+    associate has |a|, |a'| <= sqrt(target * eps).  Its coordinates in the
+    (1, w) basis, (a + a')/2 and (a - a')/(2 sqrt(d)) for w = sqrt(d), or
+    (a + a')/2 - y/2 and y = (a - a')/sqrt(d) with d >= 5, are then at most
+    2 sqrt(target * eps).  The fixture (u0, u1) has u0, u1 >= 0, so
+    eps <= E = u0 + u1 (isqrt(d) + 1), and isqrt(4 target E) + 1 bounds both.
+    """
     unit = _REAL_UNIT_FIXTURES.get(ring.d)
     if unit is None:
         raise BoundTooLarge(
             f"no fundamental-unit fixture for real d={ring.d}; principality"
             " search is not bounded"
         )
-    # any generator can be unit-shifted into |a|, |b| <= sqrt(N * eps) + slack
-    eps = abs(unit[0] + unit[1] * (1 + math.sqrt(ring.d)) / 2) if ring.half_basis else abs(
-        unit[0] + unit[1] * math.sqrt(ring.d)
-    )
-    box = math.isqrt(int(target * eps)) + 2
+    E = unit[0] + unit[1] * (math.isqrt(ring.d) + 1)
+    box = math.isqrt(4 * target * E) + 1
     sols = []
     for a in range(-box, box + 1):
         for b in range(-box, box + 1):

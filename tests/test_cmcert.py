@@ -1,6 +1,7 @@
 """Reduction mod p, parameter search, and regularity certificates."""
 
 import collections
+import dataclasses
 import itertools
 import math
 import random
@@ -18,7 +19,6 @@ from invring.cmcert import (
     _pattern_images,
     _pattern_mask,
     _point_values,
-    _product_table,
     _projective_pattern,
     _projective_patterns,
     _quotient,
@@ -33,6 +33,7 @@ from invring.cmcert import (
     h_numerator,
     reduce_mod_p,
     regular_sequence_certificate,
+    truncated_quotient,
     veronese_cm_search,
 )
 from invring.domains import GF, QQ, ZZ, Z_local, prime_divisors
@@ -138,6 +139,22 @@ def test_regular_sequence_full_ring():
     cert = regular_sequence_certificate(Sbar, xs)
     assert cert.status == "certified"
     assert cert.quotient_hilbert == (1, 0, 0, 0, 0, 0, 0)
+
+
+def test_certificates_reject_a_basis_that_is_no_echelon():
+    # a hand-built algebra whose degree-1 basis 2X + 2Y does not lead with
+    # 1: the walk already rejects it, and the parameter membership test
+    # does too, instead of reducing against that row forever
+    Sbar = reduce_mod_p(truncated_invariant_ring(SWAP, R2, 6), 3)
+    B = dataclasses.replace(Sbar, bases=(Sbar.bases[0], ((2, 2),), *Sbar.bases[2:]))
+    [theta] = B.piece_polynomials(1)
+    x = B.ambient.variable(0)
+    with pytest.raises(ValueError):
+        is_standard_graded_up_to(B)
+    with pytest.raises(ValueError, match="lead with 1"):
+        regular_sequence_certificate(B, [theta])
+    with pytest.raises(ValueError, match="lead with 1"):
+        truncated_quotient(B, [x, x * x])
 
 
 def test_cm_certificate_requires_standard():
@@ -408,11 +425,12 @@ def test_pattern_tables_match_polynomial_candidates(make, count):
     checked = 0
     for k, coeffs, values in _cell_candidates(Sbar, points):
         if k not in tables:
-            tables[k] = _product_table(Sbar, k)
+            tables[k] = _image_rows(Sbar, Sbar.bases[k], k)
         theta = _combination(Sbar, coeffs, k)
         [(row, degree)] = _parameter_rows(Sbar, [theta])
         assert degree == k
-        assert _pattern_images(coeffs, tables[k], p) == _image_rows(Sbar, row, k), str(theta)
+        [image] = _image_rows(Sbar, [row], k)
+        assert _pattern_images(coeffs, tables[k], p, range(Sbar.D + 1)) == image, str(theta)
         expected = sum(1 << i for i, v in enumerate(points) if _vanishes_at(theta, v))
         assert _pattern_mask(coeffs, values, p) == expected, str(theta)
         checked += 1
@@ -562,10 +580,13 @@ def _degree_one_pair_images(Sbar, limit):
     """(pair, multiplication images) of the first limit pairs of degree-1
     candidates, in the order find_sop_mod_p tries them."""
     p, r = Sbar.domain.p, len(Sbar.bases[1])
-    table = _product_table(Sbar, 1)
+    table = _image_rows(Sbar, Sbar.bases[1], 1)
     count = (p**r - 1) // (p - 1)
     for pair in itertools.islice(itertools.combinations(range(count), 2), limit):
-        yield pair, [_pattern_images(_projective_pattern(p, r, i), table, p) for i in pair]
+        yield pair, [
+            _pattern_images(_projective_pattern(p, r, i), table, p, range(Sbar.D + 1))
+            for i in pair
+        ]
 
 
 def test_standard_graded_quotient_vanishes_iff_its_top_degree_does():
@@ -691,8 +712,8 @@ def _fresh_search(Sbar, combos, candidate, accept, points):
         ranked += 1
         for _, k in members:
             if k not in tables:
-                tables[k] = _product_table(Sbar, k)
-        stacked = [_pattern_images(coeffs, tables[k], p) for coeffs, k in members]
+                tables[k] = _image_rows(Sbar, Sbar.bases[k], k)
+        stacked = [_pattern_images(coeffs, tables[k], p, range(D + 1)) for coeffs, k in members]
         top = {}
         if _insert(top, (row for image in stacked for row in image[D]), p) < len(Sbar.bases[D]):
             continue
@@ -739,8 +760,8 @@ def test_search_ranks_each_prefix_echelon_once(order):
             stacked = []
             for coeffs, k in map(candidate, combo):
                 if k not in tables:
-                    tables[k] = _product_table(Sbar, k)
-                stacked.append(_pattern_images(coeffs, tables[k], p))
+                    tables[k] = _image_rows(Sbar, Sbar.bases[k], k)
+                stacked.append(_pattern_images(coeffs, tables[k], p, range(Sbar.D + 1)))
             assert got == _quotient(Sbar, stacked), (label, combo)
         shown_total += len(shown)
         if len(shown) > 1:

@@ -227,6 +227,16 @@ def test_cokernel_examples(m, expect):
     assert cokernel_invariant_factors(IntegerMatrix(m)) == expect
 
 
+@pytest.mark.parametrize("entry", [Fraction(1, 2), 2.7, "7", True], ids=repr)
+def test_integer_matrix_rejects_entries_that_are_not_ints(entry):
+    # int() would read these as 0, 2, 7 and 1, so the cokernel of
+    # diag(entry, 2) would come out without an error
+    with pytest.raises(ValueError, match="must be ints"):
+        IntegerMatrix([[1, entry]])
+    with pytest.raises(ValueError, match="must be ints"):
+        cokernel_invariant_factors(IntegerMatrix([[entry, 0], [0, 2]]))
+
+
 @pytest.mark.parametrize(
     "rows, cols, deficient",
     [(0, 3, False), (3, 0, False), (5, 2, False), (2, 5, False), (4, 4, True)],
@@ -378,6 +388,17 @@ def test_rref_and_kernel_mod_p():
                 assert member_mod_p(rref, v, p) == member
                 seen.add((p, member))
     assert len(seen) == 8
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [((2, 2),), ((1, 1), (1, 2)), ((0, 0), (0, 1))],
+    ids=["lead-2", "shared-lead", "zero-row"],
+)
+def test_member_mod_p_rejects_rows_that_are_no_echelon(rows):
+    # reducing against a lead of 2 never clears it, so the insertion loops
+    with pytest.raises(ValueError, match="lead with 1"):
+        member_mod_p(rows, [1, 0], 3)
 
 
 def test_kernel_mod_p_matches_rank():

@@ -292,23 +292,33 @@ def test_class_groups(d, factors):
     assert class_group(NumberRing(d)) == factors
 
 
-def _reduced_form_count(disc: int) -> int:
-    """Reduced primitive forms (a, b, c) of a negative discriminant:
-    b^2 - 4ac = disc, |b| <= a <= c, and b >= 0 when |b| = a or a = c."""
-    count = 0
-    a = 1
-    while 3 * a * a <= -disc:
-        for b in range(-a + 1, a + 1):
-            num = b * b - disc
-            if num % (4 * a):
-                continue
-            c = num // (4 * a)
-            if c < a or (a == c and b < 0):
-                continue
-            if math.gcd(math.gcd(a, b), c) == 1:
-                count += 1
-        a += 1
-    return count
+def _kronecker(D: int, n: int) -> int:
+    """The Kronecker symbol (D/n) for n >= 1: (D/2) is 0 for even D, 1
+    for D = +-1 mod 8 and -1 for D = +-3 mod 8; the odd part of n is the
+    Jacobi symbol, by quadratic reciprocity."""
+    out = 1
+    while n % 2 == 0:
+        n //= 2
+        out *= 0 if D % 2 == 0 else 1 if D % 8 in (1, 7) else -1
+    a = D % n
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                out = -out
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            out = -out
+        a %= n
+    return out if n == 1 else 0
+
+
+def _dirichlet_class_number(D: int) -> int:
+    """h(D) = -(1/|D|) sum_{n=1}^{|D|-1} (D/n) n, Dirichlet's class number
+    formula for a fundamental discriminant D < -4."""
+    h, rest = divmod(-sum(_kronecker(D, n) * n for n in range(1, -D)), -D)
+    assert rest == 0, D
+    return h
 
 
 def _omega(n: int) -> int:
@@ -323,18 +333,20 @@ def _omega(n: int) -> int:
     return k + (n > 1)
 
 
-def test_imaginary_class_groups_match_forms_and_genus_theory():
-    # every squarefree -200 <= d < 0: the class number is the number of
-    # reduced primitive forms of discriminant disc, and the 2-rank is
-    # omega(disc) - 1 (Gauss's genus theory)
+def test_imaginary_class_groups_match_dirichlet_and_genus_theory():
+    # every squarefree -200 <= d < 0: the class number is Dirichlet's
+    # (1 for disc = -3, -4, whose rings have more than two units), and the
+    # 2-rank is omega(disc) - 1 (Gauss's genus theory)
     checked = 0
     for d in range(-200, 0):
         if any(d % (f * f) == 0 for f in range(2, 15)):
             continue
         ring = NumberRing(d)
         factors = class_group(ring)
-        assert math.prod(factors) == _reduced_form_count(ring.discriminant), d
-        assert sum(1 for f in factors if f % 2 == 0) == _omega(ring.discriminant) - 1, d
+        disc = ring.discriminant
+        h = _dirichlet_class_number(disc) if disc < -4 else 1
+        assert math.prod(factors) == h, d
+        assert sum(1 for f in factors if f % 2 == 0) == _omega(disc) - 1, d
         checked += 1
     assert checked == 122
 
@@ -432,6 +444,9 @@ def test_abelian_type_from_element_orders():
 def test_class_group_real_fixture_rings():
     assert class_group(NumberRing(2)) == []
     assert class_group(NumberRing(5)) == []
+    # h(10) = h(15) = 2, tabulated values
+    assert class_group(NumberRing(10)) == [2]
+    assert class_group(NumberRing(15)) == [2]
 
 
 def test_class_group_bound():
@@ -445,6 +460,12 @@ def test_is_principal_search():
     assert is_principal(q2.multiply(q2))
     p5 = Ideal.from_prime(ZI, primes_above(ZI, 5)[0])
     assert is_principal(p5)
+    # real d: x^2 - 10 y^2 = +-2 has no solution mod 5, where +-2 is no
+    # square, so the prime above 2 in Z[sqrt(10)] is not principal; its
+    # square is (2)
+    r2 = Ideal.from_prime(NumberRing(10), primes_above(NumberRing(10), 2)[0])
+    assert r2.norm == 2 and not is_principal(r2)
+    assert is_principal(r2.multiply(r2))
 
 
 def test_minkowski_bound_small_rings():
