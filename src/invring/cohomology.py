@@ -19,9 +19,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from itertools import chain, islice
 
-from .domains import GF, CoefficientDomain, Matrix, is_prime, multiplicity
+from .domains import GF, CoefficientDomain, Matrix, integer_form, is_prime, multiplicity
 from .groups import MatrixGroup, cyclic_generator
 from .linalg import IntegerMatrix, cokernel_invariant_factors
 from .poly import GradedRing, action_matrix
@@ -63,11 +63,9 @@ class CyclicModule:
             tuple(tuple(self.domain.coerce(x) for x in row) for row in self.sigma),
         )
         n = len(self.sigma)
-        delta = lcm(*(x.denominator for row in self.sigma for x in row))
-        numerator = IntegerMatrix(
-            [[x.numerator * (delta // x.denominator) for x in row] for row in self.sigma],
-            cols=n,
-        )
+        delta, ints = integer_form(chain.from_iterable(self.sigma))
+        cells = iter(ints)  # back into the rows of sigma
+        numerator = IntegerMatrix([list(islice(cells, len(row))) for row in self.sigma], cols=n)
         # Horner's rule: T_1 = I and T_(k+1) = T_k N + delta^k I
         trace = IntegerMatrix.identity(n)
         for k in range(1, self.order):

@@ -4,12 +4,19 @@ Scalars are plain ints (Z, F_p) or Fractions (Q, Z_(p)).  Elements of the
 localization must have denominator coprime to p; that is enforced whenever a
 scalar enters through coerce().  Matrices over a domain are plain tuples of
 tuples of scalars, manipulated by the helpers at the bottom.
+
+Arithmetic on many scalars (sums, dot products, scaling) runs on plain ints
+and Fractions and brings each result into the domain once, through coerce();
+rational data takes its integer form from integer_form().  The per-scalar
+methods add, sub, mul and neg serve single scalars.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import mul
 
 Scalar = int | Fraction
 Matrix = tuple[tuple[Scalar, ...], ...]
@@ -24,6 +31,14 @@ def multiplicity(n: int, p: int) -> int:
         n //= p
         k += 1
     return k
+
+
+def integer_form(values) -> tuple[int, list[int]]:
+    """(den, ints): den is the lcm of the denominators of the values, 1 for
+    ints and for no values, and ints are the values times den."""
+    values = list(values)
+    den = lcm(*(x.denominator for x in values))
+    return den, [x.numerator * (den // x.denominator) for x in values]
 
 
 def is_prime(n: int) -> bool:
@@ -213,17 +228,10 @@ def mat_identity(domain: CoefficientDomain, n: int) -> Matrix:
 
 
 def mat_mul(domain: CoefficientDomain, a: Matrix, b: Matrix) -> Matrix:
-    n, k = len(a), len(b)
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(len(b[0])):
-            acc = domain.zero
-            for t in range(k):
-                acc = domain.add(acc, domain.mul(a[i][t], b[t][j]))
-            row.append(acc)
-        out.append(tuple(row))
-    return tuple(out)
+    """Each entry is a plain dot product, brought into the domain once."""
+    coerce = domain.coerce
+    columns = tuple(zip(*b))
+    return tuple(tuple(coerce(sum(map(mul, row, col))) for col in columns) for row in a)
 
 
 def mat_is_identity(domain: CoefficientDomain, a: Matrix) -> bool:

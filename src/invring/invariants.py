@@ -34,9 +34,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from math import lcm, prod
+from math import prod
 
-from .domains import ZZ, CoefficientDomain
+from .domains import ZZ, CoefficientDomain, integer_form
 from .groups import MatrixGroup, coset_representatives
 from .linalg import (
     IntegerMatrix,
@@ -70,15 +70,6 @@ class IndexNotInvertible(ValueError):
 # domain-aware span arithmetic
 
 
-def _integerize_rows(vectors) -> list[list[int]]:
-    """Scale each vector by the lcm of its denominators (ints have 1)."""
-    out = []
-    for v in vectors:
-        den = lcm(*(x.denominator for x in v))
-        out.append([x.numerator * (den // x.denominator) for x in v])
-    return out
-
-
 def canonical_span(domain: CoefficientDomain, vectors, ncols: int) -> Rows:
     """Canonical rows, none zero, spanning the given vectors over the domain:
     the RREF over F_p, and over Z, Q and Z_(p) the Hermite basis of the
@@ -91,7 +82,7 @@ def canonical_span(domain: CoefficientDomain, vectors, ncols: int) -> Rows:
     rows = [v if set(map(type, v)) <= {int} else list(map(domain.coerce, v)) for v in vectors]
     if domain.tag == "Fp":
         return rref_mod_p(rows, ncols, domain.p)[0]
-    return lattice_canonical(_integerize_rows(rows), ncols)
+    return lattice_canonical([integer_form(v)[1] for v in rows], ncols)
 
 
 def _spans(domain: CoefficientDomain, a: Rows, c: Rows) -> bool:
@@ -209,7 +200,7 @@ def invariant_basis(G: MatrixGroup, ring: GradedRing, d: int) -> Rows:
         if domain.tag == "Fp":
             kernel = kernel_mod_p(rows, len(cols), domain.p)
         else:
-            block = rows if domain.tag == "Z" else _integerize_rows(rows)
+            block = rows if domain.tag == "Z" else [integer_form(r)[1] for r in rows]
             kernel = integer_kernel_basis(IntegerMatrix(block, cols=len(cols))).data
         for k in kernel:
             v = [0] * n

@@ -5,14 +5,18 @@ lexicographic exponent), an exact linear substitution action of square
 matrices on polynomials, and the induced matrix of that action on each
 graded piece, as sparse columns: the monomial images, built degree by
 degree.  Every variable has degree 1.  The action on polynomials reads the
-same columns.
+same images.
 
-Products of polynomials and the monomial images do their arithmetic in
-plain ints over a common denominator, divided out (or reduced mod p over
-F_p) once at the end, not through the domain's per-scalar methods.  The
-monomial bases and the index tables of the images are cached per (nvars,
-degree).  The integer images of the last degree built are retained for a
-few matrices, so calls at rising degrees extend them one degree at a time.
+Sums, negation, scaling, products and the action do their arithmetic on
+plain ints and Fractions, not through the domain's per-scalar methods, and
+each coefficient enters the domain once, at the end (domains module
+docstring).  Products and the monomial images run in ints over the common
+denominator of domains.integer_form, divided out (or reduced mod p over
+F_p) once.  The monomial bases and the index tables of the images are
+cached per (nvars, degree).  The integer images of the last degree built are
+retained for a few matrices, so calls at rising degrees extend them one
+degree at a time; act reads only the images of its polynomial's monomials.
+Arithmetic refuses operands from two different rings.
 """
 
 from __future__ import annotations
@@ -20,10 +24,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
 from operator import add
 
-from .domains import CoefficientDomain, Matrix, Scalar
+from .domains import CoefficientDomain, Matrix, Scalar, integer_form
 
 Exponent = tuple[int, ...]
 
@@ -133,12 +136,6 @@ def graded_piece_basis(ring: GradedRing, d: int) -> GradedPiece:
     return _piece_cached(ring.nvars, d)
 
 
-def _scaled_to_ints(terms):
-    """(D, {e: c * D}) with D the lcm of the denominators of the coefficients."""
-    den = lcm(*(c.denominator for c in terms.values()))
-    return den, {e: c.numerator * (den // c.denominator) for e, c in terms.items()}
-
-
 class Polynomial:
     """Exact multivariate polynomial; terms map exponent tuples to coefficients.
 
@@ -182,18 +179,18 @@ class Polynomial:
         return len(degs) <= 1
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
-        dom = self.ring.coeff
+        if other.ring is not self.ring and other.ring != self.ring:
+            raise ValueError(f"operands from two rings: {self.ring} and {other.ring}")
         out = dict(self.terms)
         for e, c in other.terms.items():
-            out[e] = dom.add(out.get(e, dom.zero), c)
-        return Polynomial._from_nonzero(self.ring, {e: c for e, c in out.items() if c})
+            out[e] = out.get(e, 0) + c
+        return Polynomial(self.ring, out)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + -other
 
     def __neg__(self) -> "Polynomial":
-        dom = self.ring.coeff
-        return Polynomial._from_nonzero(self.ring, {e: dom.neg(c) for e, c in self.terms.items()})
+        return Polynomial(self.ring, {e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         """Product, summed in plain ints without per-term domain calls.
@@ -202,17 +199,18 @@ class Polynomial:
         factor's common denominator, divided out once at the end; over F_p
         they are reduced mod p once at the end.
         """
+        if other.ring is not self.ring and other.ring != self.ring:
+            raise ValueError(f"operands from two rings: {self.ring} and {other.ring}")
         dom = self.ring.coeff
-        left, right, den = self.terms, other.terms, 1
+        left, right, den = self.terms.items(), other.terms.items(), 1
         if dom.tag in ("Q", "Zlocal"):
-            d1, left = _scaled_to_ints(left)
-            d2, right = _scaled_to_ints(right)
-            den = d1 * d2
+            d1, ints1 = integer_form(self.terms.values())
+            d2, ints2 = integer_form(other.terms.values())
+            left, right, den = zip(self.terms, ints1), list(zip(other.terms, ints2)), d1 * d2
         out: dict[Exponent, int] = {}
         get = out.get
-        right_items = right.items()
-        for e1, c1 in left.items():
-            for e2, c2 in right_items:
+        for e1, c1 in left:
+            for e2, c2 in right:
                 e = tuple(map(add, e1, e2))
                 out[e] = get(e, 0) + c1 * c2
         if dom.tag == "Fp":
@@ -225,10 +223,8 @@ class Polynomial:
         return Polynomial._from_nonzero(self.ring, terms)
 
     def scale(self, c) -> "Polynomial":
-        dom = self.ring.coeff
-        c = dom.coerce(c)
-        terms = {e: m for e, v in self.terms.items() if (m := dom.mul(c, v))}
-        return Polynomial._from_nonzero(self.ring, terms)
+        c = self.ring.coeff.coerce(c)
+        return Polynomial(self.ring, {e: c * v for e, v in self.terms.items()})
 
     def __pow__(self, n: int) -> "Polynomial":
         if n < 0:
@@ -323,6 +319,22 @@ def _integer_images(n: int, p: int | None, forms: tuple, d: int) -> tuple[dict[i
     return images
 
 
+def _scaled_images(ring: GradedRing, g: Matrix, d: int) -> tuple[int, tuple[dict[int, int], ...]]:
+    """(den^d, images), den the common denominator of g: the images of the
+    degree-d monomials from _integer_images under the integer forms den * L_j
+    = sum_i den * g[i][j] X_i.  They are the retained dicts; callers only
+    read them."""
+    if d < 0:
+        raise ValueError("degree must be nonnegative")
+    n = ring.nvars
+    if len(g) != n or any(len(row) != n for row in g):
+        raise ValueError("matrix size must match the number of variables")
+    dom = ring.coeff
+    den, ints = integer_form([dom.coerce(x) for row in g for x in row])
+    forms = tuple(tuple((i, c) for i in range(n) if (c := ints[i * n + j])) for j in range(n))
+    return den**d, _integer_images(n, dom.p if dom.tag == "Fp" else None, forms, d)
+
+
 def action_matrix(ring: GradedRing, g: Matrix, d: int) -> tuple[dict[int, Scalar], ...]:
     """Matrix of act(g, .) on the deglex basis of the degree-d piece, by columns.
 
@@ -333,29 +345,12 @@ def action_matrix(ring: GradedRing, g: Matrix, d: int) -> tuple[dict[int, Scalar
     over F_p) and Fractions over Q and Z_(p); a zero entry is absent.  Every
     call returns fresh dicts.
 
-    The images are those of _integer_images under the forms L_j = sum_i
-    g[i][j] X_i, each scaled by the common denominator den of g, so a run of
-    calls at rising degrees builds each degree once.  Over Q and Z_(p) each
-    entry is divided by den^d once, here.
+    The columns are the images of _scaled_images, so a run of calls at
+    rising degrees builds each degree once.  Over Q and Z_(p) each entry is
+    divided by den^d once, here.
     """
-    if d < 0:
-        raise ValueError("degree must be nonnegative")
-    n = ring.nvars
-    if len(g) != n or any(len(row) != n for row in g):
-        raise ValueError("matrix size must match the number of variables")
-    dom = ring.coeff
-    den = lcm(*(dom.coerce(x).denominator for row in g for x in row))
-    forms = tuple(  # den * L_j as (i, den * g[i][j]) over the nonzero g[i][j]
-        tuple(
-            (i, c.numerator * (den // c.denominator))
-            for i in range(n)
-            if (c := dom.coerce(g[i][j]))
-        )
-        for j in range(n)
-    )
-    images = _integer_images(n, dom.p if dom.tag == "Fp" else None, forms, d)
-    if dom.tag in ("Q", "Zlocal"):  # the entries enter the domain once, here
-        scale = den**d
+    scale, images = _scaled_images(ring, g, d)
+    if ring.coeff.tag in ("Q", "Zlocal"):  # the entries enter the domain once, here
         entry = Fraction if scale == 1 else lambda v: Fraction(v, scale)
         return tuple({t: entry(v) for t, v in img.items()} for img in images)
     return tuple(img.copy() for img in images)
@@ -366,20 +361,23 @@ def act(g: Matrix, f: Polynomial) -> Polynomial:
 
     This is a degree-preserving ring homomorphism; act on a composite gh
     equals act(g) after act(h).  Each degree-d term c*x^e of f contributes
-    c times the column of x^e in action_matrix.
+    c times the integer image of x^e from _scaled_images, and each output
+    coefficient of degree d is divided by den^d once, when that is not 1.
     """
     ring = f.ring
-    out: dict[Exponent, Scalar] = {}
+    terms: dict[Exponent, Scalar] = {}
     # the zero polynomial reads degree 0, so g is checked for every f
     for d in {sum(e) for e in f.terms} or {0}:
-        columns = action_matrix(ring, g, d)
+        scale, images = _scaled_images(ring, g, d)
         piece = _piece_cached(ring.nvars, d)
+        out: dict[int, Scalar] = {}
         for e, c in f.terms.items():
             if sum(e) == d:
-                for t, v in columns[piece._positions[e]].items():
-                    m = piece.monomials[t]
-                    out[m] = out.get(m, 0) + c * v
-    return Polynomial(ring, out)
+                for t, v in images[piece._positions[e]].items():
+                    out[t] = out.get(t, 0) + c * v
+        for t, v in out.items():
+            terms[piece.monomials[t]] = v if scale == 1 else Fraction(v, scale)
+    return Polynomial(ring, terms)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from invring import invariants
-from invring.domains import GF, QQ, ZZ, Z_local
+from invring.domains import GF, QQ, ZZ, Z_local, integer_form
 from invring.fixtures import fixture_group, fixture_group_names
 from invring.groups import enumerate_group, sylow_subgroup, trivial_group
 from invring.invariants import (
@@ -16,7 +16,6 @@ from invring.invariants import (
     NotHInvariant,
     StandardGradedReport,
     _blocks,
-    _integerize_rows,
     _is_reduced_echelon,
     _pivot_columns,
     _span_on_pivots,
@@ -713,7 +712,7 @@ def _stacked_kernel(G, ring, d):
     rows = [row for _, row in _constraints(G, ring, d)]
     if ring.coeff.tag == "Fp":
         return kernel_mod_p([[int(x) for x in r] for r in rows], n, ring.coeff.p)
-    return integer_kernel_basis(IntegerMatrix(_integerize_rows(rows), cols=n)).data
+    return integer_kernel_basis(IntegerMatrix([integer_form(r)[1] for r in rows], cols=n)).data
 
 
 @pytest.mark.parametrize("dom", DOMAINS, ids=str)
@@ -883,7 +882,7 @@ def test_block_kernels_see_the_nonzero_constraint_rows(dom, monkeypatch):
             expected = []
             for cols in _components(graded_piece_basis(ring, d).dim, constraints):
                 rows = [[row[c] for c in cols] for i, row in constraints if i in cols and any(row)]
-                expected.append(rows if dom.tag in ("Z", "Fp") else _integerize_rows(rows))
+                expected.append(rows if dom.tag in ("Z", "Fp") else [integer_form(r)[1] for r in rows])
             seen.clear()
             invariant_basis(G, ring, d)
             assert seen == expected, (gens, d)

@@ -300,6 +300,58 @@ def test_mul_matches_per_term_reference(dom):
         _assert_canonical(got)
 
 
+def _reference_termwise(f, g, op):
+    """Terms of f op g, each through the domain's own add or sub."""
+    dom = f.ring.coeff
+    out = dict(f.terms)
+    for e, c in g.terms.items():
+        out[e] = op(out.get(e, dom.zero), c)
+    return {e: c for e, c in out.items() if not dom.is_zero(c)}
+
+
+def _reference_scale(f, c):
+    dom = f.ring.coeff
+    out = {e: dom.mul(dom.coerce(c), v) for e, v in f.terms.items()}
+    return {e: v for e, v in out.items() if not dom.is_zero(v)}
+
+
+@pytest.mark.parametrize("dom", [ZZ, QQ, GF(2), GF(5), Z_local(3)], ids=str)
+def test_sums_negation_and_scaling_match_term_wise_reference(dom):
+    rng = random.Random(f"add-{dom}")
+    for n in (1, 2, 3):
+        ring = GradedRing(n, dom)
+        for _ in range(25):
+            f = _random_polynomial(rng, ring, rng.randint(0, 6), 2)
+            g = _random_polynomial(rng, ring, rng.randint(0, 6), 2)
+            c = _random_entry(rng, dom)
+            checks = [
+                (f + g, _reference_termwise(f, g, dom.add)),
+                (f - g, _reference_termwise(f, g, dom.sub)),
+                (f - f, {}),
+                (-f, {e: dom.neg(v) for e, v in f.terms.items()}),
+                (f.scale(c), _reference_scale(f, c)),
+                (f.scale(0), {}),
+            ]
+            if dom.tag == "Fp":
+                checks.append((f.scale(dom.p), {}))  # p is zero in F_p
+            for got, want in checks:
+                assert got.terms == want, (f, g, c)
+                _assert_canonical(got)
+
+
+def test_arithmetic_refuses_operands_from_two_rings():
+    x_z = GradedRing(1, ZZ).variable(0)
+    half_x_q = GradedRing(1, QQ).variable(0).scale(Fraction(1, 2))
+    x_f3 = GradedRing(1, GF(3)).variable(0)
+    five_x_z = x_z.scale(5)
+    for f, g in [(x_z, half_x_q), (half_x_q, x_z), (five_x_z, x_f3), (x_f3, five_x_z)]:
+        for op in (f.__add__, f.__sub__, f.__mul__):
+            with pytest.raises(ValueError, match="two rings"):
+                op(g)
+    # equal rings built apart are one ring
+    assert x_z + GradedRing(1, ZZ).variable(0) == five_x_z - x_z.scale(3)
+
+
 # -- action matrices against the substitution definition ---------------------
 
 
