@@ -524,8 +524,6 @@ def find_sop_mixed(Sbar: TruncatedSubalgebra, seed: int = 0) -> SopSearchResult:
 
     def combos():
         for ms in multisets:
-            if any(not per_degree[k] for k in ms):
-                continue
             degrees = sorted(set(ms))
             shapes = [(len(per_degree[k]), ms.count(k)) for k in degrees]
             sizes = [math.comb(n, r) for n, r in shapes]

@@ -15,12 +15,12 @@ conjugate primes, which then carries the whole q-part of its norm.
 Class groups of imaginary d come from the reduced binary quadratic forms
 of discriminant D, one per class, with Gauss/Dirichlet composition
 followed by reduction as the group law.  Real d enumerates the ideals up
-to the Minkowski bound and separates them by principality, which a
-norm-form search decides inside a box bounded through a fundamental-unit
-fixture.  Principality of an imaginary ideal compares its norm with the
-least norm of a nonzero element, from Lagrange-Gauss reduction of its
-lattice basis; the ideal enumeration also serves as an independent
-reference for the forms in the tests.
+to the Minkowski bound and separates them by principality, decided by
+solving the norm form for x at each y, with y bounded through a
+fundamental-unit fixture.  Principality of an imaginary ideal compares its
+norm with the least norm of a nonzero element, from Lagrange-Gauss
+reduction of its lattice basis; the ideal enumeration also serves as an
+independent reference for the forms in the tests.
 """
 
 from __future__ import annotations
@@ -251,9 +251,6 @@ class Divisor:
             out[k] = out.get(k, 0) + v
         return Divisor(out)
 
-    def scale(self, c: int) -> "Divisor":
-        return Divisor({k: c * v for k, v in self.coeffs.items()})
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Divisor) and self.coeffs == other.coeffs
 
@@ -393,33 +390,6 @@ class Ideal:
         return lattice_member(self.basis, list(el))
 
 
-def _norm_form_solutions(ring: NumberRing, target: int) -> list[tuple[int, int]]:
-    """For real d, the elements of |norm| target in a box that holds an
-    associate of each of them.
-
-    Multiplying a by the fixture unit eps > 1 scales |a/a'| by eps^2, so an
-    associate has |a|, |a'| <= sqrt(target * eps).  Its coordinates in the
-    (1, w) basis, (a + a')/2 and (a - a')/(2 sqrt(d)) for w = sqrt(d), or
-    (a + a')/2 - y/2 and y = (a - a')/sqrt(d) with d >= 5, are then at most
-    2 sqrt(target * eps).  The fixture (u0, u1) has u0, u1 >= 0, so
-    eps <= E = u0 + u1 (isqrt(d) + 1), and isqrt(4 target E) + 1 bounds both.
-    """
-    unit = _REAL_UNIT_FIXTURES.get(ring.d)
-    if unit is None:
-        raise BoundTooLarge(
-            f"no fundamental-unit fixture for real d={ring.d}; principality"
-            " search is not bounded"
-        )
-    E = unit[0] + unit[1] * (math.isqrt(ring.d) + 1)
-    box = math.isqrt(4 * target * E) + 1
-    sols = []
-    for a in range(-box, box + 1):
-        for b in range(-box, box + 1):
-            if abs(ring.norm((a, b))) == target:
-                sols.append((a, b))
-    return sorted(set(sols))
-
-
 def _least_norm(I: Ideal) -> int:
     """Least norm of a nonzero element of I, for imaginary d.
 
@@ -445,15 +415,40 @@ def _least_norm(I: Ideal) -> int:
 def is_principal(I: Ideal) -> bool:
     """A nonzero element of I has norm divisible by N(I), with equality
     exactly for a generator; imaginary d reads the least norm from a
-    reduced basis, real d searches the norm form."""
+    reduced basis, real d solves the norm form for x at each y.
+
+    For real d, multiplying a by the fixture unit eps > 1 scales |a/a'| by
+    eps^2, so a generator has an associate with |a|, |a'| <= sqrt(N eps).
+    Its w-coordinate, (a - a')/(2 sqrt(d)) for w = sqrt(d) or
+    (a - a')/sqrt(d) with d >= 5, is then at most 2 sqrt(N eps), and y >= 0
+    is enough since -a is an associate too.  The fixture (u0, u1) has
+    u0, u1 >= 0, so eps <= E = u0 + u1 (isqrt(d) + 1), and isqrt(4 N E) + 1
+    bounds y.  For each y, x^2 + t x y + n_w y^2 = +-N has the roots
+    x = (-t y +- s)/2 with s^2 = D y^2 +- 4N; since D = t^2 (mod 4),
+    s = t y (mod 2) and the numerator is even.
+    """
     n = I.norm
-    if I.ring.d < 0:
+    ring = I.ring
+    if ring.d < 0:
         return _least_norm(I) == n
     if n == 1:
         return True
-    for el in _norm_form_solutions(I.ring, n):
-        if I.contains(el):
-            return True
+    unit = _REAL_UNIT_FIXTURES.get(ring.d)
+    if unit is None:
+        raise BoundTooLarge(
+            f"no fundamental-unit fixture for real d={ring.d}; principality"
+            " search is not bounded"
+        )
+    E = unit[0] + unit[1] * (math.isqrt(ring.d) + 1)
+    for y in range(math.isqrt(4 * n * E) + 2):
+        for target in (n, -n):
+            disc = ring.discriminant * y * y + 4 * target
+            s = math.isqrt(max(disc, 0))
+            if s * s != disc:
+                continue
+            for root in (s, -s):
+                if I.contains(((root - ring.trace_w * y) // 2, y)):
+                    return True
     return False
 
 

@@ -16,6 +16,10 @@ Unread exports: every name in invring.__all__ is read somewhere in src/,
 perfbench/ or the README, other than in its own definition and the export
 table.
 
+Exact arithmetic: no float literal, float() call or floating math
+function or constant under src/invring, except in fixtures.py, whose
+float thresholds only steer seeded draws.
+
 Fixture drift: the built-in group table equals fixtures/groups/*.json.
 """
 
@@ -175,6 +179,40 @@ def test_no_unset_options():
     callers = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
     unset = _unset_options(PACKAGE, callers)
     assert not unset, f"options no call passes: {unset}"
+
+
+FLOAT_MATH = {"sqrt", "log", "exp", "pi", "e"}
+
+
+def _float_uses(path: pathlib.Path) -> list[str]:
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        uses = []
+        if isinstance(node, ast.Constant) and isinstance(node.value, float):
+            uses = [f"literal {node.value!r}"]
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "float":
+            uses = ["float()"]
+        elif (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "math"
+            and node.attr in FLOAT_MATH
+        ):
+            uses = [f"math.{node.attr}"]
+        elif isinstance(node, ast.ImportFrom) and node.module == "math":
+            uses = [f"math.{a.name}" for a in node.names if a.name in FLOAT_MATH]
+        found += [f"{path.name}:{node.lineno}: {use}" for use in uses]
+    return found
+
+
+def test_no_floats_in_the_arithmetic():
+    uses = [
+        use
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "fixtures.py"
+        for use in _float_uses(path)
+    ]
+    assert not uses, f"floating-point arithmetic in src/invring: {uses}"
 
 
 def test_group_fixture_files_match_generators():

@@ -9,7 +9,7 @@ import pytest
 
 from invring import invariants
 from invring.domains import GF, QQ, ZZ, Z_local, integer_form
-from invring.fixtures import fixture_group, fixture_group_names
+from invring.fixtures import GROUP_GENERATORS, fixture_group, fixture_group_names
 from invring.groups import enumerate_group, sylow_subgroup, trivial_group
 from invring.invariants import (
     IndexNotInvertible,
@@ -886,3 +886,51 @@ def test_block_kernels_see_the_nonzero_constraint_rows(dom, monkeypatch):
             seen.clear()
             invariant_basis(G, ring, d)
             assert seen == expected, (gens, d)
+
+
+def _matmul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def _seeded_conjugator(n, rng):
+    """U in GL_n(Z) and its inverse: a product of six elementary matrices
+    I + c E_ij with i != j and c in {+-1, +-2}, each inverted by I - c E_ij."""
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    u_inv = [row[:] for row in u]
+    for _ in range(6):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice((-2, -1, 1, 2))
+        u[i] = [a + c * b for a, b in zip(u[i], u[j])]  # (I + c E_ij) U
+        for row in u_inv:  # U^-1 (I - c E_ij)
+            row[j] -= c * row[i]
+    return u, u_inv
+
+
+CONJUGATION_CASES = [
+    (name, dom)
+    for name, spec in sorted(GROUP_GENERATORS.items())
+    if spec["generators"]
+    for dom in (ZZ, GF(2), GF(3), Z_local(2))
+]
+
+
+@pytest.mark.parametrize("name, dom", CONJUGATION_CASES, ids=str)
+def test_invariant_bases_transport_under_conjugation(name, dom):
+    """S(U G U^-1)_d = U.S(G)_d for U in GL_n(Z), with U.f = act(U, f): the
+    canonical span of the transported basis is the basis of the conjugate,
+    over every domain.  U is not monomial, so U G U^-1 is not either,
+    except for -I."""
+    assert len(CONJUGATION_CASES) == 28
+    spec = GROUP_GENERATORS[name]
+    n = spec["n"]
+    u, u_inv = _seeded_conjugator(n, random.Random(20))
+    assert _matmul(u, u_inv) == [[int(i == j) for j in range(n)] for i in range(n)]
+    assert any(sum(map(bool, row)) > 1 for row in u)
+    conjugate = [_matmul(_matmul(u, g), u_inv) for g in spec["generators"]]
+    G, H = fixture_group(name, dom), enumerate_group(conjugate, dom)
+    ring = GradedRing(n, dom)
+    for d in range(7):
+        piece = graded_piece_basis(ring, d)
+        moved = [act(u, f) for f in _polys(ring, d, invariant_basis(G, ring, d))]
+        vectors = [[f.terms.get(m, 0) for m in piece.monomials] for f in moved]
+        assert canonical_span(dom, vectors, piece.dim) == invariant_basis(H, ring, d), d

@@ -15,6 +15,8 @@ from invring.quadratic import (
     _class_group_from_ideals,
     _compose,
     _equivalent,
+    _ideals_of_norm,
+    _REAL_UNIT_FIXTURES,
     _reduce,
     _reduced_forms,
     class_group,
@@ -466,6 +468,69 @@ def test_is_principal_search():
     r2 = Ideal.from_prime(NumberRing(10), primes_above(NumberRing(10), 2)[0])
     assert r2.norm == 2 and not is_principal(r2)
     assert is_principal(r2.multiply(r2))
+
+
+REAL_FIXTURE_DS = (2, 3, 5, 10, 13, 15)
+
+
+def _square_scan_is_principal(I):
+    """Principality by the norm of every point of the square
+    |x|, |y| <= isqrt(4 N E) + 1, with E = u0 + u1 (isqrt(d) + 1) from the
+    fixture unit (u0, u1): a generator has an associate inside it."""
+    ring, n = I.ring, I.norm
+    u0, u1 = _REAL_UNIT_FIXTURES[ring.d]
+    box = math.isqrt(4 * n * (u0 + u1 * (math.isqrt(ring.d) + 1))) + 1
+    return any(
+        abs(ring.norm((x, y))) == n and I.contains((x, y))
+        for x in range(-box, box + 1)
+        for y in range(-box, box + 1)
+    )
+
+
+def test_real_is_principal_matches_the_square_scan():
+    # every ideal of norm below 50 in the six real fixture rings, the unit
+    # ideal included
+    checked = principal = 0
+    for d in REAL_FIXTURE_DS:
+        ring = NumberRing(d)
+        for m in range(1, 50):
+            for I in _ideals_of_norm(ring, m):
+                got = is_principal(I)
+                assert got == _square_scan_is_principal(I), (d, I.basis)
+                checked += 1
+                principal += got
+    assert (checked, principal) == (236, 181)
+
+
+def test_real_generators_of_negative_norm():
+    # every unit of Z[sqrt(3)] has norm 1, so every generator of the prime
+    # above 3, such as sqrt(3), has norm -3
+    ring = NumberRing(3)
+    (P,) = primes_above(ring, 3)
+    I = Ideal.from_prime(ring, P)
+    assert I.basis == Ideal.from_generators(ring, [(0, 1)]).basis and is_principal(I)
+    assert _REAL_UNIT_FIXTURES[3] == (2, 1) and ring.norm((2, 1)) == 1
+
+
+@pytest.mark.parametrize(
+    "d, unit",
+    [
+        (65, (7, 2)),  # 8 + sqrt(65), norm -1
+        (85, (4, 1)),  # (9 + sqrt(85)) / 2, norm -1
+    ],
+)
+def test_real_class_group_with_a_half_basis_and_a_unit_of_norm_minus_one(
+    monkeypatch, d, unit
+):
+    # tabulated h(65) = h(85) = 2; the bound on y needs only some unit > 1
+    ring = NumberRing(d)
+    assert ring.half_basis and ring.norm(unit) == -1
+    # the unit ideal needs no fixture
+    assert is_principal(Ideal.unit_ideal(ring))
+    with pytest.raises(BoundTooLarge):
+        class_group(ring)
+    monkeypatch.setitem(_REAL_UNIT_FIXTURES, d, unit)
+    assert class_group(ring) == [2]
 
 
 def test_minkowski_bound_small_rings():
