@@ -53,14 +53,15 @@ from .domains import GF, is_prime, prime_divisors
 from .groups import MatrixGroup
 from .invariants import (
     TruncatedSubalgebra,
+    canonical_span,
     hilbert_function,
     is_standard_graded_up_to,
     minimal_generators_up_to,
     truncated_invariant_ring,
     veronese,
 )
-from .linalg import _field_layout, _insert, _pack, member_mod_p, rref_mod_p
-from .poly import GradedRing, Polynomial, graded_piece_basis, polynomial_from_vector
+from .linalg import _field_layout, _insert, _pack, member_mod_p
+from .poly import GradedRing, Polynomial, graded_piece_basis
 
 
 class NotStandardGraded(ValueError):
@@ -117,7 +118,8 @@ class SopSearchResult:
 
 
 def reduce_mod_p(S: TruncatedSubalgebra, p: int) -> TruncatedSubalgebra:
-    """Reduce the per-degree bases mod p.
+    """Reduce the per-degree bases mod p: each fibre basis is the
+    canonical_span over GF(p) of the degree-d basis rows.
 
     Saturation over Z guarantees the rank of every piece is preserved; that
     is asserted, since a rank drop would mean the input was not saturated.
@@ -131,9 +133,7 @@ def reduce_mod_p(S: TruncatedSubalgebra, p: int) -> TruncatedSubalgebra:
     ring_p = GradedRing(S.ambient.nvars, fp)
     new_bases = []
     for d in range(S.D + 1):
-        dim_d = S.piece_dim(d)
-        reduced = [[fp.coerce(x) for x in row] for row in S.bases[d]]
-        rows, _ = rref_mod_p(reduced, dim_d, p)
+        rows = canonical_span(fp, S.bases[d], S.piece_dim(d))
         if len(rows) != len(S.bases[d]):
             raise RuntimeError(
                 f"rank dropped mod {p} in degree {d}: basis was not saturated"
@@ -277,8 +277,7 @@ def _combination(Sbar: TruncatedSubalgebra, coeffs, k: int) -> Polynomial:
     """The polynomial sum c_i b_i over the degree-k basis rows b of Sbar."""
     p = Sbar.domain.p
     row = [sum(map(operator.mul, coeffs, column)) % p for column in zip(*Sbar.bases[k])]
-    piece = graded_piece_basis(Sbar.ambient, Sbar.ambient_degree(k))
-    return polynomial_from_vector(Sbar.ambient, piece, row)
+    return Sbar.piece_polynomials(k, [row])[0]
 
 
 def _point_values(rows, piece, points, p: int) -> list[tuple[int, ...]]:

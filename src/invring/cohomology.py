@@ -21,7 +21,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, islice
 
-from .domains import GF, CoefficientDomain, Matrix, integer_form, is_prime, multiplicity
+from .domains import (
+    GF,
+    CoefficientDomain,
+    Matrix,
+    integer_form,
+    is_prime,
+    mat_from_rows,
+    mat_is_identity,
+    multiplicity,
+)
 from .groups import MatrixGroup, cyclic_generator
 from .linalg import IntegerMatrix, cokernel_invariant_factors
 from .poly import GradedRing, action_matrix
@@ -57,11 +66,7 @@ class CyclicModule:
             raise ValueError("order must be positive")
         if self.domain.tag == "Fp":
             raise ValueError("cyclic module cohomology expects characteristic zero")
-        object.__setattr__(
-            self,
-            "sigma",
-            tuple(tuple(self.domain.coerce(x) for x in row) for row in self.sigma),
-        )
+        object.__setattr__(self, "sigma", mat_from_rows(self.domain, self.sigma))
         n = len(self.sigma)
         delta, ints = integer_form(chain.from_iterable(self.sigma))
         cells = iter(ints)  # back into the rows of sigma
@@ -99,9 +104,7 @@ def trace_matrix(M: CyclicModule) -> Matrix:
     map that the cohomology groups are computed from, over the domain.
     """
     scale = M._delta ** (M.order - 1)
-    return tuple(
-        tuple(M.domain.coerce(Fraction(x, scale)) for x in row) for row in M._trace.data
-    )
+    return mat_from_rows(M.domain, ((Fraction(x, scale) for x in row) for row in M._trace.data))
 
 
 def _localized_factors(dom: CoefficientDomain, torsion: tuple[int, ...]) -> tuple[int, ...]:
@@ -136,9 +139,7 @@ def cohomology(M: CyclicModule, i: int) -> CohomologyGroup:
 def sigma_trivial_mod_p(M: CyclicModule, p: int) -> bool:
     """True when the action is the identity on the reduction mod p."""
     fp = GF(p)
-    return all(
-        fp.coerce(x) == int(i == j) for i, row in enumerate(M.sigma) for j, x in enumerate(row)
-    )
+    return mat_is_identity(fp, mat_from_rows(fp, M.sigma))
 
 
 @dataclass(frozen=True)

@@ -218,13 +218,12 @@ def parse_domain(text: str) -> CoefficientDomain:
 
 
 def mat_from_rows(domain: CoefficientDomain, rows) -> Matrix:
-    return tuple(tuple(domain.coerce(x) for x in row) for row in rows)
+    return tuple(tuple(map(domain.coerce, row)) for row in rows)
 
 
 def mat_identity(domain: CoefficientDomain, n: int) -> Matrix:
-    return tuple(
-        tuple(domain.one if i == j else domain.zero for j in range(n)) for i in range(n)
-    )
+    zeros, one = (domain.zero,) * n, (domain.one,)
+    return tuple(zeros[:i] + one + zeros[i + 1 :] for i in range(n))
 
 
 def mat_mul(domain: CoefficientDomain, a: Matrix, b: Matrix) -> Matrix:

@@ -62,13 +62,6 @@ class IntegerMatrix:
             cols=self.rows,
         )
 
-    def is_identity(self) -> bool:
-        return self.rows == self.cols and all(
-            self.data[i][j] == (1 if i == j else 0)
-            for i in range(self.rows)
-            for j in range(self.cols)
-        )
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, IntegerMatrix)
@@ -175,7 +168,7 @@ def rank(M: IntegerMatrix) -> int:
 def unimodular_inverse(M: IntegerMatrix) -> IntegerMatrix:
     """Exact inverse of a unimodular matrix (HNF of a unimodular matrix is I)."""
     h, u = hermite_normal_form(M)
-    if not h.is_identity():
+    if h != IntegerMatrix.identity(M.rows):
         raise ValueError("matrix is not unimodular")
     return u
 

@@ -13,9 +13,10 @@ each coefficient enters the domain once, at the end (domains module
 docstring).  Products and the monomial images run in ints over the common
 denominator of domains.integer_form, divided out (or reduced mod p over
 F_p) once.  The monomial bases and the index tables of the images are
-cached per (nvars, degree).  The integer images of the last degree built are
-retained for a few matrices, so calls at rising degrees extend them one
-degree at a time; act reads only the images of its polynomial's monomials.
+cached per (nvars, degree).  The integer images come from a
+functools.lru_cache of 8 per-key builders, each of which extends the last
+degree it built to a higher one and restarts from degree 0 for a lower one;
+act reads only the images of its polynomial's monomials.
 Arithmetic refuses operands from two different rings.
 """
 
@@ -108,7 +109,7 @@ def _piece_cached(nvars: int, d: int) -> GradedPiece:
 
 @lru_cache(maxsize=None)
 def _step_table(nvars: int, k: int):
-    """Index tables for one degree-k step of _integer_images, k >= 1.
+    """Index tables for one degree-k step of _image_builder, k >= 1.
 
     steps[t] = (j, s): X_j is the first variable dividing the t-th monomial
     x^m of degree k, and s is the index of x^m / X_j in degree k - 1.
@@ -267,63 +268,56 @@ def polynomial_from_vector(ring: GradedRing, piece: GradedPiece, vec) -> Polynom
     """The polynomial with coefficient vector vec on the monomials of piece."""
     if len(vec) != piece.dim:
         raise ValueError(f"vector of length {len(vec)} for a piece of dimension {piece.dim}")
-    coerce = ring.coeff.coerce
-    return Polynomial._from_nonzero(
-        ring,
-        {m: v for m, c in zip(piece.monomials, vec) if c and (v := coerce(c))},
-    )
+    return Polynomial(ring, {m: c for m, c in zip(piece.monomials, vec) if c})
 
 
-# Integer images retained per key (nvars, modulus, scaled forms): the last
-# degree built, as (degree, images).  At most _RETAINED_KEYS keys are kept,
-# the least recently used dropped first.
-_RETAINED_KEYS = 8
-_retained: dict[tuple, tuple[int, tuple[dict[int, int], ...]]] = {}
-
-
-def _integer_images(n: int, p: int | None, forms: tuple, d: int) -> tuple[dict[int, int], ...]:
-    """Images of the degree-d monomials under the integer forms, by index.
+@lru_cache(maxsize=8)
+def _image_builder(n: int, p: int | None, forms: tuple):
+    """The builder of the images of the monomials under the integer forms,
+    by index, for one key; the cache keeps the 8 keys used last.
 
     With X_j the first variable dividing x^m, the image of x^m is the image
     of x^(m - e_j) times forms[j], a tuple of pairs (i, coefficient of X_i);
     the products run in plain ints on monomial indices, each image reduced
     mod p when p is given.  The index tables of each step come from
-    _step_table.  Degree d extends the retained degree of the same key when
-    that is at most d, and starts again from degree 0 otherwise.  The
-    returned dicts are the retained ones: callers copy them.
+    _step_table.  The builder keeps the last degree it built: degree d
+    extends it when that is at most d, and starts again from degree 0
+    otherwise.  The returned dicts are the kept ones: callers copy them.
     """
-    key = (n, p, forms)
-    have, images = _retained.pop(key, (0, ({0: 1},)))
-    if have > d:
-        have, images = 0, ({0: 1},)
-    for k in range(have + 1, d + 1):
-        steps, times_var = _step_table(n, k)
-        nxt = []
-        for j, s in steps:
-            src = images[s]
-            form = forms[j]
-            img: dict[int, int] = {}
-            for a, c in src.items():
-                up = times_var[a]
-                for i, gij in form:
-                    t = up[i]
-                    img[t] = img.get(t, 0) + c * gij
-            if p is None:
-                nxt.append({t: v for t, v in img.items() if v})
-            else:
-                nxt.append({t: r for t, v in img.items() if (r := v % p)})
-        images = tuple(nxt)
-    _retained[key] = (d, images)
-    if len(_retained) > _RETAINED_KEYS:
-        del _retained[next(iter(_retained))]
-    return images
+    have, images = 0, ({0: 1},)
+
+    def build(d: int) -> tuple[dict[int, int], ...]:
+        nonlocal have, images
+        if have > d:
+            have, images = 0, ({0: 1},)
+        for k in range(have + 1, d + 1):
+            steps, times_var = _step_table(n, k)
+            nxt = []
+            for j, s in steps:
+                src = images[s]
+                form = forms[j]
+                img: dict[int, int] = {}
+                for a, c in src.items():
+                    up = times_var[a]
+                    for i, gij in form:
+                        t = up[i]
+                        img[t] = img.get(t, 0) + c * gij
+                if p is None:
+                    nxt.append({t: v for t, v in img.items() if v})
+                else:
+                    nxt.append({t: r for t, v in img.items() if (r := v % p)})
+            images = tuple(nxt)
+        have = d
+        return images
+
+    return build
 
 
 def _scaled_images(ring: GradedRing, g: Matrix, d: int) -> tuple[int, tuple[dict[int, int], ...]]:
     """(den^d, images), den the common denominator of g: the images of the
-    degree-d monomials from _integer_images under the integer forms den * L_j
-    = sum_i den * g[i][j] X_i.  They are the retained dicts; callers only
-    read them."""
+    degree-d monomials from _image_builder under the integer forms den * L_j
+    = sum_i den * g[i][j] X_i.  They are the kept dicts; callers only read
+    them."""
     if d < 0:
         raise ValueError("degree must be nonnegative")
     n = ring.nvars
@@ -332,7 +326,7 @@ def _scaled_images(ring: GradedRing, g: Matrix, d: int) -> tuple[int, tuple[dict
     dom = ring.coeff
     den, ints = integer_form([dom.coerce(x) for row in g for x in row])
     forms = tuple(tuple((i, c) for i in range(n) if (c := ints[i * n + j])) for j in range(n))
-    return den**d, _integer_images(n, dom.p if dom.tag == "Fp" else None, forms, d)
+    return den**d, _image_builder(n, dom.p if dom.tag == "Fp" else None, forms)(d)
 
 
 def action_matrix(ring: GradedRing, g: Matrix, d: int) -> tuple[dict[int, Scalar], ...]:

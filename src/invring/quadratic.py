@@ -154,13 +154,10 @@ class PrimeIdealQ:
     def norm(self) -> int:
         return self.q**self.f
 
-    def label(self) -> str:
+    def __str__(self):
         if self.kind == "inert":
             return f"({self.q})"
         return f"({self.q}, w - {self.root})"
-
-    def __str__(self):
-        return self.label()
 
 
 def _sqrt_mod(a: int, q: int) -> int:
@@ -257,9 +254,6 @@ class Divisor:
     def __hash__(self):
         return hash(frozenset(self.coeffs.items()))
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def items(self):
         return sorted(
             self.coeffs.items(),
@@ -269,7 +263,7 @@ class Divisor:
         )
 
     def __str__(self):
-        if self.is_zero():
+        if not self.coeffs:
             return "0"
         return " + ".join(
             (f"{v}*{k}" if v != 1 else str(k)) for k, v in self.items()

@@ -101,6 +101,23 @@ def test_transfer_check(capsys):
     assert payload["checked"] > 0
 
 
+
+def test_failed_transfer_is_a_refuted_claim(monkeypatch, capsys):
+    # a transfer that doubles every invariant fixes none of them
+    monkeypatch.setattr("invring.invariants.transfer", lambda f, G, H: f + f)
+    argv = ["transfer-check", "--group", str(FIXTURES / "s3.json"),
+            "--subgroup", str(FIXTURES / "a3.json"), "--max-degree", "2"]
+    assert run(argv) == EXIT_CLAIM_FAILED
+    payload = _capture(capsys)
+    assert payload["splitting_identity"] is False
+    assert payload["checked"] == len(payload["failures"]) == 4
+    assert payload["failures"] == [
+        {"degree": 0, "poly": "1"},
+        {"degree": 1, "poly": "X + Y + Z"},
+        {"degree": 2, "poly": "X^2 + Y^2 + Z^2"},
+        {"degree": 2, "poly": "X*Y + X*Z + Y*Z"},
+    ]
+
 def test_cohomology_lemma_fuzz(capsys):
     code = run(
         [
@@ -463,6 +480,52 @@ def test_cm_search_over_zlocal_calls_unit_primes_vacuous(tmp_path, capsys):
         "3": {"status": "vacuous", "D": 2, "sop_degrees": [], "parameters": []}
     }
 
+
+
+def test_cm_search_reports_a_failed_certificate_and_exits_0(monkeypatch, capsys):
+    # a failed regularity check on a searched system refutes nothing
+    from dataclasses import replace
+
+    from invring import cmcert
+
+    real = cmcert.regular_sequence_certificate
+
+    def failing(Sbar, thetas):
+        return replace(real(Sbar, thetas), status="failed", failed_stage=1, failed_degree=2)
+
+    monkeypatch.setattr("invring.cmcert.regular_sequence_certificate", failing)
+    argv = ["cm-search", "--group", str(FIXTURES / "minus-identity.json"),
+            "--l-max", "2", "--max-degree", "4"]
+    assert run(argv) == EXIT_OK
+    payload = _capture(capsys)
+    assert payload["first_certified_l"] is None
+    cell = payload["attempts"][1]["primes"]["2"]
+    assert (cell["status"], cell["failed_stage"], cell["failed_degree"]) == ("failed", 1, 2)
+    assert cell["sop_degrees"] == [1, 1]
+
+
+@pytest.mark.parametrize(
+    "text, el",
+    [("w", (0, 1)), ("-w", (0, -1)), ("2*w", (0, 2)), ("5 + w", (5, 1)),
+     ("3 - 2*w", (3, -2)), ("-4 - 3*w", (-4, -3))],
+)
+def test_dedekind_factor_prints_elements_parse_element_reads(text, el, capsys):
+    from invring.quadratic import parse_element
+
+    assert parse_element(text) == el
+    # "=" keeps argparse from reading "-w" as an option
+    assert run(["dedekind", "factor", "--d", "-1", f"--element={text}"]) == EXIT_OK
+    printed = _capture(capsys)["element"]
+    assert printed == text and parse_element(printed) == el
+
+
+def test_empty_element_is_bad_input(capsys):
+    from invring.quadratic import parse_element
+
+    with pytest.raises(ValueError, match="empty element"):
+        parse_element("")
+    assert run(["dedekind", "factor", "--d", "-1", "--element", ""]) == EXIT_USAGE
+    assert "empty element" in capsys.readouterr().err
 
 # small arguments for every subcommand and verb of the parser
 SMALL_RUNS = {

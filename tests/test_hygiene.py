@@ -21,6 +21,9 @@ function or constant under src/invring, except in fixtures.py, whose
 float thresholds only steer seeded draws.
 
 Fixture drift: the built-in group table equals fixtures/groups/*.json.
+
+Version drift: invring.__version__, which --version and every report print,
+equals the [project] version in pyproject.toml, which the wheel carries.
 """
 
 import ast
@@ -221,3 +224,11 @@ def test_group_fixture_files_match_generators():
         for path in (ROOT / "fixtures" / "groups").glob("*.json")
     }
     assert files == GROUP_GENERATORS
+
+
+def test_version_matches_the_project_table():
+    # by pattern, since tomllib is missing on Python 3.10
+    text = (ROOT / "pyproject.toml").read_text()
+    project = re.search(r"^\[project\]$(.*?)(?=^\[|\Z)", text, re.M | re.S).group(1)
+    (version,) = re.findall(r'^version\s*=\s*"([^"]*)"', project, re.M)
+    assert invring.__version__ == version

@@ -1,6 +1,7 @@
 """Invariant bases, transfer and Reynolds maps, Veronese subrings."""
 
 import dataclasses
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -8,9 +9,9 @@ from fractions import Fraction
 import pytest
 
 from invring import invariants
-from invring.domains import GF, QQ, ZZ, Z_local, integer_form
+from invring.domains import GF, QQ, ZZ, Z_local, integer_form, mat_from_rows
 from invring.fixtures import GROUP_GENERATORS, fixture_group, fixture_group_names
-from invring.groups import enumerate_group, sylow_subgroup, trivial_group
+from invring.groups import MatrixGroup, enumerate_group, sylow_subgroup, trivial_group
 from invring.invariants import (
     IndexNotInvertible,
     NotHInvariant,
@@ -934,3 +935,114 @@ def test_invariant_bases_transport_under_conjugation(name, dom):
         moved = [act(u, f) for f in _polys(ring, d, invariant_basis(G, ring, d))]
         vectors = [[f.terms.get(m, 0) for m in piece.monomials] for f in moved]
         assert canonical_span(dom, vectors, piece.dim) == invariant_basis(H, ring, d), d
+
+
+def _conjugate(gens, u, u_inv):
+    return [_matmul(_matmul(u, g), u_inv) for g in gens]
+
+
+def _transported_basis(u, ring, d, rows):
+    """canonical_span of act(u, f) over the polynomials f of the rows."""
+    piece = graded_piece_basis(ring, d)
+    moved = [act(u, f) for f in _polys(ring, d, rows)]
+    vectors = [[f.terms.get(m, 0) for m in piece.monomials] for f in moved]
+    return canonical_span(ring.coeff, vectors, piece.dim)
+
+
+FIXTURE_GENS = {
+    name: spec["generators"]
+    for name, spec in sorted(GROUP_GENERATORS.items())
+    if spec["generators"]
+}
+TRANSPORT_GENS = {**FIXTURE_GENS, "S4": S4_GENS, "B3": B3_GENS, "W(A3)": W_A3_GENS}
+TRANSPORT_CASES = [
+    *((name, dom, 6) for name in FIXTURE_GENS for dom in (QQ, Z_local(3))),
+    *((name, dom, D) for name in ("S4", "B3", "W(A3)") for dom, D in ((ZZ, 6), (GF(3), 8))),
+]
+
+
+@pytest.mark.parametrize("name, dom, D", TRANSPORT_CASES, ids=str)
+def test_invariant_rings_transport_under_conjugation(name, dom, D):
+    """The bases of S(G) and S(U G U^-1) agree after transport by U, and so
+    do their Hilbert functions and generator degrees; in characteristic 0
+    the Hilbert function is Molien's, which pins the ranks themselves."""
+    gens = TRANSPORT_GENS[name]
+    n = len(gens[0])
+    u, u_inv = _seeded_conjugator(n, random.Random(20))
+    assert any(sum(map(bool, row)) > 1 for row in u)
+    G, H = enumerate_group(gens, dom), enumerate_group(_conjugate(gens, u, u_inv), dom)
+    ring = GradedRing(n, dom)
+    S, T = truncated_invariant_ring(G, ring, D), truncated_invariant_ring(H, ring, D)
+    for d in range(D + 1):
+        assert _transported_basis(u, ring, d, S.bases[d]) == T.bases[d], d
+    hilbert = list(hilbert_function(S).values)
+    assert hilbert == list(hilbert_function(T).values)
+    if dom.tag != "Fp":
+        assert hilbert == _molien_coefficients(G, D)
+    degrees = [d for d, _ in minimal_generators_up_to(S)]
+    assert degrees == [d for d, _ in minimal_generators_up_to(T)]
+
+
+@pytest.mark.parametrize("name, l, p", [("rot4", 2, 2), ("s3", 2, 3)])
+def test_truncated_quotient_transports_under_conjugation(name, l, p):
+    """A system found on a Veronese cell of G, moved by U, has the same
+    quotient Hilbert values, prefix by prefix, on the cell of U G U^-1.
+    U is not monomial mod p, so the fibre sees the change of basis."""
+    from invring.cmcert import find_sop_mixed, reduce_mod_p, truncated_quotient
+
+    gens = GROUP_GENERATORS[name]["generators"]
+    n = len(gens[0])
+    u, u_inv = _seeded_conjugator(n, random.Random(21))
+    assert any(sum(x % p != 0 for x in row) > 1 for row in u)
+    ring = GradedRing(n, ZZ)
+    cells = [
+        reduce_mod_p(veronese(truncated_invariant_ring(enumerate_group(g, ZZ), ring, 8), l), p)
+        for g in (gens, _conjugate(gens, u, u_inv))
+    ]
+    search = find_sop_mixed(cells[0])
+    assert search.found
+    moved = [act(u, theta) for theta in search.thetas]
+    assert moved != list(search.thetas)
+    for k in range(1, len(moved) + 1):
+        quotient = truncated_quotient(cells[0], search.thetas[:k])
+        assert truncated_quotient(cells[1], moved[:k]) == quotient, k
+    assert quotient == (1, 0, 1, 0, 0)
+
+
+GENERATING_SET_GENS = {
+    **FIXTURE_GENS, "S4": S4_GENS, "B3": B3_GENS, "B3-on-F": B3_ON_F_GENS, "B3-on-I": B3_ON_I_GENS
+}
+
+
+@functools.cache
+def _dense_generators(name):
+    """Elements of the group over Z, most nonzero entries first and ties in
+    seeded order, each taken while the ones taken do not yet generate it.
+    Their images generate the group over every domain."""
+    elements = list(enumerate_group(GENERATING_SET_GENS[name], ZZ).elements)
+    random.Random(name).shuffle(elements)
+    elements.sort(key=lambda g: -sum(map(bool, itertools.chain(*g))))
+    picked, reached = [], set()
+    for g in elements:
+        if g not in reached:
+            picked.append(g)
+            reached = set(enumerate_group(picked, ZZ).elements)
+    return picked
+
+
+@pytest.mark.parametrize("dom", [ZZ, GF(2), GF(3), Z_local(2)], ids=str)
+@pytest.mark.parametrize("name", GENERATING_SET_GENS)
+def test_invariant_basis_does_not_depend_on_the_generating_set(name, dom):
+    """S(G)_d is the intersection of ker(g - I) over any generating set of
+    G: the given generators, a seeded dense set, or every element (through
+    d = 6 only, for cost).  The Hermite basis is unique, so all agree."""
+    G = enumerate_group(GENERATING_SET_GENS[name], dom)
+    dense_gens = tuple(mat_from_rows(dom, g) for g in _dense_generators(name))
+    dense = MatrixGroup(G.n, dom, G.elements, dense_gens)
+    every = MatrixGroup(G.n, dom, G.elements, G.elements)
+    ring = GradedRing(G.n, dom)
+    for d in range(9):
+        basis = invariant_basis(G, ring, d)
+        assert invariant_basis(dense, ring, d) == basis, d
+        if d <= 6:
+            assert invariant_basis(every, ring, d) == basis, d

@@ -196,7 +196,7 @@ def _order_divides(sigma, k):
     power = IntegerMatrix.identity(n)
     for _ in range(k):
         power = power * IntegerMatrix(sigma)
-    return power.is_identity()
+    return power == IntegerMatrix.identity(n)
 
 
 def test_kernel_matches_two_full_hermite_passes():

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from invring import poly
 from invring.domains import GF, QQ, ZZ, Z_local, parse_domain
 from invring.poly import (
     GradedRing,
@@ -522,10 +523,10 @@ MEMO_ORDERS = {
 
 
 @pytest.mark.parametrize("order", MEMO_ORDERS.values(), ids=MEMO_ORDERS.keys())
-def test_action_columns_do_not_depend_on_call_order(order, monkeypatch):
+def test_action_columns_do_not_depend_on_call_order(order):
     # Z, Q and Z_(3) share the integer images of SHEAR3, and F_2 and F_3
     # differ from them only by the modulus; the cases run interleaved
-    monkeypatch.setattr("invring.poly._retained", {})
+    poly._image_builder.cache_clear()
     want = {
         (dom, g, d): _reference_action_matrix(GradedRing(len(g), dom), g, d)
         for dom, g in MEMO_CASES
@@ -539,8 +540,8 @@ def test_action_columns_do_not_depend_on_call_order(order, monkeypatch):
 
 
 @pytest.mark.parametrize("dom", [ZZ, GF(2), QQ], ids=str)
-def test_mutating_returned_columns_leaves_later_calls_alone(dom, monkeypatch):
-    monkeypatch.setattr("invring.poly._retained", {})
+def test_mutating_returned_columns_leaves_later_calls_alone(dom):
+    poly._image_builder.cache_clear()
     ring = GradedRing(3, dom)
     for d in range(6):
         for _ in range(2):  # the same degree again, then the next one
@@ -550,14 +551,20 @@ def test_mutating_returned_columns_leaves_later_calls_alone(dom, monkeypatch):
             columns[-1][0] = dom.one
 
 
-def test_retained_images_stay_bounded(monkeypatch):
-    from invring import poly
-
-    monkeypatch.setattr("invring.poly._retained", {})
-    for k in range(3 * poly._RETAINED_KEYS):
+def test_retained_images_stay_bounded():
+    builders = poly._image_builder
+    builders.cache_clear()
+    maxsize = builders.cache_info().maxsize
+    for k in range(3 * maxsize):
         action_matrix(R2, ((1, k), (0, 1)), 3)
-        assert len(poly._retained) <= poly._RETAINED_KEYS
-    assert [degree for degree, _ in poly._retained.values()] == [3] * poly._RETAINED_KEYS
+        assert builders.cache_info().currsize <= maxsize
+    assert builders.cache_info().currsize == maxsize
+    # the maxsize matrices asked last are all still held
+    before = builders.cache_info()
+    for k in range(2 * maxsize, 3 * maxsize):
+        action_matrix(R2, ((1, k), (0, 1)), 3)
+    after = builders.cache_info()
+    assert (after.hits - before.hits, after.misses - before.misses) == (maxsize, 0)
 
 
 @pytest.mark.parametrize("dom", [ZZ, QQ, GF(2), GF(5), Z_local(3)], ids=str)

@@ -157,6 +157,16 @@ def test_factor_element_examples():
     assert P.kind == "inert" and c == 1
 
 
+
+def test_divisor_text():
+    # the README's factorisation of 21 in Z[sqrt(-5)]; an inert prime prints as (q)
+    assert str(Divisor()) == "0"
+    assert str(factor_element(NumberRing(-5), (21, 0))) == (
+        "(3, w - 1) + (3, w - 2) + (7, w - 3) + (7, w - 4)"
+    )
+    assert str(factor_element(NumberRing(-1), (3, 0))) == "(3)"
+    assert str(factor_element(NumberRing(-1), (2, 0))) == "2*(2, w - 1)"
+
 def test_factor_zero_raises():
     with pytest.raises(ZeroElement):
         factor_element(ZI, (0, 0))
