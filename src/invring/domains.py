@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import isqrt, lcm
 from operator import mul
 
 Scalar = int | Fraction
@@ -46,7 +46,12 @@ def is_prime(n: int) -> bool:
 
 
 def prime_divisors(n: int) -> list[int]:
-    """The distinct primes dividing n > 0, in increasing order."""
+    """The distinct primes dividing n > 0, in increasing order; [] for n <= 1.
+
+    A perfect square is replaced by its root, which has the same primes, so
+    the trial division of a norm a^2 runs to sqrt|a|, not to |a|."""
+    while n > 1 and (r := isqrt(n)) * r == n:
+        n = r
     out = []
     f = 2
     while f * f <= n:

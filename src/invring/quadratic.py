@@ -10,7 +10,9 @@ splits with roots (trace_w +- s)/2 for a Tonelli-Shanks square root s, in
 O(log^2 q) operations; q = 2 tests its two residues.  Valuations are read
 from the exponent of q in the coordinates and in the norm: at a split
 prime, an element with coprime-to-q content lies in at most one of the two
-conjugate primes, which then carries the whole q-part of its norm.
+conjugate primes, which then carries the whole q-part of its norm.  The q
+are the primes of the norm; the norm a^2 of a rational integer a costs the
+trial division of |a|, as prime_divisors takes the root of a square.
 
 Class groups of imaginary d come from the reduced binary quadratic forms
 of discriminant D, one per class, with Gauss/Dirichlet composition
@@ -306,17 +308,17 @@ def ramification_length(P: PrimeIdealQ) -> int:
 
 def divisor_map(ring: NumberRing, D: Divisor) -> Divisor:
     """Pushforward of a divisor over Z: each prime q maps to
-    sum of e(P) * P over the primes P above q, extended linearly."""
-    out = Divisor()
-    for q, c in D.coeffs.items():
-        for P in primes_above(ring, q):
-            out = out + Divisor({P: c * ramification_length(P)})
-    return out
+    sum of e(P) * P over the primes P above q, extended linearly; distinct q
+    have disjoint primes above them, so no two terms share a prime."""
+    return Divisor(
+        {P: c * ramification_length(P) for q, c in D.coeffs.items() for P in primes_above(ring, q)}
+    )
 
 
 def verify_div_compatibility(ring: NumberRing, a: int) -> bool:
     """Both routes to the divisor of a rational integer agree:
-    factor over Z then push forward, versus factor directly in the ring."""
+    factor over Z then push forward, versus factor directly in the ring,
+    whose norm a^2 costs the trial division of |a|, as the route over Z."""
     if a == 0:
         raise ZeroElement("zero has no divisor")
     lhs = divisor_map(ring, integer_divisor(a))

@@ -3,6 +3,7 @@ integer forms of rational data, and matrix products."""
 
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
@@ -18,6 +19,7 @@ from invring.domains import (
     multiplicity,
     prime_divisors,
 )
+from invring.quadratic import NumberRing
 
 
 def test_is_prime_matches_a_sieve():
@@ -37,6 +39,60 @@ def test_multiplicity_is_the_exponent_of_p():
             for p in prime_divisors(abs(n)) + [2, 3, 7]:
                 k = multiplicity(n, p)
                 assert n % p**k == 0 and n % p ** (k + 1) != 0, (n, p)
+
+
+def _least_prime_factors(limit):
+    """lpf[n] is the least prime dividing n, for 2 <= n <= limit (a sieve)."""
+    lpf = list(range(limit + 1))
+    for f in range(2, isqrt(limit) + 1):
+        if lpf[f] == f:
+            for m in range(f * f, limit + 1, f):
+                if lpf[m] == m:
+                    lpf[m] = f
+    return lpf
+
+
+def test_prime_divisors_matches_a_sieve():
+    limit = 20_000
+    lpf = _least_prime_factors(limit)
+    for n in range(1, limit + 1):
+        expected, m = [], n
+        while m > 1:
+            expected.append(lpf[m])
+            while m % expected[-1] == 0:
+                m //= expected[-1]
+        assert prime_divisors(n) == expected, n
+
+
+def test_prime_divisors_of_large_powers_match_a_sieve():
+    """Squares, a square times a prime, a cube and a fourth power times a
+    prime: the primes are those of a sieve to 10^6 that divide n, and they
+    account for all of n."""
+    limit = 10**6
+    sieve = bytearray([1]) * (limit + 1)
+    sieve[:2] = b"\0\0"
+    for f in range(2, isqrt(limit) + 1):
+        if sieve[f]:
+            sieve[f * f :: f] = bytes(len(range(f * f, limit + 1, f)))
+    primes = [p for p in range(limit + 1) if sieve[p]]
+    for n in (999983**2, 2 * 999983**2, 999983**3, 3 * 10007**4):
+        expected = [p for p in primes if n % p == 0]
+        rest = n
+        for p in expected:
+            rest //= p ** multiplicity(n, p)
+        assert rest == 1, n
+        assert prime_divisors(n) == expected, n
+
+
+@pytest.mark.parametrize("n", [0, 1, -12])
+def test_prime_divisors_below_two_is_empty(n):
+    assert prime_divisors(n) == []
+
+
+@pytest.mark.parametrize("d", [-4, 4, -9, 9, 18, -50])
+def test_number_ring_refuses_d_with_a_square_factor(d):
+    with pytest.raises(ValueError):
+        NumberRing(d)
 
 
 @pytest.mark.parametrize("n, p", [(0, 2), (0, 3), (12, 0), (12, 1), (12, -1)])

@@ -919,14 +919,16 @@ CONJUGATION_CASES = [
 def test_invariant_bases_transport_under_conjugation(name, dom):
     """S(U G U^-1)_d = U.S(G)_d for U in GL_n(Z), with U.f = act(U, f): the
     canonical span of the transported basis is the basis of the conjugate,
-    over every domain.  U is not monomial, so U G U^-1 is not either,
-    except for -I."""
+    over every domain.  U is not monomial, mod p too over F_p, so U G U^-1
+    is not either, except for -I."""
     assert len(CONJUGATION_CASES) == 28
     spec = GROUP_GENERATORS[name]
     n = spec["n"]
-    u, u_inv = _seeded_conjugator(n, random.Random(20))
+    u, u_inv = _seeded_conjugator(n, random.Random(21))
     assert _matmul(u, u_inv) == [[int(i == j) for j in range(n)] for i in range(n)]
     assert any(sum(map(bool, row)) > 1 for row in u)
+    if dom.tag == "Fp":
+        assert any(sum(x % dom.p != 0 for x in row) > 1 for row in u)
     conjugate = [_matmul(_matmul(u, g), u_inv) for g in spec["generators"]]
     G, H = fixture_group(name, dom), enumerate_group(conjugate, dom)
     ring = GradedRing(n, dom)

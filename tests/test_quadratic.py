@@ -228,6 +228,54 @@ def test_div_compatibility_random():
             assert verify_div_compatibility(ring, a)
 
 
+# rational integers whose norm a^2 has a large prime: their factorisations
+# over Z, with 9973, 10007 and 99991 prime
+LARGE_PRIME_INTEGERS = {
+    2 * 9973: {2: 1, 9973: 1},
+    9973**2: {9973: 2},
+    -3 * 99991: {3: 1, 99991: 1},
+    7 * 10007**2: {7: 1, 10007: 2},
+}
+
+
+def _decomposition_law(D, q):
+    """How q splits in the quadratic ring of discriminant D (Cohen, GTM 138,
+    §5.2): ramified when q | D; for odd q split when D is a square mod q by
+    Euler's criterion, else inert; q = 2 splits when D = 1 (mod 8) and stays
+    inert when D = 5 (mod 8)."""
+    if D % q == 0:
+        return "ramified"
+    if q == 2:
+        return "split" if D % 8 == 1 else "inert"
+    return "split" if pow(D, (q - 1) // 2, q) == 1 else "inert"
+
+
+@pytest.mark.parametrize("d", [-1, -2, -3, -5, -191, 2, 3, 5, 10, 13, 15])
+def test_factoring_rational_integers_follows_the_decomposition_law(d):
+    """The divisor of a rational integer a, direct and pushed forward from Z,
+    has per prime q | a: one prime of norm q with coefficient 2 v_q(a) when
+    q ramifies, two of norm q with v_q(a) each when q splits, and one of norm
+    q^2 with v_q(a) when q is inert."""
+    ring = NumberRing(d)
+    for a, factors in LARGE_PRIME_INTEGERS.items():
+        assert math.prod(q**v for q, v in factors.items()) == abs(a)
+        expected = []
+        for q, v in factors.items():
+            kind = _decomposition_law(ring.discriminant, q)
+            if kind == "ramified":
+                expected.append((q, kind, q, 2 * v))
+            elif kind == "split":
+                expected += [(q, kind, q, v)] * 2
+            else:
+                expected.append((q, kind, q * q, v))
+        direct = factor_element(ring, (a, 0))
+        pushed = divisor_map(ring, integer_divisor(a))
+        for D in (direct, pushed):
+            got = sorted((P.q, P.kind, P.norm, c) for P, c in D.items())
+            assert got == sorted(expected), (d, a)
+        assert direct == pushed and verify_div_compatibility(ring, a), (d, a)
+
+
 def test_valuation_split_prime_separates():
     P1, P2 = primes_above(ZI, 5)
     el = (2, 1)  # norm 5: lies in exactly one of the two primes
