@@ -13,13 +13,15 @@ ValueError, so run() sends ValueError and OSError to 2 and anything else
 to 3.
 
 Each subcommand imports the invring modules it runs at the top of its
-handler, so a process loads only what its command uses.
+handler, so a process loads only what its command uses.  The same holds for
+the standard library: hashlib is imported by the one reader of a group file,
+and the value classes are records from invring.domains, so no command loads
+the dataclass module or inspect.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import random
 import sys
@@ -34,6 +36,8 @@ EXIT_INTERNAL = 3
 
 def _load_group(path: str, coeff=None):
     """Group and file digest; coeff, when given, replaces the file's domain."""
+    import hashlib
+
     from .groups import group_from_json_dict
 
     with open(path, "rb") as fh:

@@ -47,9 +47,8 @@ import itertools
 import math
 import operator
 import random
-from dataclasses import dataclass, field
 
-from .domains import GF, is_prime, prime_divisors
+from .domains import GF, is_prime, prime_divisors, record
 from .groups import MatrixGroup
 from .invariants import (
     TruncatedSubalgebra,
@@ -88,7 +87,7 @@ def _require_standard_graded(S: TruncatedSubalgebra) -> None:
         raise NotStandardGraded(report.first_failing_degree)
 
 
-@dataclass(frozen=True)
+@record
 class CMCertificate:
     """Outcome of a truncated regular-sequence check at one prime."""
 
@@ -106,7 +105,7 @@ class CMCertificate:
         return self.status in ("certified", "vacuous")
 
 
-@dataclass(frozen=True)
+@record
 class SopSearchResult:
     """tried counts the combinations the search went through, sieved or
     not; ranked counts those whose degree-D piece it ranked."""
@@ -597,12 +596,12 @@ def cm_certificate(
     return out
 
 
-@dataclass(frozen=True)
+@record
 class VeroneseAttempt:
     l: int
     standard_graded: bool
     first_failing_degree: int | None
-    certificates: dict[int, CMCertificate] = field(default_factory=dict)
+    certificates: dict[int, CMCertificate]
 
     @property
     def certified(self) -> bool:
@@ -611,7 +610,7 @@ class VeroneseAttempt:
         )
 
 
-@dataclass(frozen=True)
+@record
 class VeroneseSearchReport:
     group_order: int
     D: int
@@ -643,7 +642,7 @@ def veronese_cm_search(
             certs = cm_certificate(veronese(S, l), primes, seed=seed)
         except NotStandardGraded as exc:
             return VeroneseAttempt(
-                l=l, standard_graded=False, first_failing_degree=exc.degree
+                l=l, standard_graded=False, first_failing_degree=exc.degree, certificates={}
             )
         return VeroneseAttempt(
             l=l, standard_graded=True, first_failing_degree=None, certificates=certs
@@ -660,7 +659,7 @@ def veronese_cm_search(
     )
 
 
-@dataclass(frozen=True)
+@record
 class GorensteinReport:
     symmetric: bool
     numerator: tuple[int, ...]

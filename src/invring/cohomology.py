@@ -17,7 +17,6 @@ primes other than p, and over Q only ranks are read.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, islice
 
@@ -30,6 +29,7 @@ from .domains import (
     mat_from_rows,
     mat_is_identity,
     multiplicity,
+    record,
 )
 from .groups import MatrixGroup, cyclic_generator
 from .linalg import IntegerMatrix, cokernel_invariant_factors
@@ -53,7 +53,7 @@ class PreconditionViolated(ValueError):
     """The module does not satisfy the hypothesis of the requested check."""
 
 
-@dataclass(frozen=True)
+@record
 class CyclicModule:
     """A free module over the domain with one invertible action of order n."""
 
@@ -88,7 +88,7 @@ class CyclicModule:
         return len(self.sigma)
 
 
-@dataclass(frozen=True)
+@record
 class CohomologyGroup:
     free_rank: int
     torsion: tuple[int, ...]
@@ -142,7 +142,7 @@ def sigma_trivial_mod_p(M: CyclicModule, p: int) -> bool:
     return mat_is_identity(fp, mat_from_rows(fp, M.sigma))
 
 
-@dataclass(frozen=True)
+@record
 class H2ComparisonReport:
     holds: bool
     lhs: CohomologyGroup

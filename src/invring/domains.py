@@ -9,11 +9,25 @@ Arithmetic on many scalars (sums, dot products, scaling) runs on plain ints
 and Fractions and brings each result into the domain once, through coerce();
 rational data takes its integer form from integer_form().  The per-scalar
 methods add, sub, mul and neg serve single scalars.
+
+The value classes of every layer are frozen records made by @record.  It
+gives them what @dataclass(frozen=True) would, without importing the
+dataclass module and inspect, the largest import a command could avoid.
+A record's fields are its annotated names, in order; a class attribute of
+the same name is that field's default, and fields with defaults come last.
+record gives the class:
+- __init__(self, *fields), by position or keyword, which stores each field
+  with object.__setattr__ and then calls __post_init__ where the class has one;
+- __eq__, true for an instance of the same class with equal fields, and
+  NotImplemented against any other class;
+- __hash__, the hash of the tuple of fields;
+- __repr__, Name(field=value!r, ...);
+- __setattr__ and __delattr__ that raise AttributeError.
+These are the methods, hashes and reprs @dataclass(frozen=True) gives.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt, lcm
 from operator import mul
@@ -65,7 +79,46 @@ def prime_divisors(n: int) -> list[int]:
     return out
 
 
-@dataclass(frozen=True)
+def _frozen(self, name, *value):
+    raise AttributeError(f"cannot {'assign to' if value else 'delete'} field {name!r}")
+
+
+def record(cls):
+    """Make cls a frozen record over its annotated fields; see the module
+    docstring.  __init__, __eq__ and __hash__ are compiled once per class,
+    so an instance pays for no loop over its fields."""
+    names = tuple(cls.__annotations__)
+    sets = "".join(f"\n    _set(self, {n!r}, {n})" for n in names)
+    post = "\n    self.__post_init__()" if hasattr(cls, "__post_init__") else ""
+    own = "".join(f"self.{n}, " for n in names)
+    source = f"""
+def __init__(self, {', '.join(names)}):{sets}{post}
+
+def __eq__(self, other):
+    if other.__class__ is self.__class__:
+        return ({own}) == ({own.replace("self.", "other.")})
+    return NotImplemented
+
+def __hash__(self):
+    return hash(({own}))
+"""
+    methods = {"_set": object.__setattr__}
+    exec(source, methods)
+    defaults = [cls.__dict__[n] for n in names if n in cls.__dict__]
+    methods["__init__"].__defaults__ = tuple(defaults)
+
+    def __repr__(self):
+        shown = ", ".join(f"{n}={getattr(self, n)!r}" for n in names)
+        return f"{self.__class__.__qualname__}({shown})"
+
+    for name in ("__init__", "__eq__", "__hash__"):
+        setattr(cls, name, methods[name])
+    cls.__repr__ = __repr__
+    cls.__setattr__ = cls.__delattr__ = _frozen
+    return cls
+
+
+@record
 class CoefficientDomain:
     """Tagged exact coefficient domain.
 

@@ -8,7 +8,6 @@ and left coset representatives.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 from .domains import (
     CoefficientDomain,
@@ -21,6 +20,7 @@ from .domains import (
     mat_mul,
     multiplicity,
     parse_domain,
+    record,
 )
 
 DEFAULT_BOUND = 10_000
@@ -34,7 +34,7 @@ class NotSubgroup(ValueError):
     """The claimed subgroup is not contained in the ambient group."""
 
 
-@dataclass(frozen=True)
+@record
 class MatrixGroup:
     """A finite subgroup of GL_n over an exact coefficient domain."""
 

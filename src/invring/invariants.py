@@ -31,12 +31,11 @@ their pivot products, the index, is a unit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from math import prod
 
-from .domains import ZZ, CoefficientDomain, integer_form
+from .domains import ZZ, CoefficientDomain, integer_form, record
 from .groups import MatrixGroup, coset_representatives
 from .linalg import (
     IntegerMatrix,
@@ -254,7 +253,7 @@ def transfer(f: Polynomial, G: MatrixGroup, H: MatrixGroup) -> Polynomial:
 # truncated subalgebras
 
 
-@dataclass(frozen=True)
+@record
 class TruncatedSubalgebra:
     """An invariant or Veronese subring known through degree D.
 
@@ -297,7 +296,7 @@ class TruncatedSubalgebra:
         ]
 
 
-@dataclass(frozen=True)
+@record
 class HilbertFunction:
     values: tuple[int, ...]
 
@@ -340,7 +339,7 @@ def veronese(S: TruncatedSubalgebra, m: int) -> TruncatedSubalgebra:
     )
 
 
-@dataclass(frozen=True)
+@record
 class StandardGradedReport:
     standard: bool
     first_failing_degree: int | None

@@ -17,10 +17,11 @@ tuples compare equal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
+
+from .domains import record
 
 
 class IntegerMatrix:
@@ -76,7 +77,7 @@ class IntegerMatrix:
         return f"IntegerMatrix({[list(r) for r in self.data]!r})"
 
 
-@dataclass(frozen=True)
+@record
 class SmithForm:
     """Smith decomposition left*M*right = diag(d) with d[i] | d[i+1]."""
 

@@ -22,12 +22,11 @@ Arithmetic refuses operands from two different rings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from operator import add
 
-from .domains import CoefficientDomain, Matrix, Scalar, integer_form
+from .domains import CoefficientDomain, Matrix, Scalar, integer_form, record
 
 Exponent = tuple[int, ...]
 
@@ -38,7 +37,7 @@ def _default_names(nvars: int) -> tuple[str, ...]:
     return tuple(f"X{i + 1}" for i in range(nvars))
 
 
-@dataclass(frozen=True)
+@record
 class GradedRing:
     """Polynomial ring graded by total degree."""
 
@@ -70,7 +69,7 @@ class GradedRing:
         return f"{self.coeff}[{', '.join(self.var_names)}]"
 
 
-@dataclass(frozen=True)
+@record
 class GradedPiece:
     """All monomials of one degree, in deglex order."""
 

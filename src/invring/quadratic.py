@@ -29,9 +29,8 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 
-from .domains import is_prime, multiplicity, prime_divisors
+from .domains import is_prime, multiplicity, prime_divisors, record
 from .linalg import lattice_canonical, lattice_member
 
 
@@ -56,7 +55,7 @@ _REAL_UNIT_FIXTURES: dict[int, tuple[int, int]] = {
 _DESK_D_LIMIT = 200
 
 
-@dataclass(frozen=True)
+@record
 class NumberRing:
     """Ring of integers of Q(sqrt(d)) for squarefree d."""
 
@@ -142,7 +141,7 @@ def parse_element(text: str) -> tuple[int, int]:
     return (a, b)
 
 
-@dataclass(frozen=True)
+@record
 class PrimeIdealQ:
     """A prime of the quadratic ring in two-generator form."""
 

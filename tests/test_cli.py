@@ -484,14 +484,22 @@ def test_cm_search_over_zlocal_calls_unit_primes_vacuous(tmp_path, capsys):
 
 def test_cm_search_reports_a_failed_certificate_and_exits_0(monkeypatch, capsys):
     # a failed regularity check on a searched system refutes nothing
-    from dataclasses import replace
-
     from invring import cmcert
 
     real = cmcert.regular_sequence_certificate
 
     def failing(Sbar, thetas):
-        return replace(real(Sbar, thetas), status="failed", failed_stage=1, failed_degree=2)
+        cert = real(Sbar, thetas)
+        return cmcert.CMCertificate(
+            p=cert.p,
+            parameter_degrees=cert.parameter_degrees,
+            parameters=cert.parameters,
+            verified_to=cert.verified_to,
+            status="failed",
+            failed_stage=1,
+            failed_degree=2,
+            quotient_hilbert=cert.quotient_hilbert,
+        )
 
     monkeypatch.setattr("invring.cmcert.regular_sequence_certificate", failing)
     argv = ["cm-search", "--group", str(FIXTURES / "minus-identity.json"),

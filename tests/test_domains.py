@@ -1,16 +1,28 @@
 """Integer helpers of the coefficient domains: primes, p-adic exponents,
-integer forms of rational data, and matrix products."""
+integer forms of rational data, and matrix products; and the frozen records
+that @record makes of the value classes of every layer."""
 
+import copy
+import dataclasses
 import random
 from fractions import Fraction
 from math import isqrt
 
 import pytest
 
+from invring.cmcert import (
+    CMCertificate,
+    GorensteinReport,
+    SopSearchResult,
+    VeroneseAttempt,
+    VeroneseSearchReport,
+)
+from invring.cohomology import CohomologyGroup, CyclicModule, H2ComparisonReport
 from invring.domains import (
     GF,
     QQ,
     ZZ,
+    CoefficientDomain,
     Z_local,
     integer_form,
     is_prime,
@@ -19,7 +31,11 @@ from invring.domains import (
     multiplicity,
     prime_divisors,
 )
-from invring.quadratic import NumberRing
+from invring.groups import MatrixGroup
+from invring.invariants import HilbertFunction, StandardGradedReport, TruncatedSubalgebra
+from invring.linalg import IntegerMatrix, SmithForm
+from invring.poly import GradedPiece, GradedRing
+from invring.quadratic import NumberRing, PrimeIdealQ
 
 
 def test_is_prime_matches_a_sieve():
@@ -167,3 +183,96 @@ def test_mat_mul_matches_entrywise_domain_arithmetic(dom):
                 assert type(x) is kind and dom.coerce(x) == x, x
                 if dom.tag == "Fp":
                     assert 0 <= x < dom.p, x
+
+
+# one valid instance of each record, by its fields in order
+_MINUS_ONE = (1, ZZ, (((1,),), ((-1,),)), (((-1,),),))
+RECORDS = [
+    (CoefficientDomain, ("Fp", 5)),
+    (MatrixGroup, _MINUS_ONE),
+    (SmithForm, ((1, 2), IntegerMatrix.identity(2), IntegerMatrix([[0, 1], [1, 0]], cols=2))),
+    (GradedRing, (2, GF(3))),
+    (GradedPiece, (1, ((1, 0), (0, 1)))),
+    (TruncatedSubalgebra, (GradedRing(1, ZZ), MatrixGroup(*_MINUS_ONE), 2, 2, (((1,),), ((1,),), ()))),
+    (HilbertFunction, ((1, 1, 2),)),
+    (StandardGradedReport, (False, 2, 4)),
+    (CyclicModule, (ZZ, ((0, -1), (1, -1)), 3)),
+    (CohomologyGroup, (1, (2,))),
+    (H2ComparisonReport, (True, CohomologyGroup(0, (2,)), CohomologyGroup(0, (2,)))),
+    (CMCertificate, (3, (1, 1), ("X", "Y"), 4, "failed", 1, 2, (1, 0))),
+    (SopSearchResult, (True, (), 5, 3)),
+    (VeroneseAttempt, (2, True, None, {3: CMCertificate(3, (), (), 6, "vacuous")})),
+    (VeroneseSearchReport, (1, 12, 6, (), None)),
+    (GorensteinReport, (True, (1, 0, 1), "verified only through truncation degree 8")),
+    (NumberRing, (-5,)),
+    (PrimeIdealQ, (2, "ramified", 1, 2, 1)),
+]
+
+
+def _twin(cls):
+    """A frozen dataclass with the fields and defaults of the record cls."""
+    fields = [
+        (name, object, dataclasses.field(default=cls.__dict__[name]))
+        if name in cls.__dict__
+        else (name, object)
+        for name in cls.__annotations__
+    ]
+    return dataclasses.make_dataclass(cls.__name__, fields, frozen=True)
+
+
+def _hash(x):
+    try:
+        return hash(x)
+    except TypeError as exc:  # a dict field, as in VeroneseAttempt
+        return str(exc)
+
+
+@pytest.mark.parametrize("cls, args", RECORDS, ids=[cls.__name__ for cls, _ in RECORDS])
+def test_records_behave_as_frozen_dataclasses(cls, args):
+    twin = _twin(cls)
+    names = list(cls.__annotations__)
+    x, t = cls(*args), twin(*args)
+    assert repr(x) == repr(t)
+    assert _hash(x) == _hash(t)
+    assert cls(**dict(zip(names, args))) == x
+    # equality within the class only
+    assert x == cls(*args) and not x != cls(*args)
+    assert x.__eq__(t) is NotImplemented and x != t
+    other = CohomologyGroup(0, ()) if cls is not CohomologyGroup else NumberRing(-1)
+    assert x.__eq__(other) is NotImplemented and x != other
+    # past __init__, so that no __post_init__ check stands in the way
+    y = copy.copy(x)
+    object.__setattr__(y, names[-1], (args[-1], "altered"))
+    assert x != y and y == copy.copy(y)
+    # frozen, with the builtin AttributeError
+    for name in names:
+        with pytest.raises(AttributeError) as assigned:
+            setattr(x, name, args[0])
+        with pytest.raises(AttributeError) as deleted:
+            delattr(x, name)
+        assert type(assigned.value) is type(deleted.value) is AttributeError
+    assert repr(x) == repr(t)  # and the failed writes changed nothing
+
+
+def test_record_defaults_fill_the_trailing_fields():
+    assert repr(CoefficientDomain("Q")) == repr(_twin(CoefficientDomain)("Q"))
+    assert CoefficientDomain("Q") == CoefficientDomain("Q", None) == QQ
+    short = (3, (), (), 6, "vacuous")
+    assert repr(CMCertificate(*short)) == repr(_twin(CMCertificate)(*short))
+    assert CMCertificate(*short) == CMCertificate(*short, None, None, ())
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: CoefficientDomain("Fp", 4),
+        lambda: CoefficientDomain("Z", 3),
+        lambda: GradedRing(0, ZZ),
+        lambda: NumberRing(4),
+        lambda: CyclicModule(ZZ, ((0, 1), (1, 0)), 3),  # sigma^3 = sigma
+    ],
+    ids=["Fp-4", "Z-with-prime", "no-variables", "d-4", "sigma-order"],
+)
+def test_record_post_init_checks_still_raise(build):
+    with pytest.raises(ValueError):
+        build()

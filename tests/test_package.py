@@ -26,16 +26,21 @@ def _fresh(code: str) -> str:
 
 
 def _modules_after(argv) -> tuple[int, set[str]]:
-    """Exit code of invring.cli.run(argv) and the invring modules it loaded."""
+    """Exit code of invring.cli.run(argv) and the modules the process holds."""
     out = _fresh(
         "import contextlib, io, json, sys\n"
         "from invring.cli import run\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    code = run({argv!r})\n"
-        "print(json.dumps([code, [m for m in sys.modules if m.startswith('invring')]]))\n"
+        "print(json.dumps([code, list(sys.modules)]))\n"
     )
     code, modules = json.loads(out)
     return code, set(modules)
+
+
+def _invring_modules_after(argv) -> tuple[int, set[str]]:
+    code, modules = _modules_after(argv)
+    return code, {m for m in modules if m.startswith("invring")}
 
 
 @pytest.mark.parametrize(
@@ -53,13 +58,33 @@ def _modules_after(argv) -> tuple[int, set[str]]:
     ids=["dedekind-class-group", "invariants"],
 )
 def test_command_imports_only_what_it_runs(argv, unloaded):
-    code, modules = _modules_after(argv)
+    code, modules = _invring_modules_after(argv)
     assert code == 0
     assert not modules & {f"invring.{m}" for m in unloaded}
 
 
 def test_version_imports_no_submodule_but_cli():
-    assert _modules_after(["--version"]) == (0, {"invring", "invring.cli"})
+    assert _invring_modules_after(["--version"]) == (0, {"invring", "invring.cli"})
+
+
+@pytest.mark.parametrize(
+    "argv, reads_group",
+    [
+        (["--version"], False),
+        (["dedekind", "class-group", "--d", "-5"], False),
+        (["invariants", "--group", str(SWAP), "--max-degree", "4"], True),
+    ],
+    ids=["version", "dedekind-class-group", "invariants"],
+)
+def test_command_skips_dataclasses_inspect_and_unread_hashlib(argv, reads_group):
+    # against a bare interpreter, so that what site packages load at start-up
+    # does not count
+    bare = set(_fresh("import sys; print(*sys.modules)").split())
+    code, modules = _modules_after(argv)
+    assert code == 0
+    added = modules - bare
+    assert not added & {"dataclasses", "inspect"}
+    assert reads_group or "hashlib" not in added
 
 
 def test_public_names_resolve_lazily():
